@@ -867,6 +867,31 @@ mod tests {
     }
 
     #[test]
+    fn one_decision_builds_one_block_of_the_q_table() {
+        use autoscale_rl::qtable::BLOCK_ROWS;
+        use autoscale_rl::{QTable, ScalarKernel};
+        let sim = Simulator::new(DeviceId::Mi8Pro);
+        let engine = AutoScaleEngine::new(&sim, EngineConfig::paper());
+        assert_eq!(
+            engine.agent().store().memory_bytes(),
+            0,
+            "a fresh paper-size table has built no block"
+        );
+        engine
+            .decide_kernel(
+                &ScalarKernel,
+                Workload::ResNet50,
+                &Snapshot::calm(),
+                &mut seeded_rng(4),
+            )
+            .expect("feasible");
+        assert_eq!(
+            engine.agent().store().memory_bytes(),
+            QTable::full_bytes(BLOCK_ROWS, engine.actions().len())
+        );
+    }
+
+    #[test]
     fn precomputed_masks_match_the_action_space() {
         let sim = Simulator::new(DeviceId::Mi8Pro);
         let engine = AutoScaleEngine::new(&sim, EngineConfig::paper());

@@ -132,7 +132,10 @@ pub struct ServeConfig {
     pub kernel: KernelKind,
     /// The Q-value storage backend each session's agent learns in.
     /// [`QStoreKind::Dense`] (the default) gives every session a private
-    /// dense table; [`QStoreKind::Cow`] shares one immutable base across
+    /// dense table, which builds only the 64-state blocks the session
+    /// touches (one block for a cold session, whose workload's states
+    /// share a block) plus any its warm start had built;
+    /// [`QStoreKind::Cow`] shares one immutable, fully built base across
     /// the fleet (the warm-start agent's values, or a zero table) and
     /// gives each session a sparse copy-on-write overlay. Under a common
     /// warm start the two backends are bit-identical; without one, a
@@ -177,7 +180,8 @@ impl ServeConfig {
 pub struct FleetStoreStats {
     /// The backend every session ran on.
     pub qstore: QStoreKind,
-    /// Sum of per-session private bytes (tables or overlays).
+    /// Sum of per-session private bytes (built table blocks, or
+    /// overlays).
     pub private_bytes: u64,
     /// Bytes of the shared base table, counted once for the whole fleet
     /// (zero for a dense fleet).
@@ -341,16 +345,22 @@ pub fn serve(
     }
     // A copy-on-write fleet shares one immutable base table, built once:
     // the warm-start agent's flattened values, or a zero table for a
-    // cold fleet. Sessions only pay for the rows they write.
+    // cold fleet. Sessions only pay for the rows they write. Every block
+    // of the base is built here, before the shards start, so they never
+    // race to build a shared block.
     let cow_base: Option<Arc<QTable>> = match config.qstore {
         QStoreKind::Dense => None,
-        QStoreKind::Cow => Some(match warm_start {
-            Some(agent) => agent.shared_base(),
-            None => Arc::new(QTable::new_zeroed(
-                StateSpace::paper().len(),
-                ActionSpace::for_simulator(sim).len(),
-            )),
-        }),
+        QStoreKind::Cow => {
+            let base = match warm_start {
+                Some(agent) => agent.shared_base(),
+                None => Arc::new(QTable::new_zeroed(
+                    StateSpace::paper().len(),
+                    ActionSpace::for_simulator(sim).len(),
+                )),
+            };
+            base.materialize();
+            Some(base)
+        }
     };
     let specs = session_specs(mix, config);
     let shards = resolve_threads(config.shards);
@@ -745,7 +755,12 @@ mod tests {
 
     #[test]
     fn cow_fleet_stats_account_for_the_shared_base() {
+        use autoscale_rl::qtable::BLOCK_ROWS;
         let sim = Simulator::new(DeviceId::Mi8Pro);
+        let (states, actions) = (
+            StateSpace::paper().len(),
+            ActionSpace::for_simulator(&sim).len(),
+        );
         let mix = ScenarioMix::static_envs();
         let warm = paper_shaped_warm_agent(&sim);
         let dense = serve(&sim, &mix, &small_config(Some(2)), Some(&warm)).unwrap();
@@ -762,24 +777,28 @@ mod tests {
         assert_eq!(dense.store.qstore, QStoreKind::Dense);
         assert_eq!(dense.store.shared_bytes, 0);
         assert_eq!(dense.store.overlay_rows, 0);
-        // Each session wrote rows, and the overlays stay tiny next to the
-        // full table every dense session carries privately.
+        // A dense session builds only the block of its workload's states
+        // in its clone of the (unbuilt) warm table.
+        let block = QTable::full_bytes(BLOCK_ROWS, actions) as u64;
+        assert_eq!(dense.store.max_session_private_bytes, block);
+        assert_eq!(dense.store.private_bytes, 6 * block);
+        // The cow fleet shares one fully built base, counted once, and
+        // each overlay stays under the one block a dense session builds.
         assert!(cow.store.overlay_rows > 0, "sessions wrote overlay rows");
         assert_eq!(
             cow.store.shared_bytes,
-            dense.store.max_session_private_bytes
+            QTable::full_bytes(states, actions) as u64
         );
         assert!(
-            cow.store.private_bytes * 10 < dense.store.private_bytes,
-            "cow private {} vs dense private {}",
-            cow.store.private_bytes,
-            dense.store.private_bytes
+            cow.store.max_session_private_bytes < block,
+            "largest overlay {} B vs one dense block {block} B",
+            cow.store.max_session_private_bytes
         );
-        assert!(
-            cow.store.bytes_per_session(cow.sessions.len())
-                < dense.store.bytes_per_session(dense.sessions.len()),
-            "sharing the base must already pay off at 6 sessions"
-        );
+        // Building the cow base copied the warm table without building
+        // it, so a later dense fleet costs what the first one did.
+        assert_eq!(warm.store().memory_bytes(), 0);
+        let dense_again = serve(&sim, &mix, &small_config(Some(2)), Some(&warm)).unwrap();
+        assert_eq!(dense_again.store, dense.store);
     }
 
     #[test]

@@ -663,6 +663,7 @@ mod tests {
 
     #[test]
     fn cow_store_session_matches_a_dense_warm_start() {
+        use autoscale_rl::qtable::BLOCK_ROWS;
         use autoscale_rl::{Hyperparameters, QStoreKind, QTable};
         let sim = Simulator::new(DeviceId::Mi8Pro);
         let states = crate::state::StateSpace::paper().len();
@@ -704,15 +705,24 @@ mod tests {
         assert_eq!(cow_stats.kind, QStoreKind::Cow);
         assert!(cow_stats.overlay_rows > 0, "learning materialized rows");
         assert_eq!(
-            cow_stats.shared_bytes, dense_stats.private_bytes,
-            "the shared base costs exactly one dense table"
+            cow_stats.shared_bytes,
+            QTable::full_bytes(states, actions) as u64,
+            "the shared base is the whole table, fully built"
+        );
+        assert_eq!(
+            dense_stats.private_bytes,
+            QTable::full_bytes(BLOCK_ROWS, actions) as u64,
+            "the dense session built only its workload's block"
         );
         assert!(
-            cow_stats.private_bytes * 10 < dense_stats.private_bytes,
-            "overlay ({} B) must undercut dense ({} B) by >10x",
+            cow_stats.private_bytes < dense_stats.private_bytes,
+            "overlay ({} B) must undercut one dense block ({} B)",
             cow_stats.private_bytes,
             dense_stats.private_bytes
         );
+        // The dense session cloned the warm table and the cow session
+        // copied it into the base: neither built a block of it.
+        assert_eq!(warm.store().memory_bytes(), 0);
     }
 
     #[test]

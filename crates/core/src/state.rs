@@ -342,6 +342,21 @@ mod tests {
     }
 
     #[test]
+    fn every_workload_lies_in_one_q_table_block() {
+        // A Q-table builds its rows in 64-row blocks on first touch. Every
+        // state a workload can observe is `network_base + runtime_index`
+        // with a 64-aligned base and 64 runtime states, so a serving
+        // session builds exactly one block.
+        use autoscale_rl::qtable::BLOCK_ROWS;
+        let space = StateSpace::paper();
+        assert_eq!(space.runtime_states(), BLOCK_ROWS);
+        for w in Workload::ALL {
+            let base = space.network_base(&Network::workload(w));
+            assert_eq!(base % BLOCK_ROWS, 0, "{w} starts mid-block");
+        }
+    }
+
+    #[test]
     fn different_snapshots_give_different_states() {
         let space = StateSpace::paper();
         let net = Network::workload(Workload::ResNet50);

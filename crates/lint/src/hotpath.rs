@@ -64,7 +64,7 @@ const ALLOC_MACROS: [&str; 2] = ["vec", "format"];
 /// accessors, numeric ops, seeded-RNG draws). Anything *not* here —
 /// `push`, `insert`, `extend`, `sort`, `reserve` — stays a finding so
 /// the growth-prone std surface needs an explicit exemption.
-pub(crate) const STD_ALLOC_FREE: [&str; 157] = [
+pub(crate) const STD_ALLOC_FREE: [&str; 159] = [
     // iterator adaptors and consumers (lazy or O(1)-state)
     "iter",
     "iter_mut",
@@ -146,6 +146,7 @@ pub(crate) const STD_ALLOC_FREE: [&str; 157] = [
     "split_last",
     "chunks",
     "chunks_exact",
+    "chunks_mut",
     "windows",
     "fill",
     "swap",
@@ -230,12 +231,14 @@ pub(crate) const STD_ALLOC_FREE: [&str; 157] = [
     "from",
     "try_from",
     "try_into",
-    // seeded-RNG draws and construction (deterministic, stack-only:
-    // seed_from_u64 expands via SplitMix64 into a fixed [u8; 32])
+    // seeded-RNG draws, construction and jumps (deterministic,
+    // stack-only: seed_from_u64 expands via SplitMix64 into a fixed
+    // [u8; 32], advance works on four-word polynomials)
     "gen",
     "gen_range",
     "gen_bool",
     "seed_from_u64",
+    "advance",
 ];
 
 /// Runs the hot-path analysis over the whole workspace.

@@ -40,7 +40,10 @@
 //!
 //! * a draw intrinsic (`.gen()`, `.gen_range(…)`, `.gen_bool(…)`,
 //!   `.next_u32/u64/f64()`, `.fill_bytes(…)`) counts as exactly one
-//!   draw event;
+//!   draw event — unless its receiver is a local the function bound to a
+//!   clone (`let mut rng = origin.clone();`): draws on a private copy
+//!   shift no stream a caller or a later request sees, so they count
+//!   zero;
 //! * sequencing adds intervals (saturating at a cap);
 //! * `if`/`match` unions the arm intervals — and records a
 //!   **divergence event** when the arms differ (a missing `else` is an
@@ -371,10 +374,41 @@ fn walk_def(
         tokens,
         calls: &calls,
         nested,
+        private: private_clones(tokens, def.open, def.close),
         events: Vec::new(),
     };
     let iv = walker.walk(def.open + 1, def.close);
     (iv, walker.events)
+}
+
+/// Locals a def body binds to a clone (`let [mut] name = ….clone();`):
+/// generators drawn through them are private copies.
+fn private_clones(tokens: &[Token], open: usize, close: usize) -> Vec<&str> {
+    let mut names = Vec::new();
+    for k in open + 1..close {
+        if !tokens[k].is_ident("let") {
+            continue;
+        }
+        let at = if tokens.get(k + 1).is_some_and(|t| t.is_ident("mut")) {
+            k + 2
+        } else {
+            k + 1
+        };
+        let bound = tokens.get(at).is_some_and(|t| t.kind == TokenKind::Ident)
+            && tokens.get(at + 1).is_some_and(|t| t.is_punct('='));
+        let Some(semi) = (at + 2..close).find(|&j| tokens[j].is_punct(';')) else {
+            continue;
+        };
+        let clone_call = semi >= 4
+            && tokens[semi - 4].is_punct('.')
+            && tokens[semi - 3].is_ident("clone")
+            && tokens[semi - 2].is_punct('(')
+            && tokens[semi - 1].is_punct(')');
+        if bound && clone_call {
+            names.push(tokens[at].text.as_str());
+        }
+    }
+    names
 }
 
 /// The recursive body walker.
@@ -382,6 +416,8 @@ struct Walker<'a> {
     tokens: &'a [Token],
     calls: &'a BTreeMap<usize, Interval>,
     nested: &'a [(usize, usize)],
+    /// Locals holding private clones of a generator ([`private_clones`]).
+    private: Vec<&'a str>,
     events: Vec<Divergence>,
 }
 
@@ -446,7 +482,12 @@ impl Walker<'_> {
         let turbofish = self.tokens.get(i + 1).is_some_and(|t| t.is_punct(':'))
             && self.tokens.get(i + 2).is_some_and(|t| t.is_punct(':'))
             && self.tokens.get(i + 3).is_some_and(|t| t.is_punct('<'));
-        direct || turbofish
+        // `copy.gen()` on a private clone, but not `self.copy.gen()`.
+        let private = i >= 2
+            && self.tokens[i - 2].kind == TokenKind::Ident
+            && self.private.contains(&self.tokens[i - 2].text.as_str())
+            && !(i >= 3 && self.tokens[i - 3].is_punct('.'));
+        (direct || turbofish) && !private
     }
 
     /// An `if`/`else if`/`else` chain starting at the `if` keyword.
@@ -834,6 +875,23 @@ mod tests {
                    }\n}\n";
         let out = run(LIB, src);
         assert_eq!(rules_hit(&out), vec![(2, "divergent-rng-draws")]);
+    }
+
+    #[test]
+    fn draws_on_a_private_clone_count_zero() {
+        // The arm drawing on a local clone leaves the caller's stream
+        // where the other arm does; a field of the same name does not.
+        let src = "fn decide_x(&self, b: bool) -> f64 {\n\
+                   if b {\n\
+                   let mut copy = self.origin.clone();\n\
+                   copy.gen::<f64>() + copy.gen_range(0.0..1.0)\n\
+                   } else {\n\
+                   0.0\n\
+                   }\n}\n\
+                   fn decide_y(&mut self, b: bool) -> f64 {\n\
+                   let copy = self.origin.clone();\n\
+                   if b { self.copy.gen::<f64>() } else { 0.0 }\n}\n";
+        assert_eq!(rules_hit(&run(LIB, src)), vec![(11, "divergent-rng-draws")]);
     }
 
     #[test]

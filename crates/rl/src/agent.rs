@@ -125,6 +125,10 @@ impl QLearningAgent {
 
     /// Flattens this agent's current Q values into an immutable shared
     /// base table for copy-on-write fleet members ([`QStore::cow`]).
+    ///
+    /// This agent's own table is only copied: blocks it has not built
+    /// stay unbuilt here, and the copy builds them when the first
+    /// overlay is made over it ([`crate::CowQTable::new`]).
     pub fn shared_base(&self) -> Arc<QTable> {
         Arc::new(self.q.to_table())
     }

@@ -4,17 +4,19 @@
 //! ## Why
 //!
 //! A fleet of serving sessions is memory-bound long before it is
-//! CPU-bound: every session owning a dense paper-scale table
-//! (3,072 × 66 → ~1.69 MB of lanes) puts 10k sessions at ~17 GB. But a
-//! session only ever *writes* the states it visits — a few dozen rows
-//! before convergence freezes the policy — while every unvisited row
-//! still holds exactly the values it started from. [`CowQTable`] makes
-//! that observation structural: an immutable shared base table
-//! (`Arc`'d, lane-aligned, built from a zero table or a donor policy)
-//! plus a private sparse overlay of materialized rows. Reads fall
-//! through to the base until the first write to a state copies that
-//! row — lanes *and* its incremental argmax cache entry — into the
-//! overlay, after which the row behaves exactly like a dense row.
+//! CPU-bound. A dense table only builds the 64-row blocks its session
+//! touches (one ~37 KiB block for a cold session, see
+//! [`crate::qtable`]), but a warm-started session clones every block
+//! its donor built. Yet a session only ever *writes* the states it
+//! visits — a few dozen rows before convergence freezes the policy —
+//! while every unvisited row still holds exactly the values it started
+//! from. [`CowQTable`] makes that observation structural: an
+//! immutable shared base table (`Arc`'d, lane-aligned, fully built,
+//! from a zero table or a donor policy) plus a private sparse overlay
+//! of materialized rows. Reads fall through to the base until the
+//! first write to a state copies that row — lanes *and* its incremental
+//! argmax cache entry — into the overlay, after which the row behaves
+//! exactly like a dense row.
 //!
 //! ## The determinism contract
 //!
@@ -89,8 +91,9 @@ impl std::fmt::Display for QStoreKind {
 pub struct QStoreStats {
     /// The storage backend.
     pub kind: QStoreKind,
-    /// Bytes owned exclusively by this store: the dense table (lanes +
-    /// argmax cache), or the overlay's index, lane arena and row caches.
+    /// Bytes owned exclusively by this store: the dense table's built
+    /// blocks (lanes + argmax cache; see [`QTable::memory_bytes`]), or
+    /// the overlay's index, lane arena and row caches.
     pub private_bytes: u64,
     /// Bytes of the shared base table (zero for a dense store). Counted
     /// once per fleet, not once per session.
@@ -131,12 +134,16 @@ pub struct CowQTable {
 }
 
 impl CowQTable {
-    /// Creates an empty overlay over a shared base table.
+    /// Creates an empty overlay over a shared base table, building every
+    /// block of the base first: overlays on other threads then never
+    /// race to build a shared block, and the base's
+    /// [`QTable::memory_bytes`] is the same whichever session reads it.
     pub fn new(base: Arc<QTable>) -> Self {
         assert!(
             base.states() < u32::MAX as usize && base.actions() < u32::MAX as usize,
             "base table dimensions exceed the overlay's u32 index range"
         );
+        base.materialize();
         let stride = base.stride();
         CowQTable {
             base,
@@ -386,8 +393,8 @@ impl CowQTable {
     /// Rejects the snapshot when the base's shape or value digest does
     /// not match what the snapshot was taken over, or when a delta row
     /// is malformed (out-of-range state, wrong row length, duplicate
-    /// state) — a tampered snapshot fails loudly instead of serving
-    /// wrong Q values.
+    /// state, a non-finite value) — a tampered snapshot fails loudly
+    /// instead of serving wrong Q values.
     pub fn from_snapshot(
         base: Arc<QTable>,
         snapshot: &OverlaySnapshot,
@@ -422,6 +429,12 @@ impl CowQTable {
             }
             if overlay.find(delta.state).is_some() {
                 return Err(OverlayError::DuplicateState { state: delta.state });
+            }
+            if let Some(action) = delta.values.iter().position(|v| !v.is_finite()) {
+                return Err(OverlayError::NonFiniteValue {
+                    state: delta.state,
+                    action,
+                });
             }
             let row = overlay.row_for_write(delta.state);
             let lanes = &mut overlay.lanes[row * overlay.stride..(row + 1) * overlay.stride];
@@ -498,6 +511,13 @@ pub enum OverlayError {
         /// The duplicated state.
         state: usize,
     },
+    /// A delta holds a NaN or infinite Q value.
+    NonFiniteValue {
+        /// The state of the offending delta.
+        state: usize,
+        /// The first action whose value is not finite.
+        action: usize,
+    },
 }
 
 impl std::fmt::Display for OverlayError {
@@ -526,6 +546,10 @@ impl std::fmt::Display for OverlayError {
             OverlayError::DuplicateState { state } => {
                 write!(f, "overlay snapshot names state {state} twice")
             }
+            OverlayError::NonFiniteValue { state, action } => write!(
+                f,
+                "overlay delta value at (state {state}, action {action}) is not finite"
+            ),
         }
     }
 }
@@ -626,21 +650,21 @@ impl QStore {
         self.best_action(state, mask).map_or(0.0, |(_, v)| v)
     }
 
-    /// Bytes this store owns privately (shared base excluded).
+    /// Bytes this store owns privately (shared base excluded): a dense
+    /// table's built blocks, or an overlay.
     pub fn memory_bytes(&self) -> usize {
         match self {
-            QStore::Dense(q) => q.memory_bytes() + q.states() * std::mem::size_of::<RowMax>(),
+            QStore::Dense(q) => q.memory_bytes(),
             QStore::Cow(c) => c.private_bytes(),
         }
     }
 
-    /// Bytes of the shared base (zero for a dense store).
+    /// Bytes of the shared base (zero for a dense store); a base is
+    /// fully built, so this is the whole table.
     pub fn shared_bytes(&self) -> usize {
         match self {
             QStore::Dense(_) => 0,
-            QStore::Cow(c) => {
-                c.base().memory_bytes() + c.base().states() * std::mem::size_of::<RowMax>()
-            }
+            QStore::Cow(c) => c.base().memory_bytes(),
         }
     }
 
@@ -654,8 +678,9 @@ impl QStore {
         }
     }
 
-    /// The full logical table, materialized dense — the dense↔cow
-    /// conversion path.
+    /// The full logical table as a dense [`QTable`] — the dense↔cow
+    /// conversion path. A dense store is cloned, so blocks it has not
+    /// built stay unbuilt in both.
     pub fn to_table(&self) -> QTable {
         match self {
             QStore::Dense(q) => q.clone(),
@@ -994,6 +1019,48 @@ mod tests {
     }
 
     #[test]
+    fn snapshot_rejects_non_finite_values() {
+        let b = base(4, 3, 5);
+        // JSON has no infinity, but an overflowing literal parses as one.
+        let json = format!(
+            r#"{{"states":4,"actions":3,"base_digest":{},"deltas":[{{"state":0,"values":[1.0,2.0,3.0]}},{{"state":2,"values":[0.5,1e999,0.0]}}]}}"#,
+            b.value_digest()
+        );
+        let snap: OverlaySnapshot = serde_json::from_str(&json).unwrap();
+        let err = CowQTable::from_snapshot(b.clone(), &snap).unwrap_err();
+        assert_eq!(
+            err,
+            OverlayError::NonFiniteValue {
+                state: 2,
+                action: 1
+            }
+        );
+        assert!(err.to_string().contains("(state 2, action 1)"), "{err}");
+        let nan = serde::Value::Object(vec![
+            ("state".to_string(), serde::Value::UInt(3)),
+            (
+                "values".to_string(),
+                serde::Value::Array(vec![
+                    serde::Value::Float(f64::NAN),
+                    serde::Value::Float(0.0),
+                    serde::Value::Float(0.0),
+                ]),
+            ),
+        ]);
+        let snap = OverlaySnapshot {
+            deltas: vec![OverlayDelta::from_value(&nan).unwrap()],
+            ..snap
+        };
+        assert_eq!(
+            CowQTable::from_snapshot(b, &snap).unwrap_err(),
+            OverlayError::NonFiniteValue {
+                state: 3,
+                action: 0
+            }
+        );
+    }
+
+    #[test]
     fn restored_overlay_argmax_cache_is_consistent() {
         let b = base(4, 9, 17);
         let mut cow = CowQTable::new(b.clone());
@@ -1030,26 +1097,40 @@ mod tests {
 
     #[test]
     fn stats_account_for_sharing() {
+        use crate::qtable::BLOCK_ROWS;
         let b = base(3_072, 66, 0);
-        let dense = QStore::Dense((*b).clone());
+        // The dense copy is taken before the overlay builds the base:
+        // building a shared base never builds the table it came from.
+        let mut dense = QStore::Dense((*b).clone());
         let mut cow = QStore::cow(b);
+        assert_eq!(dense.stats().private_bytes, 0, "nothing built yet");
+        for s in 0..40 {
+            dense.set(s, 0, 1.0);
+            cow.set(s, 0, 1.0);
+        }
         let dense_stats = dense.stats();
         assert_eq!(dense_stats.kind, QStoreKind::Dense);
         assert_eq!(dense_stats.shared_bytes, 0);
         assert_eq!(dense_stats.overlay_rows, 0);
         assert_eq!(dense_stats.private_bytes, dense.memory_bytes() as u64);
-        for s in 0..40 {
-            cow.set(s, 0, 1.0);
-        }
+        assert_eq!(
+            dense_stats.private_bytes,
+            QTable::full_bytes(BLOCK_ROWS, 66) as u64,
+            "states 0..40 all live in block 0"
+        );
         let cow_stats = cow.stats();
         assert_eq!(cow_stats.kind, QStoreKind::Cow);
         assert_eq!(cow_stats.overlay_rows, 40);
-        assert_eq!(cow_stats.shared_bytes, dense_stats.private_bytes);
+        assert_eq!(
+            cow_stats.shared_bytes,
+            QTable::full_bytes(3_072, 66) as u64,
+            "the shared base is fully built"
+        );
         assert!(
-            cow_stats.private_bytes * 20 < dense_stats.private_bytes,
-            "a 40-row overlay ({} B) must undercut dense ({} B) by >20x",
+            cow_stats.private_bytes * 20 < cow_stats.shared_bytes,
+            "a 40-row overlay ({} B) must undercut the base it shares ({} B) by >20x",
             cow_stats.private_bytes,
-            dense_stats.private_bytes
+            cow_stats.shared_bytes
         );
     }
 

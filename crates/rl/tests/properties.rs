@@ -7,7 +7,25 @@ use autoscale_rl::{
     Hyperparameters, MaskSet, PackedKernel, QLearningAgent, QStore, QTable, ScalarKernel,
 };
 use proptest::prelude::*;
-use rand::SeedableRng;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// The eager reference for `QTable::new_random(states, actions, seed)`:
+/// a raw re-draw of every value, state-major and action-minor, loaded
+/// through the dense wire format, which builds every block from the
+/// given values.
+fn eager_random(states: usize, actions: usize, seed: u64) -> QTable {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let values = (0..states * actions)
+        .map(|_| serde::Value::Float(rng.gen_range(-0.01..0.01)))
+        .collect();
+    let wire = serde::Value::Object(vec![
+        ("states".to_string(), serde::Value::UInt(states as u64)),
+        ("actions".to_string(), serde::Value::UInt(actions as u64)),
+        ("values".to_string(), serde::Value::Array(values)),
+    ]);
+    serde::Deserialize::from_value(&wire).expect("finite values of the right count")
+}
 
 proptest! {
     /// Q-tables store and retrieve every written value exactly.
@@ -38,8 +56,7 @@ proptest! {
             q.set(0, a, v);
         }
         // Random mask with at least one allowed entry.
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(seed);
         let mut mask: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.7)).collect();
         if !mask.iter().any(|&m| m) {
             mask[0] = true;
@@ -72,7 +89,7 @@ proptest! {
     fn greedy_finds_the_best_of_k(k in 2usize..10, seed in any::<u64>()) {
         let params = Hyperparameters::paper();
         let mut agent = QLearningAgent::new(1, k, params, seed);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed.wrapping_add(1));
+        let mut rng = StdRng::seed_from_u64(seed.wrapping_add(1));
         let mask = vec![true; k];
         // Rewards: action i pays -(i as f64) * 10; action 0 is best.
         for _ in 0..k * 30 {
@@ -89,7 +106,7 @@ proptest! {
         q.set(0, n - 1, 1.0);
         let q = QStore::Dense(q);
         let mask = vec![true; n];
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut rng = StdRng::seed_from_u64(seed);
         // epsilon = 0: always the argmax.
         let greedy = EpsilonGreedy::greedy();
         for _ in 0..10 {
@@ -165,8 +182,7 @@ proptest! {
             epsilon: 0.0,
         };
         let mut agent = QLearningAgent::with_table(QTable::new_zeroed(states, actions), params);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(seed);
         let full = vec![true; actions];
         for (s, a, kind, v) in ops {
             let (s, a, v) = (s % states, a % actions, v as f64);
@@ -245,8 +261,7 @@ proptest! {
         prop_assert_eq!(dense.value_digest(), cow.value_digest());
         let epsilon = [0.0, 0.5, 1.0][eps_idx];
         let kernels: [&dyn DecisionKernel; 3] = [&ScalarKernel, &PackedKernel, &FrozenKernel];
-        let mut mask_rng = rand::rngs::StdRng::seed_from_u64(rng_seed);
-        use rand::Rng;
+        let mut mask_rng = StdRng::seed_from_u64(rng_seed);
         for state in 0..states {
             let mask: Vec<bool> = (0..actions).map(|_| mask_rng.gen_bool(0.7)).collect();
             prop_assert_eq!(dense.best_action(state, &mask), cow.best_action(state, &mask));
@@ -255,7 +270,7 @@ proptest! {
             }
             let mask = MaskSet::from_bools(&mask);
             for kernel in kernels {
-                let mut rng_d = rand::rngs::StdRng::seed_from_u64(rng_seed ^ state as u64);
+                let mut rng_d = StdRng::seed_from_u64(rng_seed ^ state as u64);
                 let mut rng_c = rng_d.clone();
                 let pick_d = kernel.select(&dense, state, &mask, epsilon, &mut rng_d);
                 let pick_c = kernel.select(&cow, state, &mask, epsilon, &mut rng_c);
@@ -263,6 +278,69 @@ proptest! {
                 prop_assert_eq!(rng_d, rng_c);
             }
         }
+    }
+
+    /// A random table whose blocks are built on first touch is the eager
+    /// table bit for bit, whatever order its blocks are first touched in:
+    /// over arbitrary shapes (partial last blocks included), seeds, and
+    /// touch orders interleaved with `set`/`add`, every value, masked
+    /// argmax, kernel pick (with its RNG draws), digest and serde round
+    /// trip agrees.
+    #[test]
+    fn lazy_blocks_equal_the_eager_table(
+        states in 1usize..200,
+        actions in 1usize..80,
+        seed in any::<u64>(),
+        touches in prop::collection::vec((0usize..200, 0usize..80, 0u8..3, -3i8..=3i8), 1..40),
+        sweep_from in 0usize..200,
+        rng_seed in any::<u64>(),
+    ) {
+        let mut lazy = QTable::new_random(states, actions, seed);
+        let mut eager = eager_random(states, actions, seed);
+        for &(s, a, kind, v) in &touches {
+            let (s, a, v) = (s % states, a % actions, v as f64 / 100.0);
+            match kind {
+                0 => prop_assert_eq!(lazy.get(s, a), eager.get(s, a)),
+                1 => {
+                    lazy.set(s, a, v);
+                    eager.set(s, a, v);
+                }
+                _ => {
+                    lazy.add(s, a, v);
+                    eager.add(s, a, v);
+                }
+            }
+        }
+        let (lazy, eager) = (QStore::Dense(lazy), QStore::Dense(eager));
+        let kernels: [&dyn DecisionKernel; 3] = [&ScalarKernel, &PackedKernel, &FrozenKernel];
+        let mut mask_rng = StdRng::seed_from_u64(rng_seed);
+        // The sweep starts mid-table, so the untouched blocks are built
+        // in rotated order.
+        for state in (0..states).map(|i| (i + sweep_from) % states) {
+            for a in 0..actions {
+                prop_assert_eq!(lazy.get(state, a).to_bits(), eager.get(state, a).to_bits());
+            }
+            let mut mask: Vec<bool> = (0..actions).map(|_| mask_rng.gen_bool(0.7)).collect();
+            prop_assert_eq!(lazy.best_action(state, &mask), eager.best_action(state, &mask));
+            mask[0] = true;
+            let mask = MaskSet::from_bools(&mask);
+            for kernel in kernels {
+                for epsilon in [0.0, 0.5] {
+                    let mut rng_lazy = StdRng::seed_from_u64(rng_seed ^ state as u64);
+                    let mut rng_eager = rng_lazy.clone();
+                    prop_assert_eq!(
+                        kernel.select(&lazy, state, &mask, epsilon, &mut rng_lazy),
+                        kernel.select(&eager, state, &mask, epsilon, &mut rng_eager)
+                    );
+                    prop_assert_eq!(rng_lazy, rng_eager);
+                }
+            }
+        }
+        prop_assert_eq!(lazy.value_digest(), eager.value_digest());
+        let json = serde_json::to_string(&lazy).expect("serializes");
+        prop_assert_eq!(&json, &serde_json::to_string(&eager).expect("serializes"));
+        let back: QStore = serde_json::from_str(&json).expect("deserializes");
+        prop_assert_eq!(&back, &eager);
     }
 
     /// Overlay snapshots survive serde exactly and restore to the same

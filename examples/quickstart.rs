@@ -6,6 +6,7 @@
 //! ```
 
 use autoscale::prelude::*;
+use autoscale_rl::QTable;
 
 fn main() {
     // 1. Build the edge-cloud testbed around a Xiaomi Mi8Pro: the phone
@@ -18,11 +19,10 @@ fn main() {
     //    alpha = beta = 0.1; 50% accuracy target.
     let config = EngineConfig::paper();
     let mut engine = AutoScaleEngine::new(&sim, config);
+    let (states, actions) = (engine.states().len(), engine.actions().len());
     println!(
-        "engine: {} states x {} actions ({} KiB Q-table)",
-        engine.states().len(),
-        engine.actions().len(),
-        engine.agent().store().memory_bytes() / 1024
+        "engine: {states} states x {actions} actions ({} KiB Q-table, built 64 states at a time on first use)",
+        QTable::full_bytes(states, actions) / 1024
     );
 
     // 3. Train: run inference after inference in the calm environment,
@@ -48,6 +48,11 @@ fn main() {
             break;
         }
     }
+
+    println!(
+        "Q-table resident after training: {} KiB",
+        engine.agent().store().memory_bytes() / 1024
+    );
 
     // 4. Serve: compare the engine's greedy decision with the baseline
     //    that always runs on the mobile CPU at FP32.
