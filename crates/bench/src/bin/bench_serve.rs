@@ -8,15 +8,15 @@
 //! 1-core box only one pass runs; "8 threads" there would measure the
 //! same serial execution twice and report a meaningless speedup).
 //!
-//! It then races every [`KernelKind`] over a longer fleet with latency
-//! recording off — the serving-throughput configuration — asserts the
-//! fleet digests are identical across kernels, and records the winner.
+//! It then times one longer fleet with latency recording off — the
+//! serving-throughput configuration, where most decisions happen after
+//! convergence freezes the policy — and records its decisions/second.
 //! The full run writes `BENCH_serve.json` at the repository root;
 //! `--smoke` runs a small fleet and skips the file (the CI-sized check).
 //!
-//! `--gate PATH` is the CI perf-regression mode: it runs only the kernel
-//! race, compares the best throughput against the committed
-//! `best_decisions_per_sec` in PATH, and exits non-zero on a >20%
+//! `--gate PATH` is the CI perf-regression mode: it times only the
+//! throughput fleet, compares it against the committed
+//! `throughput.decisions_per_sec` in PATH, and exits non-zero on a >20%
 //! regression. Regenerate the committed number with
 //! `cargo run --release -p autoscale-bench --bin bench_serve`.
 //!
@@ -39,7 +39,6 @@ use std::time::Instant;
 use autoscale::parallel::{cell_seed, default_threads, resolve_threads};
 use autoscale::prelude::*;
 use autoscale::serve::session_seed;
-use autoscale_rl::KernelKind;
 use autoscale_sim::{ArrivalSampler, FaultProfile};
 
 struct Run {
@@ -51,79 +50,58 @@ struct Run {
     p99_ns: u64,
 }
 
-struct KernelRun {
-    kernel: KernelKind,
+/// The best pass of the throughput fleet.
+struct Throughput {
     wall_s: f64,
     decisions_per_sec: f64,
 }
 
-/// Races every decision kernel over the same fleet (latency recording
-/// off, all cores) and asserts their fleet digests are identical —
-/// the determinism contract, enforced on every benchmark run.
-///
-/// Each kernel runs `passes` times and keeps its fastest pass: the
-/// throughput of interest is what the kernel can sustain, not what a
-/// scheduler hiccup did to one run.
-fn race_kernels(
+/// Times the throughput fleet (latency recording off, all cores) and
+/// keeps the fastest of `passes` runs: the number of interest is what
+/// the serving path can sustain, not what a scheduler hiccup did to one
+/// run. Every pass must reproduce the first pass's fleet digest.
+fn time_fleet(
     sim: &Simulator,
     mix: &ScenarioMix,
     sessions: usize,
     decisions: usize,
     faults: FaultProfile,
     passes: usize,
-) -> Vec<KernelRun> {
-    let mut runs: Vec<KernelRun> = Vec::new();
+) -> Throughput {
+    let config = ServeConfig {
+        sessions,
+        decisions_per_session: decisions,
+        shards: None,
+        record_latency: false,
+        faults,
+        ..ServeConfig::fleet()
+    };
     let mut digest: Option<u64> = None;
-    for kernel in KernelKind::ALL {
-        let config = ServeConfig {
-            sessions,
-            decisions_per_session: decisions,
-            shards: None,
-            record_latency: false,
-            faults,
-            kernel,
-            ..ServeConfig::fleet()
-        };
-        let mut best: Option<KernelRun> = None;
-        for _ in 0..passes.max(1) {
-            let start = Instant::now();
-            let report = autoscale::serve::serve(sim, mix, &config, None).expect("no warm start");
-            let wall_s = start.elapsed().as_secs_f64();
-            match digest {
-                None => digest = Some(report.digest()),
-                Some(reference) => assert_eq!(
-                    report.digest(),
-                    reference,
-                    "kernel {kernel} changed the decision traces"
-                ),
-            }
-            let decisions_per_sec = report.total_decisions() as f64 / wall_s;
-            if best
-                .as_ref()
-                .is_none_or(|b| decisions_per_sec > b.decisions_per_sec)
-            {
-                best = Some(KernelRun {
-                    kernel,
-                    wall_s,
-                    decisions_per_sec,
-                });
-            }
+    let mut best: Option<Throughput> = None;
+    for _ in 0..passes.max(1) {
+        let start = Instant::now();
+        let report = autoscale::serve::serve(sim, mix, &config, None).expect("no warm start");
+        let wall_s = start.elapsed().as_secs_f64();
+        match digest {
+            None => digest = Some(report.digest()),
+            Some(reference) => assert_eq!(
+                report.digest(),
+                reference,
+                "a repeated pass changed the decision traces"
+            ),
         }
-        runs.push(best.expect("at least one pass"));
+        let decisions_per_sec = report.total_decisions() as f64 / wall_s;
+        if best
+            .as_ref()
+            .is_none_or(|b| decisions_per_sec > b.decisions_per_sec)
+        {
+            best = Some(Throughput {
+                wall_s,
+                decisions_per_sec,
+            });
+        }
     }
-    runs
-}
-
-fn best_of(runs: &[KernelRun]) -> &KernelRun {
-    runs.iter()
-        .reduce(|best, r| {
-            if r.decisions_per_sec > best.decisions_per_sec {
-                r
-            } else {
-                best
-            }
-        })
-        .expect("at least one kernel raced")
+    best.expect("at least one pass")
 }
 
 /// Extracts a committed numeric field from a previously written
@@ -138,19 +116,16 @@ fn committed_number(text: &str, key: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
-/// Extracts a committed string field (`"key": "value"`) the same way.
-fn committed_string(text: &str, key: &str) -> Option<String> {
-    let marker = format!("\"{key}\":");
-    let at = text.find(&marker)?;
-    let rest = text[at + marker.len()..].trim_start().strip_prefix('"')?;
-    Some(rest[..rest.find('"')?].to_string())
-}
-
-fn committed_best(text: &str, path: &str) -> f64 {
-    committed_number(text, "best_decisions_per_sec").unwrap_or_else(|| {
-        eprintln!("--gate: {path} has no best_decisions_per_sec (regenerate it with `cargo run --release -p autoscale-bench --bin bench_serve`)");
-        std::process::exit(2);
-    })
+/// The committed `throughput.decisions_per_sec` (the `runs` entries
+/// carry their own `decisions_per_sec`, so the lookup starts at the
+/// `throughput` record).
+fn committed_throughput(text: &str, path: &str) -> f64 {
+    text.find("\"throughput\":")
+        .and_then(|at| committed_number(&text[at..], "decisions_per_sec"))
+        .unwrap_or_else(|| {
+            eprintln!("--gate: {path} has no throughput.decisions_per_sec (regenerate it with `cargo run --release -p autoscale-bench --bin bench_serve`)");
+            std::process::exit(2);
+        })
 }
 
 /// The open-loop serving benchmark: overload a fleet, verify the
@@ -350,10 +325,11 @@ fn main() {
         }
     };
     let (sessions, decisions) = if smoke { (4, 50) } else { (32, 400) };
-    // The race measures serving throughput, so it runs longer sessions:
-    // most decisions happen after convergence freezes the policy, which
-    // is the regime a deployed fleet spends its life in.
-    let (race_sessions, race_decisions) = if smoke { (4, 200) } else { (16, 25_000) };
+    // The throughput fleet runs longer sessions: most decisions happen
+    // after convergence freezes the policy, which is the regime a
+    // deployed fleet spends its life in.
+    let (fleet_sessions, fleet_decisions) = if smoke { (4, 200) } else { (16, 25_000) };
+    let passes = if smoke { 1 } else { 2 };
 
     let sim = Simulator::new(DeviceId::Mi8Pro);
     let mix = ScenarioMix::static_envs();
@@ -369,68 +345,25 @@ fn main() {
             eprintln!("--gate: cannot read {path}: {e}");
             std::process::exit(2);
         });
-        let committed = committed_best(&text, &path);
+        let committed = committed_throughput(&text, &path);
         if let Some(committed_cores) = committed_number(&text, "cores") {
             println!("cores: {cores} here vs {committed_cores:.0} when the baseline was committed");
         }
-        let runs = race_kernels(
-            &sim,
-            &mix,
-            race_sessions,
-            race_decisions,
-            faults,
-            if smoke { 1 } else { 2 },
-        );
-        let best = best_of(&runs);
-        for r in &runs {
-            println!(
-                "  kernel {:>6}: {:>9.0} decisions/s ({:.2} s)",
-                r.kernel, r.decisions_per_sec, r.wall_s
-            );
-        }
+        let fleet = time_fleet(&sim, &mix, fleet_sessions, fleet_decisions, faults, passes);
         let floor = committed * 0.8;
-        if best.decisions_per_sec < floor {
+        if fleet.decisions_per_sec < floor {
             eprintln!(
-                "perf gate FAILED: best kernel ({}) served {:.0} decisions/s, \
+                "perf gate FAILED: the throughput fleet served {:.0} decisions/s, \
                  below 80% of the committed {:.0} (floor {:.0}).\n\
                  If this regression is intended, regenerate the baseline with\n\
                  `cargo run --release -p autoscale-bench --bin bench_serve` and commit {path}.",
-                best.kernel, best.decisions_per_sec, committed, floor
+                fleet.decisions_per_sec, committed, floor
             );
             std::process::exit(1);
         }
-        // The committed winner must still be competitive in a fresh race:
-        // if another kernel now beats it by more than the gate tolerance,
-        // the ranking regressed (e.g. a fast path was lost) even though
-        // absolute throughput may still clear the floor.
-        if let Some(name) = committed_string(&text, "best_kernel") {
-            match runs.iter().find(|r| r.kernel.to_string() == name) {
-                None => {
-                    eprintln!("--gate: committed best_kernel `{name}` is not a known kernel");
-                    std::process::exit(2);
-                }
-                Some(recorded) => {
-                    let kernel_floor = best.decisions_per_sec * 0.8;
-                    if recorded.decisions_per_sec < kernel_floor {
-                        eprintln!(
-                            "perf gate FAILED: committed best kernel ({name}) served {:.0} \
-                             decisions/s, below 80% of the fresh best ({} at {:.0}).\n\
-                             The kernel ranking regressed; if intended, regenerate {path}.",
-                            recorded.decisions_per_sec, best.kernel, best.decisions_per_sec
-                        );
-                        std::process::exit(1);
-                    }
-                    println!(
-                        "kernel ranking holds: committed winner {name} at {:.0} decisions/s \
-                         vs fresh best {} at {:.0}",
-                        recorded.decisions_per_sec, best.kernel, best.decisions_per_sec
-                    );
-                }
-            }
-        }
         println!(
-            "perf gate passed: best kernel ({}) at {:.0} decisions/s vs committed {:.0} (floor {:.0})",
-            best.kernel, best.decisions_per_sec, committed, floor
+            "perf gate passed: {:.0} decisions/s ({:.2} s) vs committed {:.0} (floor {:.0})",
+            fleet.decisions_per_sec, fleet.wall_s, committed, floor
         );
         return;
     }
@@ -535,26 +468,13 @@ fn main() {
         None => println!("speedup (best vs 1 shard): n/a (single effective shard)"),
     }
 
-    println!("kernel race: {race_sessions} sessions x {race_decisions} decisions, all kernels");
-    let kernel_runs = race_kernels(
-        &sim,
-        &mix,
-        race_sessions,
-        race_decisions,
-        faults,
-        if smoke { 1 } else { 2 },
-    );
-    for r in &kernel_runs {
-        println!(
-            "  kernel {:>6}: {:>9.0} decisions/s ({:.2} s)",
-            r.kernel, r.decisions_per_sec, r.wall_s
-        );
-    }
-    println!("fleet digests bit-identical across kernels");
-    let best = best_of(&kernel_runs);
     println!(
-        "best kernel: {} at {:.0} decisions/s",
-        best.kernel, best.decisions_per_sec
+        "throughput fleet: {fleet_sessions} sessions x {fleet_decisions} decisions, latency off"
+    );
+    let fleet = time_fleet(&sim, &mix, fleet_sessions, fleet_decisions, faults, passes);
+    println!(
+        "  {:>9.0} decisions/s ({:.2} s, best of {passes})",
+        fleet.decisions_per_sec, fleet.wall_s
     );
 
     if smoke {
@@ -575,25 +495,14 @@ fn main() {
             if i + 1 < runs.len() { "," } else { "" }
         ));
     }
-    let mut kernel_entries = String::new();
-    for (i, r) in kernel_runs.iter().enumerate() {
-        kernel_entries.push_str(&format!(
-            "      {{\"kernel\": \"{}\", \"wall_s\": {:.3}, \"decisions_per_sec\": {:.1}}}{}\n",
-            r.kernel,
-            r.wall_s,
-            r.decisions_per_sec,
-            if i + 1 < kernel_runs.len() { "," } else { "" }
-        ));
-    }
     let speedup_json = match speedup {
         Some(x) => format!("{x:.3}"),
         None => "null".to_string(),
     };
     let json = format!(
-        "{{\n  \"sessions\": {sessions},\n  \"decisions_per_session\": {decisions},\n  \"cores\": {cores},\n  \"fleet_digest\": {},\n  \"speedup_best_vs_1\": {speedup_json},\n  \"single_core\": {single_core},\n  \"runs\": [\n{entries}  ],\n  \"kernel_race\": {{\n    \"sessions\": {race_sessions},\n    \"decisions_per_session\": {race_decisions},\n    \"cores\": {cores},\n    \"kernels\": [\n{kernel_entries}    ],\n    \"best_kernel\": \"{}\",\n    \"best_decisions_per_sec\": {:.1}\n  }}\n}}\n",
+        "{{\n  \"sessions\": {sessions},\n  \"decisions_per_session\": {decisions},\n  \"cores\": {cores},\n  \"fleet_digest\": {},\n  \"speedup_best_vs_1\": {speedup_json},\n  \"single_core\": {single_core},\n  \"runs\": [\n{entries}  ],\n  \"throughput\": {{\"sessions\": {fleet_sessions}, \"decisions_per_session\": {fleet_decisions}, \"cores\": {cores}, \"decisions_per_sec\": {:.1}}}\n}}\n",
         digest.expect("at least one run"),
-        best.kernel,
-        best.decisions_per_sec
+        fleet.decisions_per_sec
     );
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
     std::fs::write(out, &json).expect("write BENCH_serve.json");

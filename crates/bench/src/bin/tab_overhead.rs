@@ -32,10 +32,20 @@ fn main() {
 
     const N: u32 = 100_000;
 
-    // Serving decision: state lookup + greedy argmax.
+    // Serving decision: what a converged serving session calls — the
+    // frozen engine's `decide` (state encode, the ε gate's one uniform
+    // draw, the cached argmax), on its own stream so the training loop
+    // below draws exactly as before.
+    let mut serving = engine.clone();
+    serving.freeze();
+    let mut serve_rng = autoscale::seeded_rng(2);
     let t = Instant::now();
     for _ in 0..N {
-        std::hint::black_box(engine.decide_greedy(&sim, w, &snapshot).expect("feasible"));
+        std::hint::black_box(
+            serving
+                .decide(&sim, w, &snapshot, &mut serve_rng)
+                .expect("feasible"),
+        );
     }
     let serve_us = t.elapsed().as_secs_f64() * 1e6 / N as f64;
 

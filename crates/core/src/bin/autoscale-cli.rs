@@ -8,7 +8,7 @@
 //! autoscale-cli decide   --device mi8pro --qtable qtable.json --workload resnet-50 [--env S4]
 //! autoscale-cli evaluate --device mi8pro --qtable qtable.json --workload resnet-50 --env S1|all [--runs 100] [--threads N] [--json]
 //! autoscale-cli trace    --device mi8pro --qtable qtable.json --workload resnet-50 --env D2 --runs 50 --out trace.json
-//! autoscale-cli serve    --device mi8pro [--sessions 8] [--decisions 200] [--shards N] [--mix static|all] [--qtable FILE] [--seed N] [--faults PROFILE] [--kernel KERNEL] [--qstore dense|cow] [--arrivals poisson|bursty|diurnal --rate HZ --horizon-ms MS --queue N --admission drop|deadline|degrade --churn none|gentle|heavy] [--json]
+//! autoscale-cli serve    --device mi8pro [--sessions 8] [--decisions 200] [--shards N] [--mix static|all] [--qtable FILE] [--seed N] [--faults PROFILE] [--qstore dense|cow] [--arrivals poisson|bursty|diurnal --rate HZ --horizon-ms MS --queue N --admission drop|deadline|degrade --churn none|gentle|heavy] [--json]
 //! ```
 //!
 //! Argument parsing is deliberately hand-rolled (`--key value` pairs) to
@@ -20,7 +20,7 @@ use std::process::ExitCode;
 use autoscale::experiment;
 use autoscale::prelude::*;
 use autoscale::scheduler::AutoScaleScheduler;
-use autoscale_rl::{KernelKind, QLearningAgent, QStoreKind};
+use autoscale_rl::{QLearningAgent, QStoreKind};
 use autoscale_sim::Trace;
 
 fn main() -> ExitCode {
@@ -73,7 +73,7 @@ fn print_help() {
          \x20 serve    --device D [--sessions N] [--decisions N] [--shards N]\n\
          \x20          [--mix static|all] [--qtable FILE] [--seed N] [--json]\n\
          \x20          [--faults none|lossy-edge|lossy-cloud|flaky|stragglers|chaos]\n\
-         \x20          [--kernel scalar|packed|frozen] [--qstore dense|cow]\n\
+         \x20          [--qstore dense|cow]\n\
          \x20          [--arrivals poisson|bursty|diurnal] [--rate HZ]\n\
          \x20          [--horizon-ms MS] [--queue N]\n\
          \x20          [--admission drop|deadline|degrade]\n\
@@ -94,8 +94,6 @@ fn print_help() {
          --faults injects seeded link dropouts, timeouts, disconnection\n\
          windows, stragglers and thermal bursts; failed offloads retry with\n\
          backoff and fall back locally, and reports stay deterministic.\n\
-         --kernel picks the decision kernel — a pure speed choice; every\n\
-         kernel produces bit-identical reports and digests.\n\
          --qstore picks the Q-table backend: `dense` gives every session\n\
          a private table; `cow` shares one immutable base (the --qtable\n\
          warm start, or a zero table) and gives each session a sparse\n\
@@ -557,15 +555,6 @@ fn cmd_serve(flags: &BTreeMap<String, String>) -> Result<(), String> {
             )
         })?,
     };
-    let kernel = match flags.get("kernel") {
-        None => KernelKind::Scalar,
-        Some(name) => KernelKind::parse(name).ok_or_else(|| {
-            format!(
-                "--kernel must be one of {}, got `{name}`",
-                KernelKind::ALL.map(|k| k.name()).join(", ")
-            )
-        })?,
-    };
     let qstore = match flags.get("qstore") {
         None => QStoreKind::Dense,
         Some(name) => QStoreKind::parse(name).ok_or_else(|| {
@@ -583,7 +572,6 @@ fn cmd_serve(flags: &BTreeMap<String, String>) -> Result<(), String> {
         base_seed: parse_u64(flags, "seed", 0xf1ee7)?,
         record_latency: true,
         faults,
-        kernel,
         qstore,
         openloop,
         ..ServeConfig::fleet()

@@ -7,7 +7,9 @@
 //! alternatives cannot match.
 
 use autoscale_nn::Workload;
-use autoscale_rl::{ConvergenceDetector, DecisionKernel, Hyperparameters, MaskSet, QLearningAgent};
+use autoscale_rl::{
+    ConvergenceDetector, EpsilonGreedy, Hyperparameters, MaskSet, QLearningAgent, ScalarKernel,
+};
 use autoscale_sim::{Outcome, Request, Scenario, Simulator, Snapshot};
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
@@ -141,7 +143,7 @@ pub struct AutoScaleEngine {
 }
 
 /// The construction-time invariants of one workload on one device: its
-/// feasibility mask (as both `&[bool]` and packed words), the workload
+/// feasibility mask (as both `&[bool]` and allowed indices), the workload
 /// component of every state index it can observe, and its eq. (5)
 /// reward configuration.
 #[derive(Debug, Clone)]
@@ -232,12 +234,6 @@ impl AutoScaleEngine {
         self.contexts[workload.index()].mask.bools()
     }
 
-    /// The same feasibility mask in the packed [`MaskSet`] form the
-    /// decision kernels consume.
-    pub fn mask_set_for(&self, workload: Workload) -> &MaskSet {
-        &self.contexts[workload.index()].mask
-    }
-
     /// Encodes the state a decision for `workload` under `snapshot` is
     /// made in, using the factored form: the workload's precomputed
     /// network base plus the snapshot's runtime index. Identical to
@@ -287,82 +283,55 @@ impl AutoScaleEngine {
         snapshot: &Snapshot,
         rng: &mut StdRng,
     ) -> Result<DecisionStep, NoFeasibleActionError> {
-        let state_index = self.state_for(workload, snapshot);
         debug_assert_eq!(
-            state_index,
+            self.state_for(workload, snapshot),
             self.states
                 .encode_observation(sim.network(workload), snapshot),
             "factored state must match the direct encoding"
         );
-        let action_index = self
-            .agent
-            .select_action(state_index, self.mask_for(workload), rng)
-            .ok_or(NoFeasibleActionError { workload })?;
-        Ok(DecisionStep {
-            state_index,
-            action_index,
-            request: self.actions.request(action_index),
-        })
+        self.decide_with(self.agent.policy(), workload, snapshot, rng)
     }
 
-    /// Selects an action through an explicit [`DecisionKernel`] — the
-    /// serving hot path. Draw-for-draw and decision-for-decision
-    /// identical to [`AutoScaleEngine::decide`] for every kernel (the
-    /// kernels' shared epsilon-greedy protocol pins the RNG schedule).
+    /// [`AutoScaleEngine::decide`] without the simulator argument, which
+    /// only feeds a debug check. Kept for the serving benchmark's traced
+    /// replica (`crates/bench/src/bin/benchmark/replica.rs`); the kernel
+    /// argument selects nothing. Delete it with
+    /// `autoscale_rl::ScalarKernel` once the replica calls `decide`.
     ///
     /// # Errors
     ///
-    /// Returns [`NoFeasibleActionError`] when the workload's feasibility
-    /// mask is empty — see [`AutoScaleEngine::decide`].
-    pub fn decide_kernel<K: DecisionKernel + ?Sized>(
+    /// As [`AutoScaleEngine::decide`].
+    #[doc(hidden)]
+    #[inline]
+    pub fn decide_kernel(
         &self,
-        kernel: &K,
+        _: &ScalarKernel,
+        workload: Workload,
+        snapshot: &Snapshot,
+        rng: &mut StdRng,
+    ) -> Result<DecisionStep, NoFeasibleActionError> {
+        self.decide_with(self.agent.policy(), workload, snapshot, rng)
+    }
+
+    /// The one decision body: state encode, one
+    /// [`EpsilonGreedy::choose`] under `policy`, request build.
+    /// [`AutoScaleEngine::decide`] passes the agent's own policy, as
+    /// serving does; the open loop's degrade admission passes
+    /// [`EpsilonGreedy::greedy`], which draws the same one uniform value
+    /// and never explores, so degrading a request never re-times the
+    /// session's decision stream.
+    #[inline]
+    pub(crate) fn decide_with(
+        &self,
+        policy: EpsilonGreedy,
         workload: Workload,
         snapshot: &Snapshot,
         rng: &mut StdRng,
     ) -> Result<DecisionStep, NoFeasibleActionError> {
         let ctx = &self.contexts[workload.index()];
         let state_index = ctx.state_base + self.states.runtime_index(snapshot);
-        let action_index = kernel
-            .select(
-                self.agent.store(),
-                state_index,
-                &ctx.mask,
-                self.agent.epsilon(),
-                rng,
-            )
-            .ok_or(NoFeasibleActionError { workload })?;
-        Ok(DecisionStep {
-            state_index,
-            action_index,
-            request: self.actions.request(action_index),
-        })
-    }
-
-    /// [`AutoScaleEngine::decide_kernel`] with exploration forced off —
-    /// the open-loop *degrade* admission path, which serves an
-    /// already-late request greedily instead of spending it on
-    /// exploration. Draws by the exact same protocol as
-    /// [`AutoScaleEngine::decide_kernel`] (the epsilon gate draw always
-    /// happens; ε = 0 just never takes the exploration arm), so
-    /// degrading a request never re-times the session's decision
-    /// stream.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NoFeasibleActionError`] when the workload's feasibility
-    /// mask is empty — see [`AutoScaleEngine::decide`].
-    pub fn decide_kernel_frozen<K: DecisionKernel + ?Sized>(
-        &self,
-        kernel: &K,
-        workload: Workload,
-        snapshot: &Snapshot,
-        rng: &mut StdRng,
-    ) -> Result<DecisionStep, NoFeasibleActionError> {
-        let ctx = &self.contexts[workload.index()];
-        let state_index = ctx.state_base + self.states.runtime_index(snapshot);
-        let action_index = kernel
-            .select(self.agent.store(), state_index, &ctx.mask, 0.0, rng)
+        let action_index = policy
+            .choose(self.agent.store(), state_index, &ctx.mask, rng)
             .ok_or(NoFeasibleActionError { workload })?;
         Ok(DecisionStep {
             state_index,
@@ -811,37 +780,29 @@ mod tests {
     }
 
     #[test]
-    fn every_kernel_reproduces_the_classic_decide_path() {
-        // decide_kernel must be draw-for-draw identical to decide for
-        // every kernel, exploring or frozen, across busy and calm
-        // snapshots — the serving determinism contract starts here.
-        use autoscale_rl::{FrozenKernel, PackedKernel, ScalarKernel};
+    fn a_degraded_decide_draws_one_uniform_and_picks_the_greedy_action() {
+        // The open loop's degrade admission decides with ε = 0: the ε
+        // gate still draws its one uniform value, so the session stream
+        // stays aligned, and the action is the one decide_greedy picks
+        // without drawing at all.
+        use rand::Rng;
         let sim = Simulator::new(DeviceId::Mi8Pro);
-        for frozen in [false, true] {
-            let mut engine = trained_engine(&sim, Workload::InceptionV1, 60);
-            if frozen {
-                engine.freeze();
-            }
-            let kernels: [&dyn autoscale_rl::DecisionKernel; 3] =
-                [&ScalarKernel, &PackedKernel, &FrozenKernel];
-            let mut env = Environment::for_id(EnvironmentId::D2);
-            let mut env_rng = seeded_rng(11);
-            for _ in 0..25 {
-                let snapshot = env.sample(&mut env_rng);
-                for w in [Workload::InceptionV1, Workload::MobileBert] {
-                    let mut reference_rng = seeded_rng(99);
-                    let reference = engine
-                        .decide(&sim, w, &snapshot, &mut reference_rng)
-                        .expect("feasible");
-                    for kernel in kernels {
-                        let mut rng = seeded_rng(99);
-                        let step = engine
-                            .decide_kernel(kernel, w, &snapshot, &mut rng)
-                            .expect("feasible");
-                        assert_eq!(step, reference, "kernel {:?}", kernel.kind());
-                        assert_eq!(rng, reference_rng, "kernel {:?} draws", kernel.kind());
-                    }
-                }
+        let engine = trained_engine(&sim, Workload::InceptionV1, 60);
+        assert!(engine.agent().policy().epsilon() > 0.0, "still exploring");
+        let mut env = Environment::for_id(EnvironmentId::D2);
+        let mut env_rng = seeded_rng(11);
+        for seed in 0..25 {
+            let snapshot = env.sample(&mut env_rng);
+            for w in [Workload::InceptionV1, Workload::MobileBert] {
+                let mut rng = seeded_rng(seed);
+                let degraded = engine
+                    .decide_with(EpsilonGreedy::greedy(), w, &snapshot, &mut rng)
+                    .expect("feasible");
+                let mut shadow = seeded_rng(seed);
+                let _: f64 = shadow.gen();
+                assert_eq!(rng, shadow, "exactly one uniform draw");
+                let greedy = engine.decide_greedy(&sim, w, &snapshot).expect("feasible");
+                assert_eq!(degraded, greedy);
             }
         }
     }
@@ -869,7 +830,7 @@ mod tests {
     #[test]
     fn one_decision_builds_one_block_of_the_q_table() {
         use autoscale_rl::qtable::BLOCK_ROWS;
-        use autoscale_rl::{QTable, ScalarKernel};
+        use autoscale_rl::QTable;
         let sim = Simulator::new(DeviceId::Mi8Pro);
         let engine = AutoScaleEngine::new(&sim, EngineConfig::paper());
         assert_eq!(
@@ -878,8 +839,8 @@ mod tests {
             "a fresh paper-size table has built no block"
         );
         engine
-            .decide_kernel(
-                &ScalarKernel,
+            .decide(
+                &sim,
                 Workload::ResNet50,
                 &Snapshot::calm(),
                 &mut seeded_rng(4),

@@ -19,6 +19,7 @@ use autoscale_predictors::{
     BayesianOptimizer, KnnClassifier, LinearRegression, Mosaic, NeuroSurgeon, StandardScaler,
     SupportVectorRegression, SvmClassifier,
 };
+use autoscale_rl::MaskSet;
 use autoscale_sim::{Outcome, Placement, Request, Simulator, Snapshot};
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
@@ -454,7 +455,8 @@ impl Scheduler for HybridScheduler {
         let mask = self.mask(sim, workload);
         // lint:draws-exempt(eval mode draws nothing by design; training/eval streams are never digest-compared)
         let action = if self.training {
-            self.agent.select_action(state, &mask, rng)
+            self.agent
+                .select_action(state, &MaskSet::from_bools(&mask), rng)
         } else {
             self.agent.select_greedy(state, &mask)
         }

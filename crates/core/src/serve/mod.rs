@@ -14,8 +14,8 @@
 //! The per-decision hot path inside each session is allocation-free:
 //! feasibility masks are precomputed per workload at engine
 //! construction, state encoding is pure arithmetic, the epsilon-greedy
-//! policy scans the mask in place, and the Q-table argmax is served from
-//! an incrementally maintained per-state cache.
+//! policy reads the allowed actions in O(1), and the Q-table argmax is
+//! served from an incrementally maintained per-state cache.
 //!
 //! Wall-clock decision latencies are measured (optionally) but kept
 //! *outside* the deterministic [`SessionReport`]s, so determinism can be
@@ -34,7 +34,7 @@ pub use session::{DeviceSession, SessionReport, SessionSpec};
 use std::sync::Arc;
 
 use autoscale_rl::qtable::ShapeMismatchError;
-use autoscale_rl::{KernelKind, QLearningAgent, QStore, QStoreKind, QTable};
+use autoscale_rl::{QLearningAgent, QStore, QStoreKind, QTable};
 use autoscale_sim::{ExecutionError, FaultProfile, Simulator};
 use serde::{Deserialize, Serialize};
 
@@ -125,11 +125,6 @@ pub struct ServeConfig {
     /// stay shard-count invariant; [`FaultProfile::none`] (the default)
     /// skips injection entirely.
     pub faults: FaultProfile,
-    /// The decision kernel every session's hot loop runs on. A pure
-    /// speed choice: all kernels produce bit-identical reports (the
-    /// cross-kernel digest tests pin this), so serving deployments can
-    /// pick the fastest without re-validating behaviour.
-    pub kernel: KernelKind,
     /// The Q-value storage backend each session's agent learns in.
     /// [`QStoreKind::Dense`] (the default) gives every session a private
     /// dense table, which builds only the 64-state blocks the session
@@ -167,7 +162,6 @@ impl ServeConfig {
             base_seed: 0xf1ee7,
             record_latency: false,
             faults: FaultProfile::none(),
-            kernel: KernelKind::Scalar,
             qstore: QStoreKind::Dense,
             openloop: None,
         }
@@ -396,10 +390,10 @@ pub fn serve(
         };
         match &config.openloop {
             None => session
-                .run_with_kernel(config.record_latency, config.kernel)
+                .run(config.record_latency)
                 .map(|(report, latencies, stats)| (report, latencies, stats, None)),
             Some(open) => session
-                .run_openloop(config.record_latency, config.kernel, open, cell.seed)
+                .run_openloop(config.record_latency, open, cell.seed)
                 .map(|(report, latencies, stats, traffic)| {
                     (report, latencies, stats, Some(traffic))
                 }),
@@ -664,9 +658,9 @@ mod tests {
     }
 
     #[test]
-    fn every_kernel_is_shard_invariant_and_digest_identical() {
-        // The tentpole contract: kernel choice × shard count × fault
-        // profile never changes a fleet's decision traces.
+    fn fleets_are_shard_invariant_and_digest_identical() {
+        // The determinism contract: shard count × fault profile never
+        // changes a fleet's decision traces.
         let sim = Simulator::new(DeviceId::Mi8Pro);
         let mix = ScenarioMix::static_envs();
         for faults in [FaultProfile::none(), FaultProfile::chaos()] {
@@ -680,20 +674,17 @@ mod tests {
                 None,
             )
             .unwrap();
-            for kernel in KernelKind::ALL {
-                for shards in [Some(1), Some(4), Some(8)] {
-                    let config = ServeConfig {
-                        faults,
-                        kernel,
-                        ..small_config(shards)
-                    };
-                    let report = serve(&sim, &mix, &config, None).unwrap();
-                    assert_eq!(
-                        report.sessions, reference.sessions,
-                        "{kernel} × {shards:?} shards × {faults:?}"
-                    );
-                    assert_eq!(report.digest(), reference.digest());
-                }
+            for shards in [Some(1), Some(4), Some(8)] {
+                let config = ServeConfig {
+                    faults,
+                    ..small_config(shards)
+                };
+                let report = serve(&sim, &mix, &config, None).unwrap();
+                assert_eq!(
+                    report.sessions, reference.sessions,
+                    "{shards:?} shards × {faults:?}"
+                );
+                assert_eq!(report.digest(), reference.digest());
             }
         }
     }
@@ -713,7 +704,7 @@ mod tests {
     fn cow_fleets_are_bit_identical_to_dense_under_a_common_warm_start() {
         // The fleet-memory contract: under a common warm start, the
         // copy-on-write backend reproduces the dense fleet byte for byte
-        // across every kernel, shard count, and fault profile.
+        // across every shard count and fault profile.
         let sim = Simulator::new(DeviceId::Mi8Pro);
         let mix = ScenarioMix::static_envs();
         let warm = paper_shaped_warm_agent(&sim);
@@ -728,27 +719,24 @@ mod tests {
                 Some(&warm),
             )
             .unwrap();
-            for kernel in KernelKind::ALL {
-                for shards in [Some(1), Some(4), Some(8)] {
-                    let cow = serve(
-                        &sim,
-                        &mix,
-                        &ServeConfig {
-                            qstore: QStoreKind::Cow,
-                            faults,
-                            kernel,
-                            ..small_config(shards)
-                        },
-                        Some(&warm),
-                    )
-                    .unwrap();
-                    assert_eq!(
-                        cow.sessions, dense.sessions,
-                        "{kernel} × {shards:?} shards × {faults:?}"
-                    );
-                    assert_eq!(cow.digest(), dense.digest());
-                    assert_eq!(cow.store.qstore, QStoreKind::Cow);
-                }
+            for shards in [Some(1), Some(4), Some(8)] {
+                let cow = serve(
+                    &sim,
+                    &mix,
+                    &ServeConfig {
+                        qstore: QStoreKind::Cow,
+                        faults,
+                        ..small_config(shards)
+                    },
+                    Some(&warm),
+                )
+                .unwrap();
+                assert_eq!(
+                    cow.sessions, dense.sessions,
+                    "{shards:?} shards × {faults:?}"
+                );
+                assert_eq!(cow.digest(), dense.digest());
+                assert_eq!(cow.store.qstore, QStoreKind::Cow);
             }
         }
     }

@@ -58,12 +58,11 @@
 
 use std::collections::VecDeque;
 
-use autoscale_rl::{DecisionKernel, QStoreStats};
-use autoscale_sim::{ArrivalProcess, ArrivalSampler, ChurnConfig, ChurnWindow};
+use autoscale_rl::QStoreStats;
+use autoscale_sim::{ArrivalProcess, ArrivalSampler, ChurnConfig, ChurnWindow, PreparedExecutor};
 use serde::{Deserialize, Serialize};
 
 use super::session::{fnv1a_fold, fnv1a_start, DeviceSession, SessionReport};
-use super::timing::DecisionTimer;
 use super::ServeError;
 use crate::parallel::cell_seed;
 
@@ -342,16 +341,15 @@ struct QueuedRequest {
 }
 
 /// The discrete-event session loop — the open-loop counterpart of
-/// `DeviceSession::run_inner`, monomorphized over the kernel the same
-/// way.
+/// [`DeviceSession::run`]. Requests are served through
+/// [`serve_queued`], which runs the session's one request step.
 ///
 /// Consumes the session and returns its deterministic report, the
 /// wall-clock decision latencies (beside, never inside), the Q-store
 /// stats, and the session's traffic accounting.
-pub(super) fn drive<K: DecisionKernel>(
+pub(super) fn drive(
     mut session: DeviceSession<'_>,
     record_latency: bool,
-    kernel: &K,
     open: &OpenLoopConfig,
     seed: u64,
 ) -> Result<(SessionReport, Vec<u64>, QStoreStats, SessionTraffic), ServeError> {
@@ -381,111 +379,8 @@ pub(super) fn drive<K: DecisionKernel>(
         span_ms: 0.0,
     };
     let mut arrival_digest = fnv1a_start();
-    let mut trace_digest = fnv1a_start();
-    let mut reward_sum = 0.0;
-    let mut qos_violations = 0;
-    let mut total_energy_mj = 0.0;
-    let mut faulted_requests = 0;
-    let mut retries = 0;
-    let mut fallbacks = 0;
-    let mut frozen_at: Option<usize> = None;
     // The device frees up no earlier than the session joins.
     let mut free_at_ms = join_ms;
-
-    // One served request: decide → execute → learn, identical draw
-    // protocol to the closed-loop body except for the degraded
-    // (exploration-off) decide, which draws the same count by
-    // construction.
-    let mut serve_one = |session: &mut DeviceSession<'_>,
-                         item: QueuedRequest,
-                         free_at_ms: &mut f64,
-                         traffic: &mut SessionTraffic|
-     -> Result<(), ServeError> {
-        let start_ms = free_at_ms.max(item.at_ms);
-        let snapshot = session.env.sample(&mut session.rng);
-        let timer = if record_latency {
-            Some(DecisionTimer::start())
-        } else {
-            None
-        };
-        let decided = if item.degraded {
-            session.engine.decide_kernel_frozen(
-                kernel,
-                session.spec.workload,
-                &snapshot,
-                &mut session.rng,
-            )
-        } else {
-            session
-                .engine
-                .decide_kernel(kernel, session.spec.workload, &snapshot, &mut session.rng)
-        };
-        if let Some(timer) = &timer {
-            // lint:hot-exempt(quarantined wall-clock read; open-loop serve counts are schedule-dependent, so the buffer grows amortized)
-            session.latencies_ns.push(timer.elapsed_ns());
-        }
-        let step = decided.map_err(|source| ServeError::NoFeasibleAction {
-            session: session.spec.session,
-            source,
-        })?;
-        trace_digest = fnv1a_fold(trace_digest, step.state_index as u64);
-        trace_digest = fnv1a_fold(trace_digest, step.action_index as u64);
-        let outcome = match &mut session.injector {
-            None => prepared.execute_measured(&step.request, &snapshot, &mut session.rng),
-            Some(injector) => {
-                let plan = injector.next_faults();
-                prepared
-                    .execute_resilient(
-                        &step.request,
-                        &snapshot,
-                        &plan,
-                        &session.resilience,
-                        &mut session.rng,
-                    )
-                    .map(|resilient| {
-                        if resilient.offload_faults > 0 {
-                            faulted_requests += 1;
-                        }
-                        retries += resilient.retries;
-                        if resilient.fell_back {
-                            fallbacks += 1;
-                        }
-                        resilient.outcome
-                    })
-            }
-        }
-        .map_err(|source| ServeError::Execution {
-            session: session.spec.session,
-            source,
-        })?;
-        if outcome.latency_ms > session.qos_ms {
-            qos_violations += 1;
-        }
-        *free_at_ms = start_ms + outcome.latency_ms;
-        traffic.busy_ms += outcome.latency_ms;
-        // Sojourn = completion - arrival: the latency the *user* saw,
-        // queueing included.
-        if *free_at_ms - item.at_ms > session.qos_ms {
-            traffic.deadline_violations += 1;
-        }
-        if item.degraded {
-            traffic.degraded += 1;
-        }
-        total_energy_mj += outcome.energy_mj;
-        reward_sum += session.engine.learn(
-            session.sim,
-            session.spec.workload,
-            step,
-            &outcome,
-            &snapshot,
-        );
-        if frozen_at.is_none() && session.engine.is_converged() {
-            session.engine.freeze();
-            frozen_at = Some(traffic.served);
-        }
-        traffic.served += 1;
-        Ok(())
-    };
 
     loop {
         let arrival = sampler.next_arrival();
@@ -505,8 +400,14 @@ pub(super) fn drive<K: DecisionKernel>(
         // instant happen first.
         while free_at_ms <= at_ms {
             let Some(item) = queue.pop_front() else { break };
-            // lint:hot-exempt(closure call: serve_one is the decide→execute→learn body defined above, itself inside this hot fn)
-            serve_one(&mut session, item, &mut free_at_ms, &mut traffic)?;
+            serve_queued(
+                &mut session,
+                &prepared,
+                item,
+                record_latency,
+                &mut free_at_ms,
+                &mut traffic,
+            )?;
         }
         // Rule 2: observe the depth this arrival found.
         let depth = queue.len();
@@ -516,10 +417,11 @@ pub(super) fn drive<K: DecisionKernel>(
             traffic.dropped_full += 1;
             continue;
         }
-        let mean_service_ms = if traffic.served == 0 {
+        let served = session.tally.served;
+        let mean_service_ms = if served == 0 {
             0.0
         } else {
-            traffic.busy_ms / traffic.served as f64
+            traffic.busy_ms / served as f64
         };
         let predicted_sojourn_ms =
             (free_at_ms - at_ms).max(0.0) + (depth as f64 + 1.0) * mean_service_ms;
@@ -545,43 +447,61 @@ pub(super) fn drive<K: DecisionKernel>(
         queue.clear();
     } else {
         while let Some(item) = queue.pop_front() {
-            // lint:hot-exempt(closure call: serve_one is the decide→execute→learn body defined above, itself inside this hot fn)
-            serve_one(&mut session, item, &mut free_at_ms, &mut traffic)?;
+            serve_queued(
+                &mut session,
+                &prepared,
+                item,
+                record_latency,
+                &mut free_at_ms,
+                &mut traffic,
+            )?;
         }
     }
 
+    traffic.served = session.tally.served;
     traffic.span_ms = (free_at_ms.max(end_ms) - join_ms).max(0.0);
     debug_assert_eq!(
         traffic.offered,
         traffic.served + traffic.dropped(),
         "open-loop conservation: offered == served + dropped"
     );
+    let (report, latencies_ns, store_stats) = session.finish();
     let report = SessionReport {
-        session: session.spec.session,
-        workload: session.spec.workload,
-        environment: session.spec.environment,
-        decisions: traffic.served,
-        trace_digest,
-        mean_reward: if traffic.served == 0 {
-            0.0
-        } else {
-            reward_sum / traffic.served as f64
-        },
-        qos_violations,
-        total_energy_mj,
-        faulted_requests,
-        retries,
-        fallbacks,
         offered_requests: traffic.offered,
         dropped_requests: traffic.dropped(),
         degraded_requests: traffic.degraded,
         deadline_violations: traffic.deadline_violations,
         peak_queue_depth: traffic.peak_queue_depth,
         arrival_digest,
-        converged_at: frozen_at,
+        ..report
     };
-    let store_stats = session.engine.agent().store().stats();
-    Ok((report, session.latencies_ns, store_stats, traffic))
+    Ok((report, latencies_ns, store_stats, traffic))
+}
+
+/// Serves one queued request through the session's request step, then
+/// does the open loop's own bookkeeping: when the device frees up, busy
+/// time, sojourn violations and the degraded count.
+fn serve_queued(
+    session: &mut DeviceSession<'_>,
+    prepared: &PreparedExecutor<'_>,
+    item: QueuedRequest,
+    record_latency: bool,
+    free_at_ms: &mut f64,
+    traffic: &mut SessionTraffic,
+) -> Result<(), ServeError> {
+    let start_ms = free_at_ms.max(item.at_ms);
+    let outcome = session.serve_request(prepared, item.degraded, record_latency)?;
+    *free_at_ms = start_ms + outcome.latency_ms;
+    traffic.busy_ms += outcome.latency_ms;
+    // Sojourn = completion - arrival: the latency the *user* saw,
+    // queueing included.
+    if *free_at_ms - item.at_ms > session.qos_ms {
+        traffic.deadline_violations += 1;
+    }
+    if item.degraded {
+        traffic.degraded += 1;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -591,7 +511,6 @@ mod tests {
     use crate::serve::{DeviceSession, SessionSpec};
     use autoscale_nn::Workload;
     use autoscale_platform::DeviceId;
-    use autoscale_rl::KernelKind;
     use autoscale_sim::{EnvironmentId, FaultProfile, Simulator};
 
     fn spec() -> SessionSpec {
@@ -612,7 +531,7 @@ mod tests {
         let sim = Simulator::new(DeviceId::Mi8Pro);
         DeviceSession::with_faults(&sim, spec(), EngineConfig::paper(), None, seed, faults)
             .expect("no warm start")
-            .run_openloop(false, KernelKind::Scalar, open, seed)
+            .run_openloop(false, open, seed)
             .expect("open-loop session runs")
     }
 
@@ -715,7 +634,7 @@ mod tests {
     }
 
     #[test]
-    fn arrival_schedule_is_independent_of_policy_faults_and_kernel() {
+    fn arrival_schedule_is_independent_of_policy_and_faults() {
         let open = OpenLoopConfig {
             queue_capacity: 4,
             ..OpenLoopConfig::poisson(800.0, 1_500.0)
@@ -731,27 +650,6 @@ mod tests {
         }
         let chaotic = run(&open, 21, FaultProfile::chaos());
         assert_eq!(chaotic.0.arrival_digest, reference, "faults");
-        let sim = Simulator::new(DeviceId::Mi8Pro);
-        for kernel in KernelKind::ALL {
-            let kerneled = DeviceSession::with_faults(
-                &sim,
-                spec(),
-                EngineConfig::paper(),
-                None,
-                21,
-                FaultProfile::none(),
-            )
-            .expect("no warm start")
-            .run_openloop(false, kernel, &open, 21)
-            .expect("runs");
-            assert_eq!(kerneled.0.arrival_digest, reference, "{kernel}");
-            // Kernels are a speed choice open-loop too.
-            assert_eq!(
-                kerneled.0,
-                run(&open, 21, FaultProfile::none()).0,
-                "{kernel}"
-            );
-        }
     }
 
     #[test]
@@ -806,7 +704,7 @@ mod tests {
                 FaultProfile::none(),
             )
             .expect("no warm start")
-            .run_openloop(record, KernelKind::Scalar, &open, 9)
+            .run_openloop(record, &open, 9)
             .expect("runs")
         };
         let timed = go(true);

@@ -12,12 +12,10 @@
 
 use autoscale_nn::Workload;
 use autoscale_rl::qtable::ShapeMismatchError;
-use autoscale_rl::{
-    DecisionKernel, FrozenKernel, KernelKind, PackedKernel, QLearningAgent, QStoreStats,
-    ScalarKernel,
-};
+use autoscale_rl::{EpsilonGreedy, QLearningAgent, QStoreStats};
 use autoscale_sim::{
-    Environment, EnvironmentId, FaultInjector, FaultProfile, ResiliencePolicy, Simulator,
+    Environment, EnvironmentId, FaultInjector, FaultProfile, Outcome, PreparedExecutor,
+    ResiliencePolicy, Simulator,
 };
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
@@ -124,12 +122,32 @@ pub struct SessionReport {
     pub converged_at: Option<usize>,
 }
 
+/// The deterministic counters a session folds request by request: what
+/// its [`SessionReport`] carries beyond the spec and the open-loop
+/// traffic.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct Tally {
+    digest: u64,
+    reward_sum: f64,
+    qos_violations: usize,
+    total_energy_mj: f64,
+    faulted_requests: usize,
+    retries: usize,
+    fallbacks: usize,
+    /// Requests served so far.
+    pub(super) served: usize,
+    /// How many requests the session had served when its reward
+    /// converged and its policy froze.
+    frozen_at: Option<usize>,
+}
+
 /// One live device session: engine, environment and RNG bundled over a
 /// shared simulator.
 ///
 /// The per-decision loop is allocation-free: the engine's feasibility
-/// masks are precomputed per workload, the epsilon-greedy policy scans
-/// the mask in place, and the latency buffer is sized once up front.
+/// masks are precomputed per workload, the epsilon-greedy policy reads
+/// the allowed actions in O(1), and the latency buffer is sized once up
+/// front.
 pub struct DeviceSession<'a> {
     pub(super) sim: &'a Simulator,
     pub(super) spec: SessionSpec,
@@ -144,6 +162,7 @@ pub struct DeviceSession<'a> {
     /// fault injection.
     pub(super) injector: Option<FaultInjector>,
     pub(super) resilience: ResiliencePolicy,
+    pub(super) tally: Tally,
 }
 
 impl<'a> DeviceSession<'a> {
@@ -194,27 +213,7 @@ impl<'a> DeviceSession<'a> {
         seed: u64,
         faults: FaultProfile,
     ) -> Result<Self, ShapeMismatchError> {
-        let engine_config = EngineConfig {
-            seed: cell_seed(seed, 0),
-            ..config
-        };
-        let engine = match warm_start {
-            Some(agent) => AutoScaleEngine::with_agent(sim, engine_config, agent.clone())?,
-            None => AutoScaleEngine::new(sim, engine_config),
-        };
-        let qos_ms = config.scenario_for(spec.workload).qos_ms();
-        let injector = (!faults.is_none()).then(|| FaultInjector::new(faults, cell_seed(seed, 2)));
-        Ok(DeviceSession {
-            sim,
-            spec,
-            engine,
-            env: Environment::for_id(spec.environment),
-            rng: seeded_rng(cell_seed(seed, 1)),
-            qos_ms,
-            latencies_ns: Vec::new(),
-            injector,
-            resilience: ResiliencePolicy::for_qos(qos_ms),
-        })
+        Self::build(sim, spec, config, warm_start.cloned(), seed, faults)
     }
 
     /// [`Self::with_faults`] around a fully pre-built agent — the entry
@@ -238,11 +237,27 @@ impl<'a> DeviceSession<'a> {
         seed: u64,
         faults: FaultProfile,
     ) -> Result<Self, ShapeMismatchError> {
+        Self::build(sim, spec, config, Some(agent), seed, faults)
+    }
+
+    /// The one constructor body: an engine around `agent` (or a fresh
+    /// random table), on the session's seed streams.
+    fn build(
+        sim: &'a Simulator,
+        spec: SessionSpec,
+        config: EngineConfig,
+        agent: Option<QLearningAgent>,
+        seed: u64,
+        faults: FaultProfile,
+    ) -> Result<Self, ShapeMismatchError> {
         let engine_config = EngineConfig {
             seed: cell_seed(seed, 0),
             ..config
         };
-        let engine = AutoScaleEngine::with_agent(sim, engine_config, agent)?;
+        let engine = match agent {
+            Some(agent) => AutoScaleEngine::with_agent(sim, engine_config, agent)?,
+            None => AutoScaleEngine::new(sim, engine_config),
+        };
         let qos_ms = config.scenario_for(spec.workload).qos_ms();
         let injector = (!faults.is_none()).then(|| FaultInjector::new(faults, cell_seed(seed, 2)));
         Ok(DeviceSession {
@@ -255,6 +270,17 @@ impl<'a> DeviceSession<'a> {
             latencies_ns: Vec::new(),
             injector,
             resilience: ResiliencePolicy::for_qos(qos_ms),
+            tally: Tally {
+                digest: fnv1a_start(),
+                reward_sum: 0.0,
+                qos_violations: 0,
+                total_energy_mj: 0.0,
+                faulted_requests: 0,
+                retries: 0,
+                fallbacks: 0,
+                served: 0,
+                frozen_at: None,
+            },
         })
     }
 
@@ -278,41 +304,26 @@ impl<'a> DeviceSession<'a> {
     /// testbeds (the engine only proposes mask-feasible requests), but
     /// surfaced as typed errors so the serving hot path never aborts.
     pub fn run(
-        self,
+        mut self,
         record_latency: bool,
     ) -> Result<(SessionReport, Vec<u64>, QStoreStats), ServeError> {
-        self.run_with_kernel(record_latency, KernelKind::Scalar)
-    }
-
-    /// [`Self::run`] through an explicit [`DecisionKernel`].
-    ///
-    /// Every kernel honours the shared epsilon-greedy draw protocol, so
-    /// the returned [`SessionReport`] is bit-identical across kernels —
-    /// only the wall-clock decision latencies differ. The kernel choice
-    /// is dispatched once here; the per-decision loop is monomorphized
-    /// over it.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::run`].
-    pub fn run_with_kernel(
-        self,
-        record_latency: bool,
-        kernel: KernelKind,
-    ) -> Result<(SessionReport, Vec<u64>, QStoreStats), ServeError> {
-        match kernel {
-            KernelKind::Scalar => self.run_inner(record_latency, &ScalarKernel),
-            KernelKind::Packed => self.run_inner(record_latency, &PackedKernel),
-            KernelKind::Frozen => self.run_inner(record_latency, &FrozenKernel),
+        if record_latency {
+            // lint:hot-exempt(the one-time preallocation the hot-path contract asks for, sized to the whole session)
+            self.latencies_ns.reserve_exact(self.spec.decisions);
         }
+        let prepared = self.sim.prepare(self.spec.workload);
+        for _ in 0..self.spec.decisions {
+            self.serve_request(&prepared, false, record_latency)?;
+        }
+        Ok(self.finish())
     }
 
     /// Runs the session open-loop: requests arrive on the session's
     /// private arrival schedule instead of back-to-back, queue in a
     /// bounded buffer under the configured admission policy, and the
     /// session only exists inside its churn window. The discrete-event
-    /// loop lives in [`super::openloop`]; this is the kernel-dispatch
-    /// wrapper mirroring [`Self::run_with_kernel`].
+    /// loop lives in [`super::openloop`]; every request it serves goes
+    /// through the same step as [`Self::run`].
     ///
     /// `seed` must be the same session seed the constructors received:
     /// the arrival and churn streams are split from it
@@ -327,7 +338,6 @@ impl<'a> DeviceSession<'a> {
     pub fn run_openloop(
         self,
         record_latency: bool,
-        kernel: KernelKind,
         open: &super::openloop::OpenLoopConfig,
         seed: u64,
     ) -> Result<
@@ -339,148 +349,140 @@ impl<'a> DeviceSession<'a> {
         ),
         ServeError,
     > {
-        match kernel {
-            KernelKind::Scalar => {
-                super::openloop::drive(self, record_latency, &ScalarKernel, open, seed)
-            }
-            KernelKind::Packed => {
-                super::openloop::drive(self, record_latency, &PackedKernel, open, seed)
-            }
-            KernelKind::Frozen => {
-                super::openloop::drive(self, record_latency, &FrozenKernel, open, seed)
-            }
-        }
+        super::openloop::drive(self, record_latency, open, seed)
     }
 
-    /// The monomorphized session loop: `spec.decisions` iterations of
-    /// decide → execute → learn over one kernel and one
-    /// [`PreparedExecutor`] (the simulator's per-workload batch
-    /// interface — placement dispatch, cost-cache lookup and noise
-    /// distributions are resolved once per session instead of once per
-    /// request).
-    fn run_inner<K: DecisionKernel>(
-        mut self,
+    /// Serves one request: sample → decide → execute → learn →
+    /// convergence check, folded into the session's [`Tally`]. The
+    /// closed and the open loop serve every request through here, over
+    /// the session's [`PreparedExecutor`] (placement dispatch, cost-cache
+    /// lookup and noise distributions resolved once per session instead
+    /// of once per request).
+    ///
+    /// `greedy` decides with exploration off — the open loop's degrade
+    /// admission. It draws exactly what an exploring decision draws, so
+    /// degrading a request never re-times the session's streams.
+    pub(super) fn serve_request(
+        &mut self,
+        prepared: &PreparedExecutor<'_>,
+        greedy: bool,
         record_latency: bool,
-        kernel: &K,
-    ) -> Result<(SessionReport, Vec<u64>, QStoreStats), ServeError> {
-        if record_latency {
-            // lint:hot-exempt(the one-time preallocation the hot-path contract asks for, sized to the whole session)
-            self.latencies_ns.reserve_exact(self.spec.decisions);
+    ) -> Result<Outcome, ServeError> {
+        let snapshot = self.env.sample(&mut self.rng);
+        // A single decide path keeps the RNG draw sequence a pure
+        // function of the session's history: freezing sets ε = 0 inside
+        // the policy rather than switching to a different
+        // (differently-drawing) greedy call site. The timer lives in
+        // statements of its own, never in the expression that produces
+        // the step — the taint pass tracks statement spans, so this
+        // shape keeps the measured wall clock visibly beside, not
+        // inside, the decision data.
+        let policy = if greedy {
+            EpsilonGreedy::greedy()
+        } else {
+            self.engine.agent().policy()
+        };
+        let timer = if record_latency {
+            Some(DecisionTimer::start())
+        } else {
+            None
+        };
+        let decided = self
+            .engine
+            .decide_with(policy, self.spec.workload, &snapshot, &mut self.rng);
+        if let Some(timer) = &timer {
+            // lint:hot-exempt(quarantined wall-clock read; the closed loop reserve_exact'd the buffer at session start, the open loop's schedule-dependent count grows it amortized)
+            self.latencies_ns.push(timer.elapsed_ns());
         }
-        let prepared = self.sim.prepare(self.spec.workload);
-        let mut digest = fnv1a_start();
-        let mut reward_sum = 0.0;
-        let mut qos_violations = 0;
-        let mut total_energy_mj = 0.0;
-        let mut faulted_requests = 0;
-        let mut retries = 0;
-        let mut fallbacks = 0;
-        let mut frozen_at: Option<usize> = None;
-        for i in 0..self.spec.decisions {
-            let snapshot = self.env.sample(&mut self.rng);
-            // A single decide path keeps the RNG draw sequence a pure
-            // function of the session's history: freezing sets ε = 0
-            // inside the policy rather than switching to a different
-            // (differently-drawing) greedy call site, and every kernel
-            // draws by the same protocol. The timer lives in statements
-            // of its own, never in the expression that produces the
-            // step — the taint pass tracks statement spans, so this
-            // shape keeps the measured wall clock visibly beside, not
-            // inside, the decision data.
-            let timer = if record_latency {
-                Some(DecisionTimer::start())
-            } else {
-                None
-            };
-            let decided =
-                self.engine
-                    .decide_kernel(kernel, self.spec.workload, &snapshot, &mut self.rng);
-            if let Some(timer) = &timer {
-                // lint:hot-exempt(quarantined wall-clock read; the push lands in the buffer reserve_exact'd at session start)
-                self.latencies_ns.push(timer.elapsed_ns());
-            }
-            let step = decided.map_err(|source| ServeError::NoFeasibleAction {
-                session: self.spec.session,
-                source,
-            })?;
-            digest = fnv1a_fold(digest, step.state_index as u64);
-            digest = fnv1a_fold(digest, step.action_index as u64);
-            // The fault-free path calls the prepared execute_measured —
-            // the same math as Simulator::execute_measured with the
-            // per-request dispatch amortized — so an absent injector
-            // costs nothing and changes nothing. Under faults, the
-            // resilient path draws the same two noise values per request
-            // from the session stream; all fault draws come from the
-            // injector's private stream.
-            let outcome = match &mut self.injector {
-                None => prepared.execute_measured(&step.request, &snapshot, &mut self.rng),
-                Some(injector) => {
-                    let plan = injector.next_faults();
-                    prepared
-                        .execute_resilient(
-                            &step.request,
-                            &snapshot,
-                            &plan,
-                            &self.resilience,
-                            &mut self.rng,
-                        )
-                        .map(|resilient| {
-                            if resilient.offload_faults > 0 {
-                                faulted_requests += 1;
-                            }
-                            retries += resilient.retries;
-                            if resilient.fell_back {
-                                fallbacks += 1;
-                            }
-                            resilient.outcome
-                        })
-                }
-            }
-            .map_err(|source| ServeError::Execution {
-                session: self.spec.session,
-                source,
-            })?;
-            if outcome.latency_ms > self.qos_ms {
-                qos_violations += 1;
-            }
-            total_energy_mj += outcome.energy_mj;
-            reward_sum +=
-                self.engine
-                    .learn(self.sim, self.spec.workload, step, &outcome, &snapshot);
-            if frozen_at.is_none() && self.engine.is_converged() {
-                self.engine.freeze();
-                frozen_at = Some(i);
+        let step = decided.map_err(|source| ServeError::NoFeasibleAction {
+            session: self.spec.session,
+            source,
+        })?;
+        let tally = &mut self.tally;
+        tally.digest = fnv1a_fold(tally.digest, step.state_index as u64);
+        tally.digest = fnv1a_fold(tally.digest, step.action_index as u64);
+        // The fault-free path calls the prepared execute_measured — the
+        // same math as Simulator::execute_measured with the per-request
+        // dispatch amortized — so an absent injector costs nothing and
+        // changes nothing. Under faults, the resilient path draws the
+        // same two noise values per request from the session stream; all
+        // fault draws come from the injector's private stream.
+        let outcome = match &mut self.injector {
+            None => prepared.execute_measured(&step.request, &snapshot, &mut self.rng),
+            Some(injector) => {
+                let plan = injector.next_faults();
+                prepared
+                    .execute_resilient(
+                        &step.request,
+                        &snapshot,
+                        &plan,
+                        &self.resilience,
+                        &mut self.rng,
+                    )
+                    .map(|resilient| {
+                        if resilient.offload_faults > 0 {
+                            tally.faulted_requests += 1;
+                        }
+                        tally.retries += resilient.retries;
+                        if resilient.fell_back {
+                            tally.fallbacks += 1;
+                        }
+                        resilient.outcome
+                    })
             }
         }
+        .map_err(|source| ServeError::Execution {
+            session: self.spec.session,
+            source,
+        })?;
+        if outcome.latency_ms > self.qos_ms {
+            tally.qos_violations += 1;
+        }
+        tally.total_energy_mj += outcome.energy_mj;
+        tally.reward_sum +=
+            self.engine
+                .learn(self.sim, self.spec.workload, step, &outcome, &snapshot);
+        if tally.frozen_at.is_none() && self.engine.is_converged() {
+            self.engine.freeze();
+            tally.frozen_at = Some(tally.served);
+        }
+        tally.served += 1;
+        Ok(outcome)
+    }
+
+    /// Consumes the session into its report, its latency samples and its
+    /// final Q-store stats. The report's open-loop fields are zero — a
+    /// closed-loop run offers nothing, queues nothing and drops nothing,
+    /// so a pre-open-loop report is this report minus six zeros; the open
+    /// loop fills them in from its own bookkeeping.
+    pub(super) fn finish(self) -> (SessionReport, Vec<u64>, QStoreStats) {
+        let tally = self.tally;
         let report = SessionReport {
             session: self.spec.session,
             workload: self.spec.workload,
             environment: self.spec.environment,
-            decisions: self.spec.decisions,
-            trace_digest: digest,
-            mean_reward: if self.spec.decisions == 0 {
+            decisions: tally.served,
+            trace_digest: tally.digest,
+            mean_reward: if tally.served == 0 {
                 0.0
             } else {
-                reward_sum / self.spec.decisions as f64
+                tally.reward_sum / tally.served as f64
             },
-            qos_violations,
-            total_energy_mj,
-            faulted_requests,
-            retries,
-            fallbacks,
-            // Closed-loop runs offer nothing, queue nothing, drop
-            // nothing: the open-loop fields stay identically zero, so a
-            // pre-open-loop report is this report minus six zeros.
+            qos_violations: tally.qos_violations,
+            total_energy_mj: tally.total_energy_mj,
+            faulted_requests: tally.faulted_requests,
+            retries: tally.retries,
+            fallbacks: tally.fallbacks,
             offered_requests: 0,
             dropped_requests: 0,
             degraded_requests: 0,
             deadline_violations: 0,
             peak_queue_depth: 0,
             arrival_digest: 0,
-            converged_at: frozen_at,
+            converged_at: tally.frozen_at,
         };
         let store_stats = self.engine.agent().store().stats();
-        Ok((report, self.latencies_ns, store_stats))
+        (report, self.latencies_ns, store_stats)
     }
 }
 
@@ -631,34 +633,6 @@ mod tests {
             "a fallback implies at least one fault on that request"
         );
         assert!(a.faulted_requests <= a.decisions);
-    }
-
-    #[test]
-    fn every_kernel_produces_the_same_session_report() {
-        // The serving determinism contract at session granularity: the
-        // kernel is a pure speed choice, never a behaviour choice —
-        // fault-free and under chaos alike.
-        let sim = Simulator::new(DeviceId::Mi8Pro);
-        for profile in [FaultProfile::none(), FaultProfile::chaos()] {
-            let run = |kernel: KernelKind| {
-                DeviceSession::with_faults(
-                    &sim,
-                    spec(120),
-                    EngineConfig::paper(),
-                    None,
-                    13,
-                    profile,
-                )
-                .expect("no warm start")
-                .run_with_kernel(false, kernel)
-                .expect("session runs")
-                .0
-            };
-            let reference = run(KernelKind::Scalar);
-            for kernel in [KernelKind::Packed, KernelKind::Frozen] {
-                assert_eq!(run(kernel), reference, "{kernel} under {profile:?}");
-            }
-        }
     }
 
     #[test]

@@ -268,15 +268,15 @@ fn a_conditional_extra_fault_draw_is_caught() {
 fn a_static_mut_counter_under_a_decide_path_is_caught() {
     // The shared-state acceptance check from issue 9: hang a `static
     // mut` counter one call below a fresh `decide_*` entry point in the
-    // kernel source. The serve-path reachability pass must flag the
-    // counter's use and name the entry point in the witness chain.
+    // ε-greedy policy source. The serve-path reachability pass must flag
+    // the counter's use and name the entry point in the witness chain.
     let root = workspace_root();
     let mut sources = autoscale_lint::read_workspace_sources(&root).expect("workspace is readable");
-    let target = "crates/rl/src/kernel.rs";
+    let target = "crates/rl/src/policy.rs";
     let idx = sources
         .iter()
         .position(|(p, _)| p == target)
-        .expect("kernel source present");
+        .expect("policy source present");
     sources[idx].1.push_str(
         "\nstatic mut SAB_DECIDES: u64 = 0;\n\
          fn sab_counter_bump() -> u64 {\n\

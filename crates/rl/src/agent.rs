@@ -25,7 +25,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 
-use crate::policy::EpsilonGreedy;
+use crate::policy::{EpsilonGreedy, MaskSet};
 use crate::qstore::QStore;
 use crate::qtable::{QTable, ShapeMismatchError};
 
@@ -169,17 +169,18 @@ impl QLearningAgent {
         self.updates
     }
 
-    /// The policy's current exploration probability — `params().epsilon`
-    /// until [`QLearningAgent::freeze`] pins it to zero. Decision kernels
-    /// feed this into their shared epsilon-greedy protocol.
-    pub fn epsilon(&self) -> f64 {
-        self.policy.epsilon()
+    /// The agent's current policy: ε = `params().epsilon` until
+    /// [`QLearningAgent::freeze`] pins it to zero.
+    pub fn policy(&self) -> EpsilonGreedy {
+        self.policy
     }
 
-    /// Selects an action for `state` with the epsilon-greedy policy.
+    /// Selects an action for `state` with the epsilon-greedy policy
+    /// ([`EpsilonGreedy::choose`] over this agent's store).
     ///
     /// Returns `None` if `mask` allows no action.
-    pub fn select_action(&self, state: usize, mask: &[bool], rng: &mut StdRng) -> Option<usize> {
+    #[inline]
+    pub fn select_action(&self, state: usize, mask: &MaskSet, rng: &mut StdRng) -> Option<usize> {
         self.policy.choose(&self.q, state, mask, rng)
     }
 
@@ -234,13 +235,13 @@ mod tests {
     fn train_toy(params: Hyperparameters, episodes: usize) -> QLearningAgent {
         let mut agent = QLearningAgent::new(2, 2, params, 0);
         let mut rng = StdRng::seed_from_u64(1);
-        let mask = [true, true];
+        let mask = MaskSet::from_bools(&[true, true]);
         let mut state = 0;
         for _ in 0..episodes {
             let action = agent.select_action(state, &mask, &mut rng).unwrap();
             let reward = if action == 1 { 1.0 } else { -1.0 };
             let next_state = 1 - state;
-            agent.update(state, action, reward, next_state, &mask);
+            agent.update(state, action, reward, next_state, mask.bools());
             state = next_state;
         }
         agent
@@ -295,8 +296,9 @@ mod tests {
         let mut agent = train_toy(Hyperparameters::paper(), 200);
         agent.freeze();
         let mut rng = StdRng::seed_from_u64(5);
+        let mask = MaskSet::from_bools(&[true, true]);
         for _ in 0..50 {
-            assert_eq!(agent.select_action(0, &[true, true], &mut rng), Some(1));
+            assert_eq!(agent.select_action(0, &mask, &mut rng), Some(1));
         }
     }
 
@@ -321,7 +323,11 @@ mod tests {
         let base = donor.shared_base();
         let overlay = donor.overlay_variant(&base).unwrap();
         assert_eq!(overlay.store().kind(), crate::qstore::QStoreKind::Cow);
-        assert_eq!(overlay.epsilon(), 0.0, "frozen policy state is copied");
+        assert_eq!(
+            overlay.policy().epsilon(),
+            0.0,
+            "frozen policy state is copied"
+        );
         assert_eq!(overlay.updates(), donor.updates());
         // Drive both with the same RNG stream and updates: the overlay
         // must be behaviourally indistinguishable from a dense clone.
@@ -329,14 +335,14 @@ mod tests {
         let mut cow = overlay;
         let mut rng_a = StdRng::seed_from_u64(9);
         let mut rng_b = StdRng::seed_from_u64(9);
-        let mask = [true, true];
+        let mask = MaskSet::from_bools(&[true, true]);
         let mut state = 0;
         for _ in 0..50 {
             let a = dense.select_action(state, &mask, &mut rng_a).unwrap();
             let b = cow.select_action(state, &mask, &mut rng_b).unwrap();
             assert_eq!(a, b);
-            dense.update(state, a, 0.5, 1 - state, &mask);
-            cow.update(state, b, 0.5, 1 - state, &mask);
+            dense.update(state, a, 0.5, 1 - state, mask.bools());
+            cow.update(state, b, 0.5, 1 - state, mask.bools());
             state = 1 - state;
         }
         assert_eq!(dense.store(), cow.store());

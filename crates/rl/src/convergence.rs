@@ -9,17 +9,23 @@
 //! exploratory pick of a terrible target (hundreds of mJ against a
 //! tens-of-mJ optimum) would swing a window mean by double-digit
 //! percentages long after the policy has settled.
-
-use serde::{Deserialize, Serialize};
+//!
+//! Memory is bounded by the window, not by the session: the detector
+//! keeps one ring of `window` rewards and an observation count, however
+//! long it runs.
 
 /// Detects when a reward stream has converged.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ConvergenceDetector {
     window: usize,
     tolerance: f64,
     patience: usize,
     min_observations: usize,
-    rewards: Vec<f64>,
+    /// The latest rewards, written round-robin: observation `n`
+    /// (0-based) lands in slot `n % window`, so at every window
+    /// boundary the ring holds exactly the last `window` rewards.
+    ring: Vec<f64>,
+    observations: usize,
     stable_windows: usize,
     last_level: Option<f64>,
     converged_at: Option<usize>,
@@ -45,7 +51,8 @@ impl ConvergenceDetector {
             tolerance,
             patience,
             min_observations: 0,
-            rewards: Vec::new(),
+            ring: vec![0.0; window],
+            observations: 0,
             stable_windows: 0,
             last_level: None,
             converged_at: None,
@@ -76,24 +83,26 @@ impl ConvergenceDetector {
 
     /// Feeds one reward observation; returns `true` once converged.
     pub fn observe(&mut self, reward: f64) -> bool {
-        // lint:hot-exempt(reward history: one amortized push per decision, read back by the convergence window)
-        self.rewards.push(reward);
+        let slot = self.observations % self.window;
+        self.observations += 1;
         if self.converged_at.is_some() {
             return true;
         }
-        if self.rewards.len() < self.min_observations {
+        self.ring[slot] = reward;
+        if self.observations < self.min_observations {
             return false;
         }
-        if self.rewards.len().is_multiple_of(self.window) {
-            let start = self.rewards.len() - self.window;
-            let level = median(&self.rewards[start..]);
+        if self.observations.is_multiple_of(self.window) {
+            // Sorting the ring in place is exact: the next `window`
+            // observations overwrite every slot before the next boundary.
+            let level = median(&mut self.ring);
             if let Some(prev) = self.last_level {
                 let scale = prev.abs().max(1e-9);
                 let change = (level - prev).abs() / scale;
                 if change < self.tolerance {
                     self.stable_windows += 1;
                     if self.stable_windows >= self.patience {
-                        self.converged_at = Some(self.rewards.len());
+                        self.converged_at = Some(self.observations);
                     }
                 } else {
                     self.stable_windows = 0;
@@ -116,30 +125,24 @@ impl ConvergenceDetector {
 
     /// Number of rewards observed so far.
     pub fn observations(&self) -> usize {
-        self.rewards.len()
+        self.observations
     }
 
     /// Median of the most recent full window, if one has completed.
     pub fn recent_level(&self) -> Option<f64> {
         self.last_level
     }
-
-    /// The full reward history (for plotting training curves, Fig. 14).
-    pub fn history(&self) -> &[f64] {
-        &self.rewards
-    }
 }
 
-/// Median of a non-empty slice.
-fn median(values: &[f64]) -> f64 {
-    let mut sorted = values.to_vec(); // lint:hot-exempt(median copies the bounded convergence window, not the full history)
-                                      // lint:allow(panic-in-lib): eq. (5) rewards are finite
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite rewards")); // lint:hot-exempt(stable sort of the bounded window copy made above)
-    let n = sorted.len();
+/// Median of a non-empty slice, sorting it in place.
+fn median(values: &mut [f64]) -> f64 {
+    // lint:allow(panic-in-lib): eq. (5) rewards are finite
+    values.sort_by(|a, b| a.partial_cmp(b).expect("finite rewards")); // lint:hot-exempt(in-place sort of the window-sized ring, once per window)
+    let n = values.len();
     if n % 2 == 1 {
-        sorted[n / 2]
+        values[n / 2]
     } else {
-        (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0
+        (values[n / 2 - 1] + values[n / 2]) / 2.0
     }
 }
 
@@ -203,19 +206,97 @@ mod tests {
 
     #[test]
     fn median_helper() {
-        assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
-        assert_eq!(median(&[1.0, 2.0, 3.0, 4.0]), 2.5);
+        assert_eq!(median(&mut [3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median(&mut [1.0, 2.0, 3.0, 4.0]), 2.5);
     }
 
     #[test]
-    fn history_is_retained() {
+    fn partial_windows_report_no_level() {
         let mut d = ConvergenceDetector::paper();
         for i in 0..7 {
             d.observe(i as f64);
         }
-        assert_eq!(d.history().len(), 7);
         assert_eq!(d.observations(), 7);
         assert_eq!(d.recent_level(), None); // no full window of 10 yet
+    }
+
+    #[test]
+    fn memory_is_bounded_by_the_window() {
+        // Window medians alternate between 1 and 100, so the stream never
+        // converges and the detector keeps writing for all 10^5 rewards.
+        let mut d = ConvergenceDetector::paper().with_min_observations(66);
+        for i in 0..100_000 {
+            d.observe(if (i / 10) % 2 == 0 { 1.0 } else { 100.0 });
+        }
+        assert_eq!(d.converged_at(), None);
+        assert_eq!(d.observations(), 100_000);
+        assert_eq!(d.ring.len(), 10);
+        assert_eq!(d.ring.capacity(), 10);
+    }
+
+    /// The detector as it was when it kept every reward: the median of
+    /// the last full window at each boundary, read from the whole
+    /// history.
+    fn full_history_converged_at(
+        (window, tolerance, patience, min_observations): (usize, f64, usize, usize),
+        rewards: &[f64],
+    ) -> Option<usize> {
+        let mut stable = 0;
+        let mut last: Option<f64> = None;
+        for n in (1..=rewards.len()).filter(|n| n % window == 0 && *n >= min_observations) {
+            let level = median(&mut rewards[n - window..n].to_vec());
+            if let Some(prev) = last {
+                if (level - prev).abs() / prev.abs().max(1e-9) < tolerance {
+                    stable += 1;
+                    if stable >= patience {
+                        return Some(n);
+                    }
+                } else {
+                    stable = 0;
+                }
+            }
+            last = Some(level);
+        }
+        None
+    }
+
+    #[test]
+    fn ring_matches_the_full_history_reference() {
+        let flat = vec![-20.0; 300];
+        let plateau: Vec<f64> = (0..300)
+            .map(|i| -500.0 + (i.min(120) as f64) * 4.0)
+            .collect();
+        let spiky: Vec<f64> = (0..300)
+            .map(|i| {
+                if i % 9 == 0 {
+                    -400.0
+                } else {
+                    -20.0 - (i % 4) as f64
+                }
+            })
+            .collect();
+        // The paper's setting (min 66 is no multiple of 10), plus gates
+        // that skip some boundaries or none.
+        let settings = [
+            (10, 0.10, 3, 66),
+            (10, 0.05, 2, 0),
+            (5, 0.05, 2, 7),
+            (7, 0.02, 4, 23),
+        ];
+        let mut converged = 0;
+        for stream in [&flat, &plateau, &spiky] {
+            for setting @ (window, tolerance, patience, min_observations) in settings {
+                let mut d = ConvergenceDetector::new(window, tolerance, patience)
+                    .with_min_observations(min_observations);
+                for &r in stream.iter() {
+                    d.observe(r);
+                }
+                let expected = full_history_converged_at(setting, stream);
+                assert_eq!(d.converged_at(), expected, "{setting:?}");
+                converged += usize::from(expected.is_some());
+            }
+        }
+        assert!(converged >= 6, "the streams exercise convergence");
     }
 
     #[test]

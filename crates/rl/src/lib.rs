@@ -15,16 +15,15 @@
 //! * [`QStore`] — tiered Q-value storage: the dense table, or a
 //!   [`CowQTable`] copy-on-write overlay over a shared `Arc`'d base —
 //!   bit-identical reads, ~20x+ lower per-session memory at fleet scale;
-//! * [`EpsilonGreedy`] — the exploration policy;
+//! * [`EpsilonGreedy`] — the exploration policy, and the one ε-greedy
+//!   selection body every training, evaluation and serving decision runs
+//!   through, over a precomputed [`MaskSet`] feasibility mask;
 //! * [`QLearningAgent`] — Algorithm 1 of the paper: observe, select, act,
 //!   reward, bootstrap, update;
 //! * [`Dbscan`] / [`Discretizer`] — the 1-D DBSCAN clustering the paper
 //!   uses to discretize continuous state features into the Table I buckets;
 //! * [`ConvergenceDetector`] — detects reward convergence (the paper's
 //!   Fig. 14 reports convergence within 40–50 inference runs);
-//! * [`DecisionKernel`] — swappable masked-argmax engines for the serving
-//!   hot path ([`ScalarKernel`] reference, [`PackedKernel`] lane-walker,
-//!   [`FrozenKernel`] greedy serving), all bit-identical by contract;
 //! * [`LinearQAgent`] — a linear function-approximation alternative, kept
 //!   as the measurable stand-in for the deep-RL family the paper rejects
 //!   on latency grounds.
@@ -32,14 +31,14 @@
 //! # Example
 //!
 //! ```
-//! use autoscale_rl::{Hyperparameters, QLearningAgent};
+//! use autoscale_rl::{Hyperparameters, MaskSet, QLearningAgent};
 //! use rand::SeedableRng;
 //!
 //! let mut agent = QLearningAgent::new(4, 3, Hyperparameters::paper(), 7);
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-//! let mask = vec![true; 3];
+//! let mask = MaskSet::from_bools(&[true; 3]);
 //! let a = agent.select_action(0, &mask, &mut rng).expect("mask allows actions");
-//! agent.update(0, a, 1.0, 1, &mask);
+//! agent.update(0, a, 1.0, 1, mask.bools());
 //! assert!(agent.store().get(0, a).is_finite());
 //! ```
 
@@ -49,7 +48,6 @@
 pub mod agent;
 pub mod convergence;
 pub mod dbscan;
-pub mod kernel;
 pub mod linear;
 pub mod policy;
 pub mod qstore;
@@ -58,10 +56,18 @@ pub mod qtable;
 pub use agent::{Hyperparameters, QLearningAgent};
 pub use convergence::ConvergenceDetector;
 pub use dbscan::{Dbscan, Discretizer};
-pub use kernel::{DecisionKernel, FrozenKernel, KernelKind, MaskSet, PackedKernel, ScalarKernel};
 pub use linear::LinearQAgent;
-pub use policy::EpsilonGreedy;
+pub use policy::{EpsilonGreedy, MaskSet};
 pub use qstore::{
     CowQTable, OverlayDelta, OverlayError, OverlaySnapshot, QStore, QStoreKind, QStoreStats,
 };
 pub use qtable::QTable;
+
+/// A unit marker kept only for the serving benchmark's traced replica
+/// (`crates/bench/src/bin/benchmark/replica.rs`), which still calls
+/// `AutoScaleEngine::decide_kernel(&ScalarKernel, …)`. It selects
+/// nothing: every decision runs through [`EpsilonGreedy::choose`].
+/// Delete it with `decide_kernel` once the replica calls `decide`.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ScalarKernel;

@@ -117,7 +117,7 @@ impl LinearQAgent {
 
     /// Epsilon-greedy selection.
     pub fn select_action(&self, phi: &[f64], mask: &[bool], rng: &mut StdRng) -> Option<usize> {
-        let allowed: Vec<usize> = (0..mask.len()).filter(|&a| mask[a]).collect(); // lint:hot-exempt(candidate list bounded by the action-space size; the mask changes per decision)
+        let allowed: Vec<usize> = (0..mask.len()).filter(|&a| mask[a]).collect();
         if allowed.is_empty() {
             return None;
         }

@@ -13,6 +13,69 @@ use serde::{Deserialize, Serialize};
 
 use crate::qstore::QStore;
 
+/// A feasibility mask in the two shapes a decision reads.
+///
+/// Built once per workload at engine construction and reused for every
+/// decision, so the hot path never re-derives a representation:
+///
+/// * `bools` — the `&[bool]` view the Q-store's masked argmax reads;
+/// * `allowed` — the allowed action indices in ascending order, so the
+///   allowed count and "the k-th allowed action" (the exploration draw)
+///   are O(1) instead of a scan over the whole mask.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MaskSet {
+    bools: Vec<bool>,
+    allowed: Vec<u32>,
+}
+
+impl MaskSet {
+    /// Builds both views of a `&[bool]` feasibility mask.
+    pub fn from_bools(mask: &[bool]) -> Self {
+        MaskSet {
+            bools: mask.to_vec(),
+            allowed: mask
+                .iter()
+                .enumerate()
+                .filter_map(|(i, &allow)| allow.then_some(i as u32))
+                .collect(),
+        }
+    }
+
+    /// Number of actions the mask covers (allowed or not).
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.bools.len()
+    }
+
+    /// Whether the mask covers zero actions.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.bools.is_empty()
+    }
+
+    /// Number of allowed actions.
+    #[inline]
+    pub fn allowed_count(&self) -> usize {
+        self.allowed.len()
+    }
+
+    /// The `&[bool]` view.
+    #[inline]
+    pub fn bools(&self) -> &[bool] {
+        &self.bools
+    }
+
+    /// The `k`-th allowed action in ascending index order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k >= allowed_count()`.
+    #[inline]
+    pub fn nth_allowed(&self, k: usize) -> usize {
+        self.allowed[k] as usize
+    }
+}
+
 /// An epsilon-greedy action-selection policy.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EpsilonGreedy {
@@ -50,43 +113,48 @@ impl EpsilonGreedy {
 
     /// Chooses an action for `state`: with probability ε a uniformly random
     /// allowed action (exploration), otherwise the allowed action with the
-    /// largest Q value (exploitation).
+    /// largest Q value, lowest index on ties (exploitation).
     ///
-    /// Returns `None` if the mask allows no action.
+    /// This is Algorithm 1's one selection step, and the only tabular one
+    /// in the workspace: training, evaluation and every serving session
+    /// call it.
+    /// Its RNG draws are pinned, because session digests depend on them:
+    /// an empty mask returns `None` and draws nothing; otherwise one
+    /// uniform `f64` decides the arm, and the exploration arm adds one
+    /// bounded draw `k` over the allowed count and returns the `k`-th
+    /// allowed action. The exploitation arm draws nothing and answers
+    /// from the store's per-row argmax cache.
+    ///
+    /// `#[inline]` because callers live in other crates and the workspace
+    /// builds without LTO; the serving loop calls this once per decision.
     ///
     /// # Panics
     ///
-    /// Panics if `mask.len()` differs from the table's action count.
+    /// The exploitation arm panics if `mask.len()` differs from the
+    /// store's action count (debug builds check it on every call).
+    #[inline]
     pub fn choose(
         &self,
         q: &QStore,
         state: usize,
-        mask: &[bool],
+        mask: &MaskSet,
         rng: &mut StdRng,
     ) -> Option<usize> {
-        assert_eq!(
+        debug_assert_eq!(
             mask.len(),
             q.actions(),
             "mask length must equal action count"
         );
-        // Allocation-free: the serving hot path calls this per decision,
-        // so the allowed set is counted and indexed through the mask
-        // instead of materializing a Vec. The RNG draw order (one f64,
-        // then one bounded range) matches the original Vec-based
-        // implementation, keeping trained traces bit-identical.
-        let allowed = mask.iter().filter(|&&m| m).count();
+        let allowed = mask.allowed_count();
         if allowed == 0 {
             return None;
         }
         // lint:draws-exempt(the pinned epsilon-greedy protocol: one uniform draw per decision, one bounded draw on the exploration arm only; digest tests freeze it)
         if rng.gen::<f64>() < self.epsilon {
             let k = rng.gen_range(0..allowed);
-            mask.iter()
-                .enumerate()
-                .filter_map(|(a, &m)| m.then_some(a))
-                .nth(k)
+            Some(mask.nth_allowed(k))
         } else {
-            q.best_action(state, mask).map(|(a, _)| a)
+            q.best_action(state, mask.bools()).map(|(a, _)| a)
         }
     }
 }
@@ -110,12 +178,26 @@ mod tests {
     }
 
     #[test]
+    fn mask_set_views_agree() {
+        let bools = [true, false, true, true, false];
+        let m = MaskSet::from_bools(&bools);
+        assert_eq!(m.len(), 5);
+        assert!(!m.is_empty());
+        assert_eq!(m.allowed_count(), 3);
+        assert_eq!(m.bools(), &bools);
+        assert_eq!(m.nth_allowed(0), 0);
+        assert_eq!(m.nth_allowed(1), 2);
+        assert_eq!(m.nth_allowed(2), 3);
+    }
+
+    #[test]
     fn greedy_always_picks_the_best() {
         let q = table();
         let policy = EpsilonGreedy::greedy();
+        let mask = MaskSet::from_bools(&[true; 4]);
         let mut rng = StdRng::seed_from_u64(0);
         for _ in 0..100 {
-            assert_eq!(policy.choose(&q, 0, &[true; 4], &mut rng), Some(2));
+            assert_eq!(policy.choose(&q, 0, &mask, &mut rng), Some(2));
         }
     }
 
@@ -123,10 +205,11 @@ mod tests {
     fn exploration_rate_is_close_to_epsilon() {
         let q = table();
         let policy = EpsilonGreedy::new(0.3);
+        let mask = MaskSet::from_bools(&[true; 4]);
         let mut rng = StdRng::seed_from_u64(1);
         let n = 20_000;
         let non_greedy = (0..n)
-            .filter(|_| policy.choose(&q, 0, &[true; 4], &mut rng) != Some(2))
+            .filter(|_| policy.choose(&q, 0, &mask, &mut rng) != Some(2))
             .count();
         // Exploration picks uniformly among 4 actions, so 3/4 of explored
         // steps deviate from the greedy choice: expect 0.3 * 0.75 = 0.225.
@@ -139,19 +222,22 @@ mod tests {
         let q = table();
         let policy = EpsilonGreedy::new(1.0); // always explore
         let mut rng = StdRng::seed_from_u64(2);
-        let mask = [true, false, false, true];
+        let bools = [true, false, false, true];
+        let mask = MaskSet::from_bools(&bools);
         for _ in 0..200 {
             let a = policy.choose(&q, 0, &mask, &mut rng).unwrap();
-            assert!(mask[a]);
+            assert!(bools[a]);
         }
     }
 
     #[test]
-    fn empty_mask_yields_none() {
+    fn empty_mask_yields_none_and_draws_nothing() {
         let q = table();
         let policy = EpsilonGreedy::paper();
         let mut rng = StdRng::seed_from_u64(3);
-        assert_eq!(policy.choose(&q, 0, &[false; 4], &mut rng), None);
+        let mask = MaskSet::from_bools(&[false; 4]);
+        assert_eq!(policy.choose(&q, 0, &mask, &mut rng), None);
+        assert_eq!(rng, StdRng::seed_from_u64(3));
     }
 
     #[test]

@@ -22,13 +22,13 @@
 //!
 //! Every read answered by a `CowQTable` is **bit-identical** to a dense
 //! [`QTable`] holding the same logical values: `get`, `best_action`,
-//! `max_value`, the per-row lane views the decision kernels walk, and
-//! the cached [`RowMax`] they shortcut through. This is not re-derived
+//! `max_value`, the per-row lane views, and the cached `RowMax`
+//! `best_action` shortcuts through. This is not re-derived
 //! behaviour — both backends call the same `pub(crate)` row helpers in
 //! [`crate::qtable`] (`scan_lanes`, `note_row_write`, `best_allowed`),
 //! so the tie-breaking and cache-maintenance branches are shared code.
 //! Property tests in `crates/rl/tests/properties.rs` pin the contract
-//! over arbitrary write sequences, masks and kernels.
+//! over arbitrary write sequences, masks and ε-greedy draws.
 //!
 //! ## Persistence
 //!
@@ -280,15 +280,6 @@ impl CowQTable {
         match self.find(state) {
             Some(row) => &self.lanes[row * self.stride..(row + 1) * self.stride],
             None => self.base.row_lines(state),
-        }
-    }
-
-    /// The cached lowest-index maximizer of one row (overlay or base).
-    pub(crate) fn row_max_entry(&self, state: usize) -> RowMax {
-        assert!(state < self.states(), "state out of range");
-        match self.find(state) {
-            Some(row) => self.maxes[row],
-            None => self.base.row_max_entry(state),
         }
     }
 
@@ -730,20 +721,11 @@ impl QStore {
         }
     }
 
-    /// The lanes of one row, as the decision kernels walk them.
+    /// The lanes of one row.
     pub(crate) fn row_lines(&self, state: usize) -> &[QLane] {
         match self {
             QStore::Dense(q) => q.row_lines(state),
             QStore::Cow(c) => c.row_lines(state),
-        }
-    }
-
-    /// The cached lowest-index maximizer of one row — the kernels'
-    /// shared O(1) fast path.
-    pub(crate) fn row_max_entry(&self, state: usize) -> RowMax {
-        match self {
-            QStore::Dense(q) => q.row_max_entry(state),
-            QStore::Cow(c) => c.row_max_entry(state),
         }
     }
 }

@@ -26,8 +26,7 @@
 //! ([`QLane`], `#[repr(align(64))]`): each row is padded to a multiple of
 //! eight actions, so a row always starts on a 64-byte cache-line boundary
 //! and a lane never straddles two lines. The padding slots hold `0.0` and
-//! are never read through the logical API; the packed decision kernel
-//! ([`crate::kernel`]) skips them via zero mask bits. For the paper-scale
+//! are never read through the logical API. For the paper-scale
 //! table (3,072 × 66 → stride 72) this costs 9% padding: 1.69 MiB instead
 //! of 1.55 MiB, still the same order of magnitude as Section VI-C.
 //!

@@ -3,8 +3,8 @@
 use std::sync::Arc;
 
 use autoscale_rl::{
-    ConvergenceDetector, CowQTable, Dbscan, DecisionKernel, EpsilonGreedy, FrozenKernel,
-    Hyperparameters, MaskSet, PackedKernel, QLearningAgent, QStore, QTable, ScalarKernel,
+    ConvergenceDetector, CowQTable, Dbscan, EpsilonGreedy, Hyperparameters, MaskSet,
+    QLearningAgent, QStore, QTable,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -90,13 +90,13 @@ proptest! {
         let params = Hyperparameters::paper();
         let mut agent = QLearningAgent::new(1, k, params, seed);
         let mut rng = StdRng::seed_from_u64(seed.wrapping_add(1));
-        let mask = vec![true; k];
+        let mask = MaskSet::from_bools(&vec![true; k]);
         // Rewards: action i pays -(i as f64) * 10; action 0 is best.
         for _ in 0..k * 30 {
             let a = agent.select_action(0, &mask, &mut rng).expect("mask allows all");
-            agent.update(0, a, -(a as f64) * 10.0, 0, &mask);
+            agent.update(0, a, -(a as f64) * 10.0, 0, mask.bools());
         }
-        prop_assert_eq!(agent.select_greedy(0, &mask), Some(0));
+        prop_assert_eq!(agent.select_greedy(0, mask.bools()), Some(0));
     }
 
     /// The epsilon-greedy policy degenerates correctly at the extremes.
@@ -105,7 +105,7 @@ proptest! {
         let mut q = QTable::new_zeroed(1, n);
         q.set(0, n - 1, 1.0);
         let q = QStore::Dense(q);
-        let mask = vec![true; n];
+        let mask = MaskSet::from_bools(&vec![true; n]);
         let mut rng = StdRng::seed_from_u64(seed);
         // epsilon = 0: always the argmax.
         let greedy = EpsilonGreedy::greedy();
@@ -232,8 +232,8 @@ proptest! {
 
     /// A copy-on-write overlay fed the same write sequence as a dense
     /// table is bit-identical to it: every Q value, every masked argmax,
-    /// every kernel's epsilon-greedy pick, and the post-decision RNG
-    /// state all agree. This is the determinism contract that lets
+    /// every epsilon-greedy pick, and the post-decision RNG state all
+    /// agree. This is the determinism contract that lets
     /// serving swap storage backends without perturbing trace digests.
     #[test]
     fn overlay_is_bit_identical_to_dense(
@@ -259,8 +259,7 @@ proptest! {
         }
         prop_assert_eq!(&dense, &cow);
         prop_assert_eq!(dense.value_digest(), cow.value_digest());
-        let epsilon = [0.0, 0.5, 1.0][eps_idx];
-        let kernels: [&dyn DecisionKernel; 3] = [&ScalarKernel, &PackedKernel, &FrozenKernel];
+        let policy = EpsilonGreedy::new([0.0, 0.5, 1.0][eps_idx]);
         let mut mask_rng = StdRng::seed_from_u64(rng_seed);
         for state in 0..states {
             let mask: Vec<bool> = (0..actions).map(|_| mask_rng.gen_bool(0.7)).collect();
@@ -269,14 +268,12 @@ proptest! {
                 prop_assert_eq!(dense.get(state, a), cow.get(state, a));
             }
             let mask = MaskSet::from_bools(&mask);
-            for kernel in kernels {
-                let mut rng_d = StdRng::seed_from_u64(rng_seed ^ state as u64);
-                let mut rng_c = rng_d.clone();
-                let pick_d = kernel.select(&dense, state, &mask, epsilon, &mut rng_d);
-                let pick_c = kernel.select(&cow, state, &mask, epsilon, &mut rng_c);
-                prop_assert_eq!(pick_d, pick_c);
-                prop_assert_eq!(rng_d, rng_c);
-            }
+            let mut rng_d = StdRng::seed_from_u64(rng_seed ^ state as u64);
+            let mut rng_c = rng_d.clone();
+            let pick_d = policy.choose(&dense, state, &mask, &mut rng_d);
+            let pick_c = policy.choose(&cow, state, &mask, &mut rng_c);
+            prop_assert_eq!(pick_d, pick_c);
+            prop_assert_eq!(rng_d, rng_c);
         }
     }
 
@@ -284,8 +281,8 @@ proptest! {
     /// table bit for bit, whatever order its blocks are first touched in:
     /// over arbitrary shapes (partial last blocks included), seeds, and
     /// touch orders interleaved with `set`/`add`, every value, masked
-    /// argmax, kernel pick (with its RNG draws), digest and serde round
-    /// trip agrees.
+    /// argmax, epsilon-greedy pick (with its RNG draws), digest and serde
+    /// round trip agrees.
     #[test]
     fn lazy_blocks_equal_the_eager_table(
         states in 1usize..200,
@@ -312,7 +309,6 @@ proptest! {
             }
         }
         let (lazy, eager) = (QStore::Dense(lazy), QStore::Dense(eager));
-        let kernels: [&dyn DecisionKernel; 3] = [&ScalarKernel, &PackedKernel, &FrozenKernel];
         let mut mask_rng = StdRng::seed_from_u64(rng_seed);
         // The sweep starts mid-table, so the untouched blocks are built
         // in rotated order.
@@ -324,16 +320,14 @@ proptest! {
             prop_assert_eq!(lazy.best_action(state, &mask), eager.best_action(state, &mask));
             mask[0] = true;
             let mask = MaskSet::from_bools(&mask);
-            for kernel in kernels {
-                for epsilon in [0.0, 0.5] {
-                    let mut rng_lazy = StdRng::seed_from_u64(rng_seed ^ state as u64);
-                    let mut rng_eager = rng_lazy.clone();
-                    prop_assert_eq!(
-                        kernel.select(&lazy, state, &mask, epsilon, &mut rng_lazy),
-                        kernel.select(&eager, state, &mask, epsilon, &mut rng_eager)
-                    );
-                    prop_assert_eq!(rng_lazy, rng_eager);
-                }
+            for policy in [EpsilonGreedy::greedy(), EpsilonGreedy::new(0.5)] {
+                let mut rng_lazy = StdRng::seed_from_u64(rng_seed ^ state as u64);
+                let mut rng_eager = rng_lazy.clone();
+                prop_assert_eq!(
+                    policy.choose(&lazy, state, &mask, &mut rng_lazy),
+                    policy.choose(&eager, state, &mask, &mut rng_eager)
+                );
+                prop_assert_eq!(rng_lazy, rng_eager);
             }
         }
         prop_assert_eq!(lazy.value_digest(), eager.value_digest());

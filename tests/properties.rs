@@ -4,8 +4,7 @@ use autoscale::prelude::*;
 use autoscale::state::State;
 use autoscale_net::Rssi;
 use autoscale_rl::{
-    DecisionKernel, FrozenKernel, Hyperparameters, KernelKind, MaskSet, PackedKernel,
-    QLearningAgent, QStore, QStoreKind, QTable, ScalarKernel,
+    EpsilonGreedy, Hyperparameters, MaskSet, QLearningAgent, QStore, QStoreKind, QTable,
 };
 use autoscale_sim::{ArrivalSampler, ChurnWindow};
 use proptest::prelude::*;
@@ -154,10 +153,11 @@ proptest! {
     fn policy_respects_masks(mask in prop::collection::vec(any::<bool>(), 5), seed in any::<u64>()) {
         prop_assume!(mask.iter().any(|&m| m));
         let q = QStore::Dense(QTable::new_random(1, 5, seed));
-        let policy = autoscale_rl::EpsilonGreedy::new(0.5);
+        let policy = EpsilonGreedy::new(0.5);
+        let mask_set = MaskSet::from_bools(&mask);
         let mut rng = autoscale::seeded_rng(seed);
         for _ in 0..20 {
-            let a = policy.choose(&q, 0, &mask, &mut rng).expect("mask non-empty");
+            let a = policy.choose(&q, 0, &mask_set, &mut rng).expect("mask non-empty");
             prop_assert!(mask[a]);
         }
     }
@@ -174,79 +174,73 @@ proptest! {
     }
 }
 
-/// A dense Q-store with the given row-major logical values.
-fn table_from(states: usize, actions: usize, values: &[f64]) -> QStore {
-    let mut q = QTable::new_zeroed(states, actions);
+/// A Q-store with the given row-major logical values: a dense table, or
+/// a copy-on-write overlay over a base holding them, with the last
+/// state's row rewritten so it reads from the overlay while the others
+/// read through to the base.
+fn store_from(states: usize, actions: usize, values: &[f64], cow: bool) -> QStore {
+    let mut table = QTable::new_zeroed(states, actions);
     for s in 0..states {
         for a in 0..actions {
-            q.set(s, a, values[s * actions + a]);
+            table.set(s, a, values[s * actions + a]);
         }
     }
-    QStore::Dense(q)
+    if !cow {
+        return QStore::Dense(table);
+    }
+    let mut q = QStore::cow(std::sync::Arc::new(table));
+    let last = states - 1;
+    for a in 0..actions {
+        q.set(last, a, values[last * actions + a]);
+    }
+    q
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Every decision kernel is decision-for-decision AND draw-for-draw
-    /// identical to the scalar reference, for arbitrary Q-values, masks
-    /// (including all-masked) and epsilon values. The RNG-state equality
-    /// is the stronger half: a kernel that picked the same action while
-    /// drawing differently would silently desynchronize every later
-    /// decision of a session.
+    /// `EpsilonGreedy::choose` is the one ε-greedy body every decision
+    /// runs through, and session digests pin its RNG draws. Checked
+    /// against a shadow generator over arbitrary rows (exact ties from a
+    /// three-value alphabet included), masks (all-masked included), the
+    /// paper's ε range and both storage backends:
+    /// * an empty mask returns `None` and draws nothing;
+    /// * otherwise exactly one uniform `f64` decides the arm;
+    /// * below ε, one bounded draw `k` picks the `k`-th allowed action;
+    /// * otherwise the pick is the lowest-index allowed maximum, found by
+    ///   brute-force scan, and nothing more is drawn.
     #[test]
-    fn kernels_agree_with_the_scalar_reference(
-        values in prop::collection::vec(-100.0..100.0f64, 2 * 66),
-        mask in prop::collection::vec(any::<bool>(), 66),
+    fn epsilon_greedy_follows_the_draw_protocol(
+        values in (
+            prop::collection::vec(prop::sample::select(vec![-1.0f64, 0.0, 1.0]), 2 * 66),
+            prop::collection::vec(-100.0..100.0f64, 2 * 66),
+            any::<bool>(),
+        )
+            .prop_map(|(tied, spread, ties)| if ties { tied } else { spread }),
+        mask in (prop::collection::vec(any::<bool>(), 66), 0u8..4)
+            .prop_map(|(mask, k)| if k == 0 { vec![false; 66] } else { mask }),
         epsilon in prop::sample::select(vec![0.0, 0.1, 0.5, 1.0]),
+        cow in any::<bool>(),
         seed in any::<u64>(),
         state in 0usize..2,
     ) {
-        let q = table_from(2, 66, &values);
+        use rand::Rng;
+        let q = store_from(2, 66, &values, cow);
         let mask_set = MaskSet::from_bools(&mask);
-        let mut reference_rng = autoscale::seeded_rng(seed);
-        let reference = ScalarKernel.select(&q, state, &mask_set, epsilon, &mut reference_rng);
-        match reference {
-            Some(a) => prop_assert!(mask[a], "scalar picked a masked action"),
-            None => prop_assert!(mask.iter().all(|&m| !m), "None only on an empty mask"),
-        }
-        let kernels: [&dyn DecisionKernel; 2] = [&PackedKernel, &FrozenKernel];
-        for kernel in kernels {
-            let mut rng = autoscale::seeded_rng(seed);
-            let picked = kernel.select(&q, state, &mask_set, epsilon, &mut rng);
-            prop_assert_eq!(picked, reference);
-            prop_assert!(
-                rng == reference_rng,
-                "kernel {:?} perturbed the draw stream",
-                kernel.kind()
-            );
-        }
-    }
-
-    /// Tie-heavy rows (three distinct values over 66 actions) resolve to
-    /// the lowest allowed index of the maximum in every kernel.
-    #[test]
-    fn kernels_resolve_ties_at_the_lowest_allowed_index(
-        values in prop::collection::vec(prop::sample::select(vec![-1.0f64, 0.0, 1.0]), 66),
-        mask in prop::collection::vec(any::<bool>(), 66),
-        seed in any::<u64>(),
-    ) {
-        prop_assume!(mask.iter().any(|&m| m));
-        let q = table_from(1, 66, &values);
-        let mask_set = MaskSet::from_bools(&mask);
-        let mut expected: Option<(usize, f64)> = None;
-        for (a, &allow) in mask.iter().enumerate() {
-            if allow && expected.is_none_or(|(_, best)| values[a] > best) {
-                expected = Some((a, values[a]));
-            }
-        }
-        let expected = expected.map(|(a, _)| a);
-        let kernels: [&dyn DecisionKernel; 3] = [&ScalarKernel, &PackedKernel, &FrozenKernel];
-        for kernel in kernels {
-            let mut rng = autoscale::seeded_rng(seed);
-            let picked = kernel.select(&q, 0, &mask_set, 0.0, &mut rng);
-            prop_assert_eq!(picked, expected);
-        }
+        let mut rng = autoscale::seeded_rng(seed);
+        let picked = EpsilonGreedy::new(epsilon).choose(&q, state, &mask_set, &mut rng);
+        let mut shadow = autoscale::seeded_rng(seed);
+        let allowed: Vec<usize> = (0..66).filter(|&a| mask[a]).collect();
+        let expected = if allowed.is_empty() {
+            None
+        } else if shadow.gen::<f64>() < epsilon {
+            Some(allowed[shadow.gen_range(0..allowed.len())])
+        } else {
+            let row = &values[state * 66..(state + 1) * 66];
+            allowed.iter().copied().reduce(|best, a| if row[a] > row[best] { a } else { best })
+        };
+        prop_assert_eq!(picked, expected);
+        prop_assert!(rng == shadow, "choose drew differently from the protocol");
     }
 }
 
@@ -299,16 +293,6 @@ fn arb_fault_profile() -> impl Strategy<Value = FaultProfile> {
 
 /// A faulted serving run over a 4-session fleet.
 fn faulted_serve(profile: FaultProfile, seed: u64, shards: usize) -> ServeReport {
-    faulted_serve_kernel(profile, seed, shards, KernelKind::Scalar)
-}
-
-/// [`faulted_serve`] through an explicit decision kernel.
-fn faulted_serve_kernel(
-    profile: FaultProfile,
-    seed: u64,
-    shards: usize,
-    kernel: KernelKind,
-) -> ServeReport {
     let sim = Simulator::new(DeviceId::Mi8Pro);
     let mix = ScenarioMix::static_envs();
     let config = ServeConfig {
@@ -317,7 +301,6 @@ fn faulted_serve_kernel(
         shards: Some(shards),
         base_seed: seed,
         faults: profile,
-        kernel,
         ..ServeConfig::fleet()
     };
     serve(&sim, &mix, &config, None).expect("faulted fleets never error")
@@ -337,14 +320,13 @@ fn warm_paper_agent(table_seed: u64) -> QLearningAgent {
     )
 }
 
-/// [`faulted_serve_kernel`] with an explicit Q-store backend and a
-/// common warm-start agent.
+/// [`faulted_serve`] with an explicit Q-store backend and a common
+/// warm-start agent.
 fn warm_serve(
     qstore: QStoreKind,
     profile: FaultProfile,
     seed: u64,
     shards: usize,
-    kernel: KernelKind,
     warm: &QLearningAgent,
 ) -> ServeReport {
     let sim = Simulator::new(DeviceId::Mi8Pro);
@@ -355,7 +337,6 @@ fn warm_serve(
         shards: Some(shards),
         base_seed: seed,
         faults: profile,
-        kernel,
         qstore,
         ..ServeConfig::fleet()
     };
@@ -367,7 +348,7 @@ proptest! {
 
     /// Fleet memory: for any fault profile, warm start, and seed, a
     /// copy-on-write fleet sharing one base table reproduces the dense
-    /// fleet byte for byte across every kernel and shard count.
+    /// fleet byte for byte at every shard count.
     #[test]
     fn cow_fleets_reproduce_dense_fleets_exactly(
         profile in (any::<bool>(), arb_fault_profile()).prop_map(|(calm, p)| {
@@ -377,21 +358,12 @@ proptest! {
         table_seed in any::<u64>(),
     ) {
         let warm = warm_paper_agent(table_seed);
-        let dense = warm_serve(
-            QStoreKind::Dense,
-            profile,
-            seed,
-            1,
-            KernelKind::Scalar,
-            &warm,
-        );
-        for kernel in KernelKind::ALL {
-            for shards in [1usize, 4, 8] {
-                let cow = warm_serve(QStoreKind::Cow, profile, seed, shards, kernel, &warm);
-                prop_assert_eq!(&cow.sessions, &dense.sessions);
-                prop_assert_eq!(cow.digest(), dense.digest());
-                prop_assert!(cow.store.overlay_rows > 0);
-            }
+        let dense = warm_serve(QStoreKind::Dense, profile, seed, 1, &warm);
+        for shards in [1usize, 4, 8] {
+            let cow = warm_serve(QStoreKind::Cow, profile, seed, shards, &warm);
+            prop_assert_eq!(&cow.sessions, &dense.sessions);
+            prop_assert_eq!(cow.digest(), dense.digest());
+            prop_assert!(cow.store.overlay_rows > 0);
         }
     }
 
@@ -414,15 +386,9 @@ proptest! {
             prop_assert!(s.total_energy_mj.is_finite() && s.total_energy_mj > 0.0);
             prop_assert!(s.qos_violations <= s.decisions);
         }
-        for shards in [4usize, 8] {
+        for shards in [2usize, 4, 8] {
             let sharded = faulted_serve(profile, seed, shards);
             prop_assert_eq!(&sharded.sessions, &reference.sessions);
-        }
-        // The kernel dimension of the same contract: under any fault
-        // profile, every decision kernel reproduces the scalar fleet.
-        for kernel in [KernelKind::Packed, KernelKind::Frozen] {
-            let keyed = faulted_serve_kernel(profile, seed, 2, kernel);
-            prop_assert_eq!(&keyed.sessions, &reference.sessions);
         }
     }
 
@@ -593,7 +559,6 @@ fn openloop_serve(
     profile: FaultProfile,
     seed: u64,
     shards: usize,
-    kernel: KernelKind,
 ) -> ServeReport {
     let sim = Simulator::new(DeviceId::Mi8Pro);
     let mix = ScenarioMix::static_envs();
@@ -603,7 +568,6 @@ fn openloop_serve(
         shards: Some(shards),
         base_seed: seed,
         faults: profile,
-        kernel,
         openloop: Some(open),
         ..ServeConfig::fleet()
     };
@@ -622,9 +586,9 @@ proptest! {
         profile in arb_fault_profile(),
         seed in any::<u64>(),
     ) {
-        let reference = openloop_serve(open, profile, seed, 1, KernelKind::Scalar);
+        let reference = openloop_serve(open, profile, seed, 1);
         for shards in [4usize, 8] {
-            let sharded = openloop_serve(open, profile, seed, shards, KernelKind::Scalar);
+            let sharded = openloop_serve(open, profile, seed, shards);
             prop_assert_eq!(&sharded.sessions, &reference.sessions);
             prop_assert_eq!(&sharded.traffic, &reference.traffic);
             prop_assert_eq!(sharded.digest(), reference.digest());
@@ -641,7 +605,7 @@ proptest! {
         profile in arb_fault_profile(),
         seed in any::<u64>(),
     ) {
-        let report = openloop_serve(open, profile, seed, 2, KernelKind::Packed);
+        let report = openloop_serve(open, profile, seed, 2);
         for s in &report.sessions {
             // Offered must split exactly into served + dropped.
             prop_assert_eq!(s.offered_requests, s.decisions + s.dropped_requests);
@@ -665,8 +629,8 @@ proptest! {
     }
 
     /// The arrival and churn schedules are pure functions of
-    /// `(spec, seed, index)`: swapping the admission policy, the decision
-    /// kernel AND the fault profile changes what happens to each request
+    /// `(spec, seed, index)`: swapping the admission policy, the shard
+    /// count AND the fault profile changes what happens to each request
     /// but never which requests are offered or when.
     #[test]
     fn arrival_schedules_ignore_policy_kernel_and_faults(
@@ -675,15 +639,15 @@ proptest! {
         admission in prop::sample::select(AdmissionPolicy::NAMES.to_vec()),
         seed in any::<u64>(),
     ) {
-        let reference = openloop_serve(open, FaultProfile::none(), seed, 1, KernelKind::Scalar);
+        let reference = openloop_serve(open, FaultProfile::none(), seed, 1);
         let variant_open = OpenLoopConfig {
             admission: AdmissionPolicy::parse(admission).expect("named policy"),
             ..open
         };
-        let variant = openloop_serve(variant_open, profile, seed, 2, KernelKind::Packed);
+        let variant = openloop_serve(variant_open, profile, seed, 2);
         for (a, b) in reference.sessions.iter().zip(&variant.sessions) {
             prop_assert_eq!(a.offered_requests, b.offered_requests);
-            // The arrival schedule must not depend on policy, kernel or
+            // The arrival schedule must not depend on policy, shards or
             // faults.
             prop_assert_eq!(a.arrival_digest, b.arrival_digest);
         }
@@ -762,7 +726,7 @@ proptest! {
     #[test]
     fn silent_open_loop_fleets_are_empty_but_valid(seed in any::<u64>()) {
         let open = OpenLoopConfig::poisson(0.0, 500.0);
-        let report = openloop_serve(open, FaultProfile::none(), seed, 2, KernelKind::Scalar);
+        let report = openloop_serve(open, FaultProfile::none(), seed, 2);
         let traffic = report.traffic.as_ref().expect("traffic present even when silent");
         prop_assert_eq!(traffic.offered, 0);
         prop_assert_eq!(traffic.served, 0);
@@ -786,7 +750,7 @@ proptest! {
             queue_capacity: 4,
             ..OpenLoopConfig::poisson(2_000.0, 250.0)
         };
-        let report = openloop_serve(open, FaultProfile::none(), seed, 2, KernelKind::Scalar);
+        let report = openloop_serve(open, FaultProfile::none(), seed, 2);
         let traffic = report.traffic.as_ref().expect("open-loop runs report traffic");
         prop_assert!(traffic.dropped > 0, "2 kHz against a ~50 Hz device must drop");
         prop_assert!(traffic.served > 0, "overload still serves at the service rate");
