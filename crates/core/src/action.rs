@@ -136,7 +136,7 @@ impl ActionSpace {
     /// `i` can execute that workload (e.g. DSP actions are masked out for
     /// MobileBERT).
     pub fn mask(&self, sim: &Simulator, workload: Workload) -> Vec<bool> {
-        let mut out = Vec::new(); // lint:hot-exempt(per-decision mask buffer: a handful of bools; callers that care reuse mask_into)
+        let mut out = Vec::new();
         self.mask_into(sim, workload, &mut out);
         out
     }
@@ -200,7 +200,6 @@ impl ActionSpace {
                     .freq_ratio(request.freq_index.min(p.dvfs().max_index()))
             })
             .unwrap_or(1.0);
-        // lint:hot-exempt(per-decision feature vector: fixed 8-element construction, consumed immediately by the linear model)
         vec![
             on_device,
             connected,

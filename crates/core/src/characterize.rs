@@ -32,7 +32,6 @@ use crate::scheduler::{
 /// of the paper's Table I: CONV count, FC count, RC count, giga-MACs,
 /// co-runner CPU utilization, co-runner memory usage, WLAN dBm, P2P dBm.
 pub fn state_features(network: &Network, snapshot: &Snapshot) -> Vec<f64> {
-    // lint:hot-exempt(Table I feature vector: fixed 8 elements per decision, no growth)
     vec![
         network.count(autoscale_nn::LayerKind::Conv) as f64,
         network.count(autoscale_nn::LayerKind::Fc) as f64,

@@ -275,7 +275,6 @@ impl LinearFaScheduler {
     /// [0, 1] so the shared learning rate behaves across features.
     pub fn phi(sim: &Simulator, workload: Workload, snapshot: &Snapshot) -> Vec<f64> {
         let raw = crate::characterize::state_features(sim.network(workload), snapshot);
-        // lint:hot-exempt(normalized feature vector: fixed 8 elements per decision, no growth)
         vec![
             raw[0] / 100.0,         // CONV layers
             raw[1] / 20.0,          // FC layers

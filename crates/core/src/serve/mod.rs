@@ -16,6 +16,8 @@
 //! construction, state encoding is pure arithmetic, the epsilon-greedy
 //! policy reads the allowed actions in O(1), and the Q-table argmax is
 //! served from an incrementally maintained per-state cache.
+//! `tests/alloc_free.rs` counts the heap allocations of whole fleets at
+//! two horizons and requires them to be equal.
 //!
 //! Wall-clock decision latencies are measured (optionally) but kept
 //! *outside* the deterministic [`SessionReport`]s, so determinism can be

@@ -360,7 +360,8 @@ pub(super) fn drive(
     let end_ms = window.end_ms(open.horizon_ms);
     let prepared = session.sim.prepare(session.spec.workload);
 
-    // lint:hot-exempt(one bounded per-session queue, allocated once before the event loop; admission caps its depth at `capacity`)
+    // One bounded queue per session, allocated before the event loop;
+    // admission caps its depth at `capacity`.
     let mut queue: VecDeque<QueuedRequest> = VecDeque::with_capacity(capacity);
     let mut traffic = SessionTraffic {
         session: session.spec.session,
@@ -372,7 +373,6 @@ pub(super) fn drive(
         degraded: 0,
         deadline_violations: 0,
         peak_queue_depth: 0,
-        // lint:hot-exempt(one bounded per-session histogram, capacity + 1 buckets, allocated once before the event loop)
         queue_histogram: vec![0; capacity + 1],
         busy_ms: 0.0,
         window_ms: (end_ms - join_ms).max(0.0),
@@ -437,7 +437,8 @@ pub(super) fn drive(
             }
             AdmissionPolicy::Degrade => late,
         };
-        // lint:hot-exempt(depth < capacity holds here (admission dropped otherwise) and the ring was preallocated at capacity, so push_back never grows)
+        // depth < capacity holds here (admission dropped otherwise), so
+        // push_back never grows the preallocated ring.
         queue.push_back(QueuedRequest { at_ms, degraded });
         traffic.peak_queue_depth = traffic.peak_queue_depth.max(queue.len());
     }

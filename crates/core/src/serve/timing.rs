@@ -30,14 +30,13 @@ impl DecisionTimer {
         // digested SessionReport.
         DecisionTimer {
             // lint:allow(nondeterministic-time): the quarantined wall-clock read
-            start: Instant::now(), // lint:hot-exempt(the quarantined wall-clock read; Instant::now allocates nothing)
+            start: Instant::now(),
         }
     }
 
     /// Nanoseconds elapsed since [`DecisionTimer::start`], saturating at
     /// `u64::MAX` (a decision cannot plausibly take 584 years).
     pub(crate) fn elapsed_ns(&self) -> u64 {
-        // lint:hot-exempt(quarantined wall-clock read; Instant::elapsed and Duration::as_nanos are allocation-free)
         u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
 }

@@ -1,8 +1,8 @@
 //! A workspace-wide function call graph, resolved through bare names
 //! and `impl`/`trait` ownership.
 //!
-//! The interprocedural passes ([`crate::taint`] and [`crate::hotpath`])
-//! need to know, for every function in the tree, which other functions
+//! The interprocedural passes ([`crate::taint`], [`crate::streams`] and
+//! [`crate::shared`]) need to know, for every function in the tree, which other functions
 //! it may call. Rust name resolution is out of scope for a lexer-level
 //! analyzer, so the graph is deliberately **conservative**:
 //!
@@ -20,13 +20,11 @@
 //!   `Type` (an `impl Type` block or a `trait Type` declaration) when
 //!   any exist, and falls back to all `foo` definitions otherwise;
 //! * a call whose name matches no workspace definition is recorded as
-//!   **unresolved** — counted in the JSON report, and surfaced as an
-//!   [`crate::rules::Rule::UnresolvedHotCall`] finding when it sits on
-//!   the serving hot path and is not a known allocation-free std method.
+//!   **unresolved** and counted in the JSON report.
 //!
-//! Over-approximation (extra edges) can only widen the hot set and the
-//! taint frontier, never hide a finding; missing edges are what the
-//! unresolved accounting exists to make visible.
+//! Over-approximation (extra edges) can only widen the reachable sets
+//! and the taint frontier, never hide a finding; missing edges are what
+//! the unresolved accounting exists to make visible.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -39,10 +37,10 @@ pub struct FnDef {
     /// The function's bare name.
     pub name: String,
     /// The `impl` target type or `trait` this fn is declared under, if
-    /// any (`impl DecisionKernel for PackedKernel` → `PackedKernel`).
+    /// any (`impl Scheduler for OracleScheduler` → `OracleScheduler`).
     pub owner: Option<String>,
-    /// The trait being implemented or declared (`DecisionKernel` for
-    /// both the trait block and every `impl DecisionKernel for …`).
+    /// The trait being implemented or declared (`Scheduler` for both the
+    /// trait block and every `impl Scheduler for …`).
     pub trait_name: Option<String>,
     /// Index of the file this fn lives in (into the analyzed file list).
     pub file: usize,
@@ -106,13 +104,198 @@ const NON_CALL_KEYWORDS: [&str; 12] = [
     "if", "while", "for", "match", "return", "loop", "fn", "let", "in", "as", "move", "break",
 ];
 
+/// Method calls that copy into fresh heap storage.
+const COPYING_METHODS: [&str; 5] = ["clone", "collect", "to_vec", "to_owned", "to_string"];
+
+/// Allocation-free std method names: iterator adaptors, Option/Result
+/// combinators, slice accessors, numeric ops and seeded-RNG draws.
+/// Growth-prone std methods (`push`, `insert`, `extend`, `sort`,
+/// `reserve`) are not listed, so a workspace method of that name still
+/// receives edges. Changing the list changes the graph every
+/// interprocedural pass runs on.
+const STD_ALLOC_FREE: [&str; 159] = [
+    // iterator adaptors and consumers (lazy or O(1)-state)
+    "iter",
+    "iter_mut",
+    "into_iter",
+    "enumerate",
+    "zip",
+    "rev",
+    "take",
+    "take_while",
+    "skip",
+    "skip_while",
+    "chain",
+    "map",
+    "filter",
+    "filter_map",
+    "flat_map",
+    "flatten",
+    "fold",
+    "sum",
+    "product",
+    "count",
+    "position",
+    "rposition",
+    "find",
+    "find_map",
+    "any",
+    "all",
+    "by_ref",
+    "copied",
+    "cloned",
+    "step_by",
+    "last",
+    "next",
+    "nth",
+    "min",
+    "max",
+    "min_by",
+    "max_by",
+    "min_by_key",
+    "max_by_key",
+    // Option / Result combinators
+    "unwrap",
+    "expect",
+    "unwrap_or",
+    "unwrap_or_else",
+    "unwrap_or_default",
+    "map_or",
+    "map_or_else",
+    "map_err",
+    "ok_or",
+    "ok_or_else",
+    "ok",
+    "err",
+    "and_then",
+    "or_else",
+    "is_some",
+    "is_none",
+    "is_ok",
+    "is_err",
+    "as_ref",
+    "as_mut",
+    "as_deref",
+    "take",
+    "replace",
+    "then",
+    "then_some",
+    // slices and collections, read-only or in-place
+    "get",
+    "get_mut",
+    "first",
+    "len",
+    "is_empty",
+    "contains",
+    "contains_key",
+    "starts_with",
+    "ends_with",
+    "split_at",
+    "split_first",
+    "split_last",
+    "chunks",
+    "chunks_exact",
+    "chunks_mut",
+    "windows",
+    "fill",
+    "swap",
+    "sort_unstable",
+    "sort_unstable_by",
+    "sort_unstable_by_key",
+    "binary_search",
+    "binary_search_by",
+    "as_slice",
+    "as_mut_slice",
+    "as_bytes",
+    "copy_from_slice",
+    "truncate",
+    "clear",
+    "pop",
+    // VecDeque's O(1) front removal: shrinks, never grows (push_back
+    // and push_front stay findings — ring growth reallocates)
+    "pop_front",
+    // numeric / bit ops
+    "abs",
+    "signum",
+    "clamp",
+    "powi",
+    "powf",
+    "sqrt",
+    "exp",
+    "ln",
+    "sin",
+    "cos",
+    "log2",
+    "log10",
+    "floor",
+    "ceil",
+    "round",
+    "trunc",
+    "fract",
+    "recip",
+    "mul_add",
+    "is_finite",
+    "is_nan",
+    "to_bits",
+    "from_bits",
+    "rotate_left",
+    "rotate_right",
+    "count_ones",
+    "leading_zeros",
+    "trailing_zeros",
+    "rem_euclid",
+    "div_euclid",
+    "pow",
+    // slice search / ordering without reallocation
+    "partition_point",
+    "partial_cmp",
+    "cmp",
+    "capacity",
+    // checked / wrapping / saturating integer arithmetic
+    "wrapping_add",
+    "wrapping_sub",
+    "wrapping_mul",
+    "saturating_add",
+    "saturating_sub",
+    "saturating_mul",
+    "checked_add",
+    "checked_sub",
+    "checked_mul",
+    "checked_div",
+    "is_multiple_of",
+    // fixed-size byte conversions (arrays on the stack)
+    "to_le_bytes",
+    "to_be_bytes",
+    "from_le_bytes",
+    "from_be_bytes",
+    // sizing and lazy iterator constructors
+    "size_of",
+    "size_of_val",
+    "repeat_n",
+    // combinator probes
+    "is_some_and",
+    "is_none_or",
+    // conversions (moves, not copies)
+    "into",
+    "from",
+    "try_from",
+    "try_into",
+    // seeded-RNG draws, construction and jumps (deterministic,
+    // stack-only: seed_from_u64 expands via SplitMix64 into a fixed
+    // [u8; 32], advance works on four-word polynomials)
+    "gen",
+    "gen_range",
+    "gen_bool",
+    "seed_from_u64",
+    "advance",
+];
+
 /// Whether a method name is ubiquitous std surface — iterator
 /// adaptors, Option/Result combinators, slice accessors, the copying
 /// methods. Method calls with these names never edge into the
-/// workspace: the hot-path pass judges them by name instead.
-pub(crate) fn is_common_std_method(name: &str) -> bool {
-    crate::hotpath::STD_ALLOC_FREE.contains(&name)
-        || crate::hotpath::COPYING_METHODS.contains(&name)
+/// workspace.
+fn is_common_std_method(name: &str) -> bool {
+    STD_ALLOC_FREE.contains(&name) || COPYING_METHODS.contains(&name)
 }
 
 impl CallGraph {
@@ -305,27 +488,6 @@ impl CallGraph {
         self.calls_by_def[def].iter().map(|&i| &self.calls[i])
     }
 
-    /// Def ids reachable from `entries` (inclusive) along call edges,
-    /// restricted to non-test library defs — the only code the
-    /// determinism and hot-path contracts cover.
-    pub fn reachable(&self, entries: &[usize]) -> Vec<bool> {
-        let mut seen = vec![false; self.defs.len()];
-        let mut stack: Vec<usize> = entries.to_vec();
-        for &e in entries {
-            seen[e] = true;
-        }
-        while let Some(id) = stack.pop() {
-            for &next in &self.edges[id] {
-                let d = &self.defs[next];
-                if !seen[next] && !d.in_test && d.class == FileClass::Lib {
-                    seen[next] = true;
-                    stack.push(next);
-                }
-            }
-        }
-        seen
-    }
-
     /// Unresolved call sites from non-test library/binary defs: the
     /// graph's blind spots, surfaced in the report's analysis block.
     pub fn unresolved_calls(&self) -> impl Iterator<Item = &CallSite> {
@@ -390,9 +552,9 @@ impl CallGraph {
     }
 
     /// Renders the graph as Graphviz DOT: one node per non-test def,
-    /// hot-path nodes filled, unresolved calls as dashed edges to a
-    /// per-caller `?name` placeholder.
-    pub fn render_dot(&self, files: &[String], hot: &[bool]) -> String {
+    /// unresolved calls as dashed edges to a per-caller `?name`
+    /// placeholder.
+    pub fn render_dot(&self, files: &[String]) -> String {
         let mut out =
             String::from("digraph callgraph {\n  rankdir=LR;\n  node [shape=box, fontsize=9];\n");
         for (id, def) in self.defs.iter().enumerate() {
@@ -403,17 +565,11 @@ impl CallGraph {
                 Some(owner) => format!("{owner}::{}", def.name),
                 None => def.name.clone(),
             };
-            let style = if hot.get(id).copied().unwrap_or(false) {
-                ", style=filled, fillcolor=lightsalmon"
-            } else {
-                ""
-            };
             out.push_str(&format!(
-                "  n{id} [label=\"{}\\n{}:{}\"{}];\n",
+                "  n{id} [label=\"{}\\n{}:{}\"];\n",
                 dot_escape(&label),
                 dot_escape(files.get(def.file).map(String::as_str).unwrap_or("?")),
-                def.line,
-                style
+                def.line
             ));
         }
         for (id, callees) in self.edges.iter().enumerate() {
@@ -649,7 +805,7 @@ fn skip_angles(tokens: &[Token], open: usize) -> Option<usize> {
 /// The path qualifier of the ident at `k`: for `session::fnv1a_fold`
 /// or `Vec::<u8>::with_capacity`, the ident segment before the final
 /// `::` (skipping back over a turbofish/generic group).
-pub(crate) fn path_qualifier(tokens: &[Token], k: usize) -> Option<&str> {
+fn path_qualifier(tokens: &[Token], k: usize) -> Option<&str> {
     if k < 3 || !tokens[k - 1].is_punct(':') || !tokens[k - 2].is_punct(':') {
         return None;
     }
@@ -799,9 +955,7 @@ mod tests {
     fn common_std_method_names_never_edge_into_the_workspace() {
         // A workspace type may define `len`; `.len()` calls elsewhere
         // still must not edge to it (nor to any of the other eight
-        // same-named methods a real tree accumulates). The call is not
-        // even recorded as unresolved noise for the hot-path rule —
-        // check_unresolved allow-lists these names.
+        // same-named methods a real tree accumulates).
         let src = "struct Q;\n\
                    impl Q { fn len(&self) -> usize { 0 } }\n\
                    fn f(v: &[u8]) -> usize { v.len() }\n";
@@ -850,24 +1004,6 @@ mod tests {
         let (g, _) = graph_of(LIB, src);
         let unresolved: Vec<&str> = g.unresolved_calls().map(|c| c.name.as_str()).collect();
         assert_eq!(unresolved, vec!["mystery_method"]);
-    }
-
-    #[test]
-    fn reachability_walks_edges_and_skips_tests() {
-        let src = "fn top() { mid(); }\nfn mid() { leaf(); }\nfn leaf() {}\n\
-                   fn island() {}\n\
-                   #[cfg(test)]\nmod t { fn gated() {} }\n";
-        let (g, _) = graph_of(LIB, src);
-        let top = g.defs.iter().position(|d| d.name == "top").unwrap();
-        let hot = g.reachable(&[top]);
-        let hot_names: Vec<&str> = g
-            .defs
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| hot[*i])
-            .map(|(_, d)| d.name.as_str())
-            .collect();
-        assert_eq!(hot_names, vec!["top", "mid", "leaf"]);
     }
 
     #[test]

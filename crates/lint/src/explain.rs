@@ -68,39 +68,6 @@ pub fn explain(rule: Rule) -> &'static str {
              \n\
              Fix: return the value, or move the print to the bin/example."
         }
-        Rule::UnitMismatch => {
-            "unit-mismatch — arithmetic across incompatible suffix units.\n\
-             \n\
-             Fires when `+`/`-`/comparison/assignment combine expressions\n\
-             whose suffix-inferred units provably differ: ms vs mJ is a\n\
-             dimension clash, ms vs ns a scale clash. Multiplication and\n\
-             division combine dimensions, so `power_w * slot_ms` inferring\n\
-             mJ stays clean.\n\
-             \n\
-             Fix: convert explicitly (`* 1_000.0`, `/ 1e6`) or rename the\n\
-             binding to its true unit."
-        }
-        Rule::UnitArgMismatch => {
-            "unit-arg-mismatch — call argument contradicts parameter suffix.\n\
-             \n\
-             Fires when an argument's inferred unit contradicts the callee\n\
-             parameter's name suffix, resolved through the workspace-wide\n\
-             signature index. Only fires when every same-name, same-arity\n\
-             definition in the workspace agrees on the parameter's unit, so\n\
-             cross-crate homonyms cannot produce false positives.\n\
-             \n\
-             Fix: convert at the call site, or fix the parameter name."
-        }
-        Rule::UnitBindingMismatch => {
-            "unit-binding-mismatch — binding suffix contradicts initializer.\n\
-             \n\
-             Fires on `let x_ms = <mJ expr>` and `field_ms: <mJ expr>`: the\n\
-             declared suffix promises one unit, the initializer's inferred\n\
-             unit is another. Downstream code trusts names, so the lie\n\
-             propagates.\n\
-             \n\
-             Fix: rename the binding or convert the initializer."
-        }
         Rule::TaintedDigest => {
             "tainted-digest — nondeterminism reaches a digest update.\n\
              \n\
@@ -136,44 +103,6 @@ pub fn explain(rule: Rule) -> &'static str {
              measured-wall-time diagnostics in bench binaries, outside\n\
              serialized session state."
         }
-        Rule::HotPathAlloc => {
-            "hot-path-alloc — allocation on the decision hot path.\n\
-             \n\
-             The call graph computes every function reachable from\n\
-             `DecisionKernel::*`, `*Engine::decide*`, or\n\
-             `DeviceSession::run*` (non-test library code only). Within that\n\
-             set the rule fires on heap-allocating constructors\n\
-             (`Vec::new`, `Box::new`, `String::from`, `with_capacity`, …),\n\
-             `vec!`/`format!`, `clone()`, `collect()`, `to_vec()`,\n\
-             `to_owned()`, `to_string()`.\n\
-             \n\
-             The serve hot path holds ~3M decisions/s because it is\n\
-             allocation-free; a single Vec in a kernel inner loop is the\n\
-             regression class the bench gate catches only after the fact.\n\
-             \n\
-             Fix: preallocate in setup code and reuse buffers. Waive\n\
-             deliberate setup-time allocation with\n\
-             `// lint:hot-exempt(<why>)` (also covers\n\
-             unresolved-hot-call on the same statement)."
-        }
-        Rule::UnresolvedHotCall => {
-            "unresolved-hot-call — unanalyzable call on the hot path.\n\
-             \n\
-             Fires when a function on the decision hot path makes a call the\n\
-             workspace call graph cannot resolve to a definition and that is\n\
-             not on the known allocation-free std whitelist (iterator\n\
-             adaptors, Option/Result combinators, slice reads, …). Growth-\n\
-             prone std methods (`push`, `insert`, `extend`, `reserve`) are\n\
-             deliberately off the whitelist: they allocate on resize, so\n\
-             they must be either resolved, exempted, or removed.\n\
-             \n\
-             Unresolved edges are where the hot-path-alloc guarantee would\n\
-             silently leak; this rule keeps the hot path analyzable.\n\
-             \n\
-             Fix: name the callee so the graph can resolve it (avoid\n\
-             trait-object indirection on the hot path), or waive with\n\
-             `// lint:hot-exempt(<why>)`."
-        }
         Rule::UnderivedRngStream => {
             "underived-rng-stream — RNG seeded outside the derivation scheme.\n\
              \n\
@@ -196,8 +125,8 @@ pub fn explain(rule: Rule) -> &'static str {
              The stream pass computes a draw-count interval for every\n\
              function (summing callee intervals through the call graph) and\n\
              walks branchy control flow in every function reachable from\n\
-             per-request entry points: FaultInjector request methods,\n\
-             DecisionKernel impls, `decide_*`. It fires when the arms of an\n\
+             per-request entry points: FaultInjector, ArrivalSampler and\n\
+             ChurnWindow methods, `decide_*`. It fires when the arms of an\n\
              `if`/`match` consume provably different counts — the next\n\
              request's draws then shift depending on data, so fault\n\
              schedules stop being prefix-stable (see\n\
@@ -232,8 +161,8 @@ pub fn explain(rule: Rule) -> &'static str {
              (Mutex/RwLock/RefCell/Cell/OnceLock/Atomic*) in non-test\n\
              lib/bin/bench code; (2) interior-mutability types or uses of\n\
              those statics inside functions reachable from serve shard\n\
-             entry points (`serve*`, `DeviceSession::run*`, DecisionKernel\n\
-             impls, `decide_*`), reported with the caller witness chain;\n\
+             entry points (`serve*`, `DeviceSession::run*`, `decide_*`),\n\
+             reported with the caller witness chain;\n\
              (3) non-SeqCst atomic orderings (Relaxed/Acquire/Release/\n\
              AcqRel) in functions that also touch digested or serialized\n\
              state. Shard-parallel serving is deterministic because shards\n\

@@ -45,7 +45,7 @@ pub struct Token {
     pub line: u32,
     /// 0-based char offset the token starts at. Adjacency between
     /// consecutive punctuation tokens (`pos + 1 == next.pos`) is how
-    /// the parser tells compound operators (`==`, `->`, `..`, `>>`)
+    /// the analyses tell compound operators (`==`, `->`, `..`, `>>`)
     /// from coincidental neighbors (`a > -b`).
     pub pos: u32,
 }

@@ -23,21 +23,15 @@
 //!    example, test, bench) and marks `#[cfg(test)]` token regions and
 //!    function-body spans.
 //! 3. [`rules`] runs the token-pattern rules (see [`rules::Rule`]) and
-//!    filters findings through `// lint:allow(<rule>)` suppressions;
-//!    [`parser`] adds the semantic units checker — a recursive-descent
-//!    expression parser whose dimensional algebra ([`units`]) checks
-//!    the workspace's suffix conventions (`latency_ms`,
-//!    `busy_power_w`, …) against a workspace-wide signature index
-//!    ([`sigindex`]).
+//!    filters findings through `// lint:allow(<rule>)` suppressions.
 //! 4. [`callgraph`] builds a conservative workspace call graph on top
 //!    of the same token streams; [`taint`] runs forward determinism-
 //!    taint dataflow over it (wall-clock/env/entropy sources → digest
-//!    and report-field sinks) and [`hotpath`] flags allocation in
-//!    functions reachable from the decision hot path. [`streams`]
-//!    checks RNG stream discipline (seed derivation, draw-count
-//!    interval analysis over per-request paths) and [`shared`] checks
-//!    shared-state hygiene (global mutable state, serve-path interior
-//!    mutability, lock-order cycles, relaxed atomics near digests).
+//!    and report-field sinks). [`streams`] checks RNG stream discipline
+//!    (seed derivation, draw-count interval analysis over per-request
+//!    paths) and [`shared`] checks shared-state hygiene (global mutable
+//!    state, serve-path interior mutability, lock-order cycles, relaxed
+//!    atomics near digests).
 //! 5. [`report`] renders the findings as terminal lines or stable JSON
 //!    (`results/lint_baseline.json` is one such document).
 //!
@@ -53,21 +47,16 @@
 pub mod callgraph;
 pub mod context;
 pub mod explain;
-pub mod hotpath;
 pub mod lexer;
-pub mod parser;
 pub mod report;
 pub mod rules;
 pub mod shared;
-pub mod sigindex;
 pub mod streams;
 pub mod taint;
-pub mod units;
 pub mod walk;
 
 pub use report::{AnalysisStats, PassTimings, Report};
 pub use rules::{analyze_file, Finding, Rule};
-pub use sigindex::SigIndex;
 
 use crate::context::{classify, FileContext};
 
@@ -79,15 +68,13 @@ pub struct Analysis {
     pub report: Report,
     /// The workspace call graph the interprocedural passes ran on.
     pub graph: callgraph::CallGraph,
-    /// Per-definition hot-path membership, indexed like `graph.defs`.
-    pub hot: Vec<bool>,
     /// Workspace-relative paths, in the order the graph's `file`
     /// indices reference them.
     pub files: Vec<String>,
 }
 
-/// Runs the whole pipeline — per-file rules, signature index, call
-/// graph, taint, hot-path — over in-memory `(path, source)` pairs.
+/// Runs the whole pipeline — per-file rules, call graph, taint, stream
+/// discipline, shared state — over in-memory `(path, source)` pairs.
 ///
 /// This is the substitution point the sabotage tests use: read the real
 /// workspace, swap one file's source for a doctored version, and assert
@@ -95,13 +82,10 @@ pub struct Analysis {
 pub fn analyze_sources(sources: Vec<(String, String)>) -> Analysis {
     let mut timings = PassTimings::default();
     let t = pass_clock();
-    let mut sigs = SigIndex::new();
-    let mut files = Vec::with_capacity(sources.len());
-    for (rel, source) in &sources {
-        let lexed = lexer::lex(source);
-        sigs.add_file(&lexed);
-        files.push((rel.clone(), lexed));
-    }
+    let files: Vec<(String, lexer::LexedFile)> = sources
+        .into_iter()
+        .map(|(rel, source)| (rel, lexer::lex(&source)))
+        .collect();
     let contexts: Vec<FileContext> = files
         .iter()
         .map(|(rel, lexed)| FileContext::build(classify(rel), lexed))
@@ -115,9 +99,6 @@ pub fn analyze_sources(sources: Vec<(String, String)>) -> Analysis {
     let tainted = taint::analyze(&files, &contexts, &graph);
     timings.taint_ms = millis_between(t, pass_clock());
     let t = pass_clock();
-    let hot = hotpath::analyze(&files, &contexts, &graph);
-    timings.hotpath_ms = millis_between(t, pass_clock());
-    let t = pass_clock();
     let streamed = streams::analyze(&files, &contexts, &graph);
     timings.streams_ms = millis_between(t, pass_clock());
     let t = pass_clock();
@@ -127,7 +108,6 @@ pub fn analyze_sources(sources: Vec<(String, String)>) -> Analysis {
     // Global (interprocedural) findings, grouped by file so each file's
     // suppressions can waive them alongside the per-file rules.
     let mut global: Vec<Finding> = tainted.findings;
-    global.extend(hot.findings);
     global.extend(streamed.findings);
     global.extend(shared_state.findings);
 
@@ -136,7 +116,7 @@ pub fn analyze_sources(sources: Vec<(String, String)>) -> Analysis {
     let mut suppressed = Vec::new();
     for (i, (rel, lexed)) in files.iter().enumerate() {
         let sup = rules::Suppressions::parse(&lexed.comments, &lexed.tokens);
-        let mut raw = rules::per_file_findings(rel, lexed, &contexts[i], &sigs);
+        let mut raw = rules::per_file_findings(rel, lexed, &contexts[i]);
         raw.extend(global.iter().filter(|f| &f.file == rel).cloned());
         for f in raw {
             if sup.allows(f.line, f.rule) {
@@ -147,13 +127,12 @@ pub fn analyze_sources(sources: Vec<(String, String)>) -> Analysis {
         }
         rules::push_unknown_rule_findings(rel, &sup, &mut findings);
     }
-    timings.parse_ms = millis_between(t, pass_clock());
+    timings.rules_ms = millis_between(t, pass_clock());
 
     let analysis = AnalysisStats {
         functions: graph.defs.len(),
         call_edges: graph.edge_count(),
         unresolved_calls: graph.unresolved_calls().count(),
-        hot_functions: hot.hot.iter().filter(|&&h| h).count(),
         taint_returning: tainted.taint_returning.iter().filter(|&&t| t).count(),
         stream_checked: streamed.checked.iter().filter(|&&c| c).count(),
         lock_sites: shared_state.lock_sites,
@@ -163,7 +142,6 @@ pub fn analyze_sources(sources: Vec<(String, String)>) -> Analysis {
     Analysis {
         report,
         graph,
-        hot: hot.hot,
         files: files.into_iter().map(|(rel, _)| rel).collect(),
     }
 }

@@ -65,9 +65,8 @@ OPTIONS:
     --report-out PATH       Additionally write the JSON report to PATH
                             (for CI artifacts)
     --graph-out PATH        Dump the workspace call graph as Graphviz DOT
-                            (hot-path functions are highlighted)
-    --timings               Keep per-pass wall-clock timings (lex, parse,
-                            callgraph, taint, hotpath, streams, shared; ms)
+    --timings               Keep per-pass wall-clock timings (lex, rules,
+                            callgraph, taint, streams, shared; ms)
                             in the report, so a blown CI budget names the
                             slow pass; always stripped from baselines
     -h, --help              Show this help
@@ -80,7 +79,6 @@ EXIT CODES:
 Suppress a single finding with `// lint:allow(<rule>): <justification>`
 on the offending line or standing alone directly above it (a standalone
 annotation covers the full statement that starts on the next line).
-`// lint:hot-exempt(<why>)` waives both hot-path rules at once;
 `// lint:draws-exempt(<why>)` waives the three RNG stream rules at once;
 `// lint:taint-source(<why>)` marks a statement as a taint source.";
 
@@ -200,7 +198,7 @@ fn main() -> ExitCode {
         }
     };
     if let Some(path) = &args.graph_out {
-        let dot = analysis.graph.render_dot(&analysis.files, &analysis.hot);
+        let dot = analysis.graph.render_dot(&analysis.files);
         if let Err(err) = write_report(path, &dot) {
             eprintln!("autoscale-lint: cannot write {}: {err}", path.display());
             return ExitCode::from(2);

@@ -20,8 +20,6 @@ pub struct AnalysisStats {
     pub call_edges: usize,
     /// Call sites (non-test lib/bin code) the graph could not resolve.
     pub unresolved_calls: usize,
-    /// Functions reachable from a decision hot-path entry.
-    pub hot_functions: usize,
     /// Functions the taint pass marks as returning tainted values.
     pub taint_returning: usize,
     /// Functions whose draw intervals the stream pass checked (reachable
@@ -38,14 +36,12 @@ pub struct AnalysisStats {
 pub struct PassTimings {
     /// Lexing every file.
     pub lex_ms: f64,
-    /// Units parsing + signature index + per-file token rules.
-    pub parse_ms: f64,
+    /// The per-file token rules and suppression filtering.
+    pub rules_ms: f64,
     /// Building the workspace call graph.
     pub callgraph_ms: f64,
     /// The interprocedural taint pass.
     pub taint_ms: f64,
-    /// Hot-path reachability + allocation checks.
-    pub hotpath_ms: f64,
     /// The RNG stream-discipline pass.
     pub streams_ms: f64,
     /// The shared-state / lock-order pass.
@@ -56,10 +52,9 @@ impl PassTimings {
     /// Total across all passes.
     pub fn total_ms(&self) -> f64 {
         self.lex_ms
-            + self.parse_ms
+            + self.rules_ms
             + self.callgraph_ms
             + self.taint_ms
-            + self.hotpath_ms
             + self.streams_ms
             + self.shared_ms
     }
@@ -70,7 +65,7 @@ impl PassTimings {
 pub struct Report {
     /// Every unsuppressed finding, ordered by (file, line, rule).
     pub findings: Vec<Finding>,
-    /// Findings waived by `lint:allow`/`lint:hot-exempt`, same order.
+    /// Findings waived by `lint:allow`/`lint:draws-exempt`, same order.
     /// Kept visible so waivers are auditable from the JSON report and
     /// so the baseline diff can tell "fixed" from "silenced".
     pub suppressed: Vec<Finding>,
@@ -179,11 +174,10 @@ impl Report {
             let a = &self.analysis;
             out.push_str(&format!(
                 "call graph: {} functions, {} edges ({} unresolved), \
-                 {} hot, {} taint-returning, {} stream-checked, {} lock sites\n",
+                 {} taint-returning, {} stream-checked, {} lock sites\n",
                 a.functions,
                 a.call_edges,
                 a.unresolved_calls,
-                a.hot_functions,
                 a.taint_returning,
                 a.stream_checked,
                 a.lock_sites
@@ -191,14 +185,13 @@ impl Report {
         }
         if let Some(t) = &self.timings {
             out.push_str(&format!(
-                "timings: lex {:.1} ms, parse {:.1} ms, callgraph {:.1} ms, \
-                 taint {:.1} ms, hotpath {:.1} ms, streams {:.1} ms, \
-                 shared {:.1} ms (total {:.1} ms)\n",
+                "timings: lex {:.1} ms, rules {:.1} ms, callgraph {:.1} ms, \
+                 taint {:.1} ms, streams {:.1} ms, shared {:.1} ms \
+                 (total {:.1} ms)\n",
                 t.lex_ms,
-                t.parse_ms,
+                t.rules_ms,
                 t.callgraph_ms,
                 t.taint_ms,
-                t.hotpath_ms,
                 t.streams_ms,
                 t.shared_ms,
                 t.total_ms()
@@ -227,26 +220,24 @@ impl Report {
         let a = &self.analysis;
         out.push_str(&format!(
             "\n  }},\n  \"analysis\": {{\"functions\": {}, \"call_edges\": {}, \
-             \"unresolved_calls\": {}, \"hot_functions\": {}, \"taint_returning\": {}, \
+             \"unresolved_calls\": {}, \"taint_returning\": {}, \
              \"stream_checked\": {}, \"lock_sites\": {}}},",
             a.functions,
             a.call_edges,
             a.unresolved_calls,
-            a.hot_functions,
             a.taint_returning,
             a.stream_checked,
             a.lock_sites
         ));
         if let Some(t) = &self.timings {
             out.push_str(&format!(
-                "\n  \"timings\": {{\"lex_ms\": {:.2}, \"parse_ms\": {:.2}, \
-                 \"callgraph_ms\": {:.2}, \"taint_ms\": {:.2}, \"hotpath_ms\": {:.2}, \
+                "\n  \"timings\": {{\"lex_ms\": {:.2}, \"rules_ms\": {:.2}, \
+                 \"callgraph_ms\": {:.2}, \"taint_ms\": {:.2}, \
                  \"streams_ms\": {:.2}, \"shared_ms\": {:.2}, \"total_ms\": {:.2}}},",
                 t.lex_ms,
-                t.parse_ms,
+                t.rules_ms,
                 t.callgraph_ms,
                 t.taint_ms,
-                t.hotpath_ms,
                 t.streams_ms,
                 t.shared_ms,
                 t.total_ms()
@@ -487,7 +478,7 @@ mod tests {
     fn baselines_round_trip_through_the_json_renderer() {
         let report = Report::new(
             vec![
-                finding("a.rs", 2, Rule::UnitMismatch),
+                finding("a.rs", 2, Rule::TaintedDigest),
                 finding("b.rs", 7, Rule::PanicInLib),
             ],
             3,
@@ -496,7 +487,7 @@ mod tests {
         assert_eq!(entries.len(), 2);
         assert_eq!(entries[0].file, "a.rs");
         assert_eq!(entries[0].line, 2);
-        assert_eq!(entries[0].rule, "unit-mismatch");
+        assert_eq!(entries[0].rule, "tainted-digest");
         // A full round trip is a no-op diff.
         let diff = report.against_baseline(&entries);
         assert!(diff.new.is_empty());
@@ -507,7 +498,7 @@ mod tests {
     fn baseline_diff_separates_new_from_fixed() {
         let old = Report::new(
             vec![
-                finding("a.rs", 2, Rule::UnitMismatch),
+                finding("a.rs", 2, Rule::TaintedDigest),
                 finding("gone.rs", 4, Rule::PrintInLib),
             ],
             3,
@@ -515,8 +506,8 @@ mod tests {
         let baseline = parse_baseline(&old.render_json()).expect("parses");
         let now = Report::new(
             vec![
-                finding("a.rs", 2, Rule::UnitMismatch),
-                finding("fresh.rs", 9, Rule::UnitArgMismatch),
+                finding("a.rs", 2, Rule::TaintedDigest),
+                finding("fresh.rs", 9, Rule::TaintedReportField),
             ],
             3,
         );
@@ -542,8 +533,8 @@ mod tests {
     #[test]
     fn suppressed_findings_stay_out_of_the_baseline() {
         let report = Report::with_details(
-            vec![finding("a.rs", 2, Rule::UnitMismatch)],
-            vec![finding("waived.rs", 9, Rule::HotPathAlloc)],
+            vec![finding("a.rs", 2, Rule::TaintedDigest)],
+            vec![finding("waived.rs", 9, Rule::DivergentRngDraws)],
             3,
             AnalysisStats::default(),
         );
@@ -578,7 +569,6 @@ mod tests {
             functions: 10,
             call_edges: 20,
             unresolved_calls: 3,
-            hot_functions: 4,
             taint_returning: 2,
             stream_checked: 6,
             lock_sites: 1,
@@ -595,15 +585,14 @@ mod tests {
 
     #[test]
     fn timings_render_only_when_requested_and_parse_cleanly() {
-        let mut report = Report::new(vec![finding("a.rs", 2, Rule::UnitMismatch)], 3);
+        let mut report = Report::new(vec![finding("a.rs", 2, Rule::TaintedDigest)], 3);
         assert!(!report.render_json().contains("\"timings\""));
         report.timings = Some(PassTimings {
             lex_ms: 1.5,
-            parse_ms: 2.0,
+            rules_ms: 2.0,
             callgraph_ms: 3.0,
             taint_ms: 4.0,
-            hotpath_ms: 0.5,
-            streams_ms: 1.0,
+            streams_ms: 1.5,
             shared_ms: 0.25,
         });
         let json = report.render_json();

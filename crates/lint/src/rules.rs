@@ -20,14 +20,13 @@
 //! waiver is visible in the same hunk as the code it excuses.
 //!
 //! Two sibling directives share the same coverage geometry:
-//! `// lint:hot-exempt(<why>)` waives the hot-path rules
-//! ([`Rule::HotPathAlloc`] + [`Rule::UnresolvedHotCall`]) and
-//! `// lint:taint-source(<why>)` *marks* (not waives) the covered
-//! statement as a nondeterminism source for the taint pass.
+//! `// lint:draws-exempt(<why>)` waives the three RNG stream rules at
+//! once and `// lint:taint-source(<why>)` *marks* (not waives) the
+//! covered statement as a nondeterminism source for the taint pass.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::context::{classify, FileClass, FileContext};
+use crate::context::{FileClass, FileContext};
 use crate::lexer::{Comment, LexedFile, Token, TokenKind};
 
 /// The analyzer's rules.
@@ -47,27 +46,12 @@ pub enum Rule {
     /// `println!`/`eprintln!`/`print!`/`eprint!`/`dbg!` outside
     /// binaries, examples, and benchmarks.
     PrintInLib,
-    /// `+`/`-`/comparison/assignment between expressions whose
-    /// suffix-inferred units provably differ (ms vs mJ, ms vs ns).
-    UnitMismatch,
-    /// A call argument whose unit contradicts the callee's
-    /// parameter-name suffix, via the workspace signature index.
-    UnitArgMismatch,
-    /// `let x_ms = <mJ expr>` / `field_ms: <mJ expr>` — a binding whose
-    /// declared suffix contradicts its initializer's unit.
-    UnitBindingMismatch,
     /// A wall-clock/env/entropy-derived value flows (possibly through
     /// helper functions) into a digest update.
     TaintedDigest,
     /// A wall-clock/env/entropy-derived value flows into a field of a
     /// `*Report` struct or a serde-serialized struct literal.
     TaintedReportField,
-    /// Heap allocation, `clone()`, `format!`, or `collect()` in a
-    /// function reachable from the decision hot path.
-    HotPathAlloc,
-    /// A call on the decision hot path that the workspace call graph
-    /// cannot resolve — the allocation contract stops being checkable.
-    UnresolvedHotCall,
     /// An RNG constructed from a literal or ad-hoc value instead of the
     /// `cell_seed`/`seeded_rng` derivation discipline.
     UnderivedRngStream,
@@ -87,19 +71,14 @@ pub enum Rule {
 
 impl Rule {
     /// Every rule, in reporting order.
-    pub const ALL: [Rule; 17] = [
+    pub const ALL: [Rule; 12] = [
         Rule::NondeterministicTime,
         Rule::NondeterministicRng,
         Rule::UnorderedIteration,
         Rule::PanicInLib,
         Rule::PrintInLib,
-        Rule::UnitMismatch,
-        Rule::UnitArgMismatch,
-        Rule::UnitBindingMismatch,
         Rule::TaintedDigest,
         Rule::TaintedReportField,
-        Rule::HotPathAlloc,
-        Rule::UnresolvedHotCall,
         Rule::UnderivedRngStream,
         Rule::DivergentRngDraws,
         Rule::PolicyDependentDraws,
@@ -115,13 +94,8 @@ impl Rule {
             Rule::UnorderedIteration => "unordered-iteration",
             Rule::PanicInLib => "panic-in-lib",
             Rule::PrintInLib => "print-in-lib",
-            Rule::UnitMismatch => "unit-mismatch",
-            Rule::UnitArgMismatch => "unit-arg-mismatch",
-            Rule::UnitBindingMismatch => "unit-binding-mismatch",
             Rule::TaintedDigest => "tainted-digest",
             Rule::TaintedReportField => "tainted-report-field",
-            Rule::HotPathAlloc => "hot-path-alloc",
-            Rule::UnresolvedHotCall => "unresolved-hot-call",
             Rule::UnderivedRngStream => "underived-rng-stream",
             Rule::DivergentRngDraws => "divergent-rng-draws",
             Rule::PolicyDependentDraws => "policy-dependent-draws",
@@ -157,21 +131,6 @@ impl Rule {
                  return a Result or annotate the provably-infallible case"
             }
             Rule::PrintInLib => "println!/eprintln!/dbg! outside binaries, examples and benches",
-            Rule::UnitMismatch => {
-                "add/sub/compare/assign between expressions of provably different \
-                 suffix-inferred unit (ms vs mJ is a dimension clash, ms vs ns a \
-                 scale clash); mul/div combine units, so W × ms = mJ stays clean"
-            }
-            Rule::UnitArgMismatch => {
-                "call argument whose inferred unit contradicts the callee's \
-                 parameter-name suffix, resolved through a workspace-wide \
-                 signature index (only when every same-arity definition agrees)"
-            }
-            Rule::UnitBindingMismatch => {
-                "let-binding or struct-field initializer whose declared suffix \
-                 contradicts the initializer's inferred unit \
-                 (`let x_ms = <mJ expr>`)"
-            }
             Rule::TaintedDigest => {
                 "a wall-clock / env / entropy-derived value reaches a digest \
                  update (fnv1a_fold or any *digest* call/assignment), possibly \
@@ -183,18 +142,6 @@ impl Rule {
                  a *Report struct or a serde-Serialize struct literal; reports \
                  must stay pure functions of (trace, seed, index)"
             }
-            Rule::HotPathAlloc => {
-                "heap allocation (Vec/Box/String/… ctors, vec!/format!), \
-                 clone(), or collect() in a function reachable from \
-                 DecisionKernel::*, *Engine::decide*, or DeviceSession::run*; \
-                 waive deliberate ones with lint:hot-exempt(<why>)"
-            }
-            Rule::UnresolvedHotCall => {
-                "a call on the decision hot path that the workspace call graph \
-                 cannot resolve to a definition and that is not a known \
-                 allocation-free std method — unresolved edges make the \
-                 hot-path-alloc contract unverifiable"
-            }
             Rule::UnderivedRngStream => {
                 "RNG seeded from a literal or ad-hoc expression instead of the \
                  cell_seed/seeded_rng derivation discipline — every stream must \
@@ -202,9 +149,10 @@ impl Rule {
             }
             Rule::DivergentRngDraws => {
                 "branch arms in a function reachable from per-request entry \
-                 points (FaultInjector methods, DecisionKernel impls, decide_*) \
-                 consume unequal RNG draw counts, shifting every later draw; \
-                 equalize with a burn draw or waive with lint:draws-exempt(<why>)"
+                 points (FaultInjector, ArrivalSampler and ChurnWindow methods, \
+                 decide_*) consume unequal RNG draw counts, shifting every later \
+                 draw; equalize with a burn draw or waive with \
+                 lint:draws-exempt(<why>)"
             }
             Rule::PolicyDependentDraws => {
                 "the RNG draw count on a per-request path branches on policy or \
@@ -240,7 +188,7 @@ pub struct Finding {
 }
 
 /// Per-line suppressions parsed from `lint:allow(…)` and
-/// `lint:hot-exempt(…)` comments.
+/// `lint:draws-exempt(…)` comments.
 #[derive(Debug, Default)]
 pub(crate) struct Suppressions {
     /// line → rules allowed on that line.
@@ -274,13 +222,6 @@ impl Suppressions {
                     }
                 }
                 rest = &rest[close..];
-            }
-            // `lint:hot-exempt(<why>)` is sugar for waiving both
-            // hot-path rules: an exempted allocation site must not
-            // re-surface as an unresolved call.
-            if comment.text.contains("lint:hot-exempt(") {
-                out.cover(comment, tokens, Rule::HotPathAlloc);
-                out.cover(comment, tokens, Rule::UnresolvedHotCall);
             }
             // `lint:draws-exempt(<why>)` is sugar for waiving the three
             // stream-discipline rules at once: a deliberately divergent
@@ -406,37 +347,15 @@ pub(crate) fn marker_lines(comments: &[Comment], tokens: &[Token], marker: &str)
 }
 
 /// Analyzes one file in isolation. The whole interprocedural pipeline
-/// runs on the single file: the signature index, call graph, taint,
-/// and hot-path passes all see only its own `fn`s.
+/// runs on the single file: the call graph, taint, stream and
+/// shared-state passes all see only its own `fn`s.
 ///
 /// `rel_path` must be workspace-relative: rule applicability is decided
-/// from it (see [`classify`]).
+/// from it (see [`crate::context::classify`]).
 pub fn analyze_file(rel_path: &str, source: &str) -> Vec<Finding> {
     crate::analyze_sources(vec![(rel_path.to_string(), source.to_string())])
         .report
         .findings
-}
-
-/// Analyzes one already-lexed file against a (typically
-/// workspace-wide) signature index and returns its unsuppressed
-/// per-file findings, in source order. Interprocedural rules
-/// (taint/hot-path) need the whole workspace — see
-/// [`crate::analyze_sources`].
-pub fn analyze_lexed(
-    rel_path: &str,
-    lexed: &LexedFile,
-    sigs: &crate::sigindex::SigIndex,
-) -> Vec<Finding> {
-    let ctx = FileContext::build(classify(rel_path), lexed);
-    let suppressions = Suppressions::parse(&lexed.comments, &lexed.tokens);
-    let mut findings = per_file_findings(rel_path, lexed, &ctx, sigs);
-    push_unknown_rule_findings(rel_path, &suppressions, &mut findings);
-    findings.retain(|f| !suppressions.allows(f.line, f.rule));
-    findings.sort_by_key(|f| (f.line, f.rule));
-    // Nested fn items produce overlapping spans; identical findings
-    // collapse to one.
-    findings.dedup();
-    findings
 }
 
 /// Runs the intraprocedural (single-file) rules and returns their raw,
@@ -446,7 +365,6 @@ pub(crate) fn per_file_findings(
     rel_path: &str,
     lexed: &LexedFile,
     ctx: &FileContext,
-    sigs: &crate::sigindex::SigIndex,
 ) -> Vec<Finding> {
     let mut findings = Vec::new();
     check_time(rel_path, lexed, ctx, &mut findings);
@@ -454,7 +372,6 @@ pub(crate) fn per_file_findings(
     check_unordered_iteration(rel_path, lexed, ctx, &mut findings);
     check_panic(rel_path, lexed, ctx, &mut findings);
     check_print(rel_path, lexed, ctx, &mut findings);
-    findings.extend(crate::parser::check_units(rel_path, lexed, ctx, sigs));
     findings
 }
 
@@ -831,15 +748,6 @@ mod tests {
                    x.unwrap()\n\
                    }\n";
         assert!(rules_hit(LIB, src).is_empty());
-    }
-
-    #[test]
-    fn hot_exempt_waives_both_hot_rules() {
-        let lexed = lex("fn f() {\n let v = Vec::new(); // lint:hot-exempt(tiny, bounded)\n}\n");
-        let sup = Suppressions::parse(&lexed.comments, &lexed.tokens);
-        assert!(sup.allows(2, Rule::HotPathAlloc));
-        assert!(sup.allows(2, Rule::UnresolvedHotCall));
-        assert!(!sup.allows(2, Rule::PanicInLib));
     }
 
     #[test]

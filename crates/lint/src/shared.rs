@@ -18,9 +18,8 @@
 //!     code;
 //!   * a mention of an interior-mutability type (or a use of one of
 //!     the statics above) inside a function reachable from a serve
-//!     shard entry point (`serve*`, `DeviceSession::run*`,
-//!     `DecisionKernel` impls, `decide*`), reported with the caller
-//!     witness chain;
+//!     shard entry point (`serve*`, `DeviceSession::run*`, `decide*`),
+//!     reported with the caller witness chain;
 //!   * a non-`SeqCst` atomic ordering (`Relaxed`/`Acquire`/`Release`/
 //!     `AcqRel`) inside a function that also touches digested or
 //!     serialized state — cross-thread visibility of digest inputs
@@ -158,10 +157,7 @@ pub fn analyze(
 /// Whether a def is a serve shard entry point.
 fn is_serve_entry(d: &FnDef) -> bool {
     let owner = d.owner.as_deref().unwrap_or("");
-    let trait_name = d.trait_name.as_deref().unwrap_or("");
     d.name.starts_with("serve")
-        || owner == "DecisionKernel"
-        || trait_name == "DecisionKernel"
         || d.name.starts_with("decide")
         || (owner == "DeviceSession" && d.name.starts_with("run"))
 }

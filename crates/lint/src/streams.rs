@@ -27,14 +27,12 @@
 //! ## Entry points
 //!
 //! * every method of `FaultInjector` (the per-request fault stream);
-//! * every method of the `DecisionKernel` trait and its impls;
 //! * every method of `ArrivalSampler` and `ChurnWindow` (the
 //!   per-session traffic streams: fixed draws per arrival / per
 //!   session keep open-loop schedules prefix-stable);
 //! * any function whose name starts with `decide`.
 //!
-//! Reachability is restricted to non-test library code, like the
-//! hot-path pass.
+//! Reachability is restricted to non-test library code.
 //!
 //! ## Interval rules
 //!
@@ -274,12 +272,9 @@ pub fn analyze(
 /// Whether a def is a per-request stream entry point.
 fn is_entry(d: &FnDef) -> bool {
     let owner = d.owner.as_deref().unwrap_or("");
-    let trait_name = d.trait_name.as_deref().unwrap_or("");
     owner == "FaultInjector"
         || owner == "ArrivalSampler"
         || owner == "ChurnWindow"
-        || owner == "DecisionKernel"
-        || trait_name == "DecisionKernel"
         || d.name.starts_with("decide")
 }
 
@@ -924,15 +919,17 @@ mod tests {
 
     #[test]
     fn divergence_two_calls_below_an_entry_is_found_with_a_witness() {
-        let src =
-            "trait DecisionKernel { fn select(&self, rng: &mut StdRng) -> f64 { hop(rng) } }\n\
+        let src = "struct XEngine;\n\
+                   impl XEngine { fn decide_x(&self, rng: &mut StdRng) -> f64 { hop(rng) } }\n\
                    fn hop(rng: &mut StdRng) -> f64 { drifty(rng) }\n\
                    fn drifty(rng: &mut StdRng) -> f64 {\n\
                    if rng.gen::<f64>() > 0.5 { rng.gen::<f64>() } else { 0.0 }\n}\n";
         let out = run(LIB, src);
-        assert_eq!(rules_hit(&out), vec![(4, "divergent-rng-draws")]);
+        assert_eq!(rules_hit(&out), vec![(5, "divergent-rng-draws")]);
         assert!(
-            out.findings[0].message.contains("select -> hop -> drifty"),
+            out.findings[0]
+                .message
+                .contains("decide_x -> hop -> drifty"),
             "{}",
             out.findings[0].message
         );

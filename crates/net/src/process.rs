@@ -60,7 +60,7 @@ impl SignalProcess {
         match *self {
             SignalProcess::Fixed { dbm } => Rssi::new(dbm),
             SignalProcess::Gaussian { mean_dbm, std_db } => {
-                let normal = Normal::new(mean_dbm, std_db) // lint:hot-exempt(Normal::new stores (mean, std): allocation-free)
+                let normal = Normal::new(mean_dbm, std_db)
                     // lint:allow(panic-in-lib): the environment tables only use finite, non-negative std_db
                     .expect("standard deviation is finite and non-negative");
                 Rssi::new(normal.sample(rng))

@@ -40,9 +40,7 @@ impl BayesianOptimizer {
 
     /// Records one observation of the objective.
     pub fn observe(&mut self, x: Vec<f64>, y: f64) {
-        // lint:hot-exempt(observation history: one amortized push per observed objective)
         self.observations_x.push(x);
-        // lint:hot-exempt(observation history: one amortized push per observed objective)
         self.observations_y.push(y);
     }
 

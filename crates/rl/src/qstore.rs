@@ -235,7 +235,7 @@ impl CowQTable {
         }
         let new_cap = self.slots.len() * 2;
         self.slots.clear();
-        // lint:hot-exempt(table doubling: amortized O(1) per materialized row, identical to the map it replaces)
+        // Doubling keeps this amortized O(1) per materialized row.
         self.slots.resize(new_cap, EMPTY_SLOT);
         for row in 0..self.row_states.len() {
             let state = self.row_states[row] as usize;
@@ -251,11 +251,10 @@ impl CowQTable {
         }
         self.grow_if_needed();
         let row = self.maxes.len();
-        // lint:hot-exempt(copy-on-write materialization: each row is copied at most once per session)
+        // Copy-on-write materialization: each row is copied at most once
+        // per session.
         self.lanes.extend_from_slice(self.base.row_lines(state));
-        // lint:hot-exempt(copy-on-write materialization: each row is copied at most once per session)
         self.maxes.push(self.base.row_max_entry(state));
-        // lint:hot-exempt(copy-on-write materialization: each row is copied at most once per session)
         self.row_states.push(state as u32);
         self.insert_slot(state, row);
         row

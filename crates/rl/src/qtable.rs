@@ -180,7 +180,8 @@ impl Block {
         actions: usize,
         values: impl IntoIterator<Item = f64>,
     ) -> Block {
-        // lint:hot-exempt(first touch of a block: its two arrays are allocated once per 64 rows per table, never on a later decision)
+        // A block's two arrays are allocated once, on its first touch,
+        // never on a later decision.
         let mut block = Block {
             lines: vec![QLane([0.0; LANES]); rows * stride],
             row_max: vec![
@@ -325,7 +326,7 @@ impl QTable {
     fn build_block(&self, b: usize) -> &Block {
         let rows = BLOCK_ROWS.min(self.states - b * BLOCK_ROWS);
         let cells = rows * self.actions;
-        // lint:hot-exempt(first touch of a block: built once per 64 rows per table, never on a later decision)
+        // Built once per 64 rows per table, on first touch.
         self.blocks[b].get_or_init(|| match &self.origin {
             None => Block::build(
                 rows,

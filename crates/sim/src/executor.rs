@@ -405,9 +405,9 @@ impl Simulator {
     /// fixed rate per execution.
     fn apply_noise(expected: Outcome, rng: &mut StdRng) -> Outcome {
         // lint:allow(panic-in-lib): the noise std constants are valid Normal parameters
-        let lat_noise = Normal::new(1.0, LATENCY_NOISE_STD).expect("valid normal"); // lint:hot-exempt(Normal::new stores (mean, std): allocation-free)
-                                                                                    // lint:allow(panic-in-lib): the noise std constants are valid Normal parameters
-        let en_noise = Normal::new(1.0, ENERGY_NOISE_STD).expect("valid normal"); // lint:hot-exempt(Normal::new stores (mean, std): allocation-free)
+        let lat_noise = Normal::new(1.0, LATENCY_NOISE_STD).expect("valid normal");
+        // lint:allow(panic-in-lib): the noise std constants are valid Normal parameters
+        let en_noise = Normal::new(1.0, ENERGY_NOISE_STD).expect("valid normal");
         apply_noise_with(expected, &lat_noise, &en_noise, rng)
     }
 
@@ -589,16 +589,16 @@ impl Simulator {
         for (device, placement_for) in sites {
             for kind in ProcessorKind::ALL {
                 if let Some(processor) = device.processor(kind) {
-                    let placement = placement_for(kind); // lint:hot-exempt(placement_for is a local fn pointer from the sites table above; every target is a workspace placement fn)
+                    let placement = placement_for(kind);
                     slots[placement_slot(placement)] =
                         Some((processor, self.cost_cache(placement, workload)));
                 }
             }
         }
         // lint:allow(panic-in-lib): the noise std constants are valid Normal parameters
-        let lat_noise = Normal::new(1.0, LATENCY_NOISE_STD).expect("valid normal"); // lint:hot-exempt(Normal::new stores (mean, std): allocation-free)
-                                                                                    // lint:allow(panic-in-lib): the noise std constants are valid Normal parameters
-        let en_noise = Normal::new(1.0, ENERGY_NOISE_STD).expect("valid normal"); // lint:hot-exempt(Normal::new stores (mean, std): allocation-free)
+        let lat_noise = Normal::new(1.0, LATENCY_NOISE_STD).expect("valid normal");
+        // lint:allow(panic-in-lib): the noise std constants are valid Normal parameters
+        let en_noise = Normal::new(1.0, ENERGY_NOISE_STD).expect("valid normal");
         PreparedExecutor {
             sim: self,
             workload,

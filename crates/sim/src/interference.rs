@@ -69,9 +69,9 @@ impl InterferenceProcess {
             InterferenceProcess::Constant { cpu, mem } => (*cpu, *mem),
             InterferenceProcess::MusicPlayer => {
                 // lint:allow(panic-in-lib): literal (mean, std) pairs are valid Normal parameters
-                let cpu = Normal::new(0.15, 0.05).expect("valid normal").sample(rng); // lint:hot-exempt(Normal::new stores (mean, std): allocation-free)
-                                                                                      // lint:allow(panic-in-lib): literal (mean, std) pairs are valid Normal parameters
-                let mem = Normal::new(0.10, 0.03).expect("valid normal").sample(rng); // lint:hot-exempt(Normal::new stores (mean, std): allocation-free)
+                let cpu = Normal::new(0.15, 0.05).expect("valid normal").sample(rng);
+                // lint:allow(panic-in-lib): literal (mean, std) pairs are valid Normal parameters
+                let mem = Normal::new(0.10, 0.03).expect("valid normal").sample(rng);
                 (cpu, mem)
             }
             InterferenceProcess::WebBrowser => {

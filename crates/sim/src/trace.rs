@@ -138,7 +138,6 @@ impl Extend<TraceEntry> for Trace {
     fn extend<T: IntoIterator<Item = TraceEntry>>(&mut self, iter: T) {
         for mut e in iter {
             e.step = self.entries.len() as u64;
-            // lint:hot-exempt(trace recording buffer: one amortized push per recorded entry)
             self.entries.push(e);
         }
     }
