@@ -7,9 +7,11 @@
 //! visits. This benchmark quantifies what the copy-on-write backend
 //! ([`autoscale_rl::CowQTable`]) buys at fleet scale: it trains one
 //! donor policy, then serves the same warm-started fleet twice per size
-//! — once with `--qstore dense` semantics (a private table per session)
-//! and once with `cow` (one shared base + per-session sparse overlays) —
+//! — once `dense`, every session on a private clone of the donor table,
+//! and once `cow`, one shared base plus per-session sparse overlays —
 //! asserting the two fleets are bit-identical before comparing them.
+//! `serve()` runs every warm fleet on `cow`, so the dense arm is built
+//! here from the same session specs, seeds and shards.
 //!
 //! For each fleet size (1k, 10k, 100k sessions; 1M behind `--huge`) it
 //! records sustained decisions/second, bytes/session from the store
@@ -43,10 +45,10 @@
 use std::time::Instant;
 
 use autoscale::experiment;
-use autoscale::parallel::default_threads;
+use autoscale::parallel::{default_threads, resolve_threads, run_cells};
 use autoscale::prelude::*;
-use autoscale::serve::serve;
-use autoscale_rl::QStoreKind;
+use autoscale::serve::{serve, session_specs, FleetStoreStats};
+use autoscale_rl::{QLearningAgent, QStoreKind};
 
 /// A feature-gated counting wrapper over the system allocator. Lives in
 /// the binary (the library crates forbid `unsafe`); counting every
@@ -143,10 +145,70 @@ fn openloop_overload() -> OpenLoopConfig {
     }
 }
 
+/// The warm fleet `serve()` would run, with every session on a private
+/// dense clone of `warm` instead of an overlay over a shared base: the
+/// baseline the copy-on-write backend is measured against.
+fn serve_dense(
+    sim: &Simulator,
+    mix: &ScenarioMix,
+    config: &ServeConfig,
+    warm: &QLearningAgent,
+) -> ServeReport {
+    let specs = session_specs(mix, config);
+    let results = run_cells(
+        resolve_threads(config.shards),
+        config.base_seed,
+        &specs,
+        |cell| {
+            let session = DeviceSession::with_faults(
+                sim,
+                *cell.spec,
+                config.engine,
+                Some(warm),
+                cell.seed,
+                config.faults,
+            )
+            .expect("the donor was trained on this device");
+            match &config.openloop {
+                None => session
+                    .run(false)
+                    .map(|(report, _, stats)| (report, stats, None)),
+                Some(open) => session
+                    .run_openloop(false, open, cell.seed)
+                    .map(|(report, _, stats, traffic)| (report, stats, Some(traffic))),
+            }
+            .expect("warm fleets never error")
+        },
+    );
+    let mut store = FleetStoreStats {
+        qstore: QStoreKind::Dense,
+        private_bytes: 0,
+        shared_bytes: 0,
+        overlay_rows: 0,
+        max_session_private_bytes: 0,
+    };
+    let mut sessions = Vec::with_capacity(results.len());
+    let mut traffics = Vec::new();
+    for (report, stats, traffic) in results {
+        store.private_bytes += stats.private_bytes;
+        store.max_session_private_bytes = store.max_session_private_bytes.max(stats.private_bytes);
+        sessions.push(report);
+        traffics.extend(traffic);
+    }
+    ServeReport {
+        sessions,
+        latencies_ns: Vec::new(),
+        store,
+        traffic: config
+            .openloop
+            .map(|open| FleetTraffic::aggregate(&traffics, open.horizon_ms)),
+    }
+}
+
 fn run_fleet(
     sim: &Simulator,
     mix: &ScenarioMix,
-    warm: &autoscale_rl::QLearningAgent,
+    warm: &QLearningAgent,
     sessions: usize,
     qstore: QStoreKind,
     openloop: Option<OpenLoopConfig>,
@@ -156,14 +218,16 @@ fn run_fleet(
         decisions_per_session: DECISIONS,
         shards: None,
         base_seed: 0xf1ee7,
-        qstore,
         openloop,
         ..ServeConfig::fleet()
     };
     #[cfg(feature = "alloc-count")]
     alloc_count::reset_peak();
     let start = Instant::now();
-    let report = serve(sim, mix, &config, Some(warm)).expect("warm fleets never error");
+    let report = match qstore {
+        QStoreKind::Dense => serve_dense(sim, mix, &config, warm),
+        QStoreKind::Cow => serve(sim, mix, &config, Some(warm)).expect("warm fleets never error"),
+    };
     let wall_s = start.elapsed().as_secs_f64();
     #[cfg(feature = "alloc-count")]
     let peak_alloc_bytes = Some(alloc_count::peak_bytes());

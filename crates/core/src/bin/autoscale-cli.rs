@@ -8,7 +8,7 @@
 //! autoscale-cli decide   --device mi8pro --qtable qtable.json --workload resnet-50 [--env S4]
 //! autoscale-cli evaluate --device mi8pro --qtable qtable.json --workload resnet-50 --env S1|all [--runs 100] [--threads N] [--json]
 //! autoscale-cli trace    --device mi8pro --qtable qtable.json --workload resnet-50 --env D2 --runs 50 --out trace.json
-//! autoscale-cli serve    --device mi8pro [--sessions 8] [--decisions 200] [--shards N] [--mix static|all] [--qtable FILE] [--seed N] [--faults PROFILE] [--qstore dense|cow] [--arrivals poisson|bursty|diurnal --rate HZ --horizon-ms MS --queue N --admission drop|deadline|degrade --churn none|gentle|heavy] [--json]
+//! autoscale-cli serve    --device mi8pro [--sessions 8] [--decisions 200] [--shards N] [--mix static|all] [--qtable FILE] [--seed N] [--faults PROFILE] [--arrivals poisson|bursty|diurnal --rate HZ --horizon-ms MS --queue N --admission drop|deadline|degrade --churn none|gentle|heavy] [--json]
 //! ```
 //!
 //! Argument parsing is deliberately hand-rolled (`--key value` pairs) to
@@ -73,7 +73,6 @@ fn print_help() {
          \x20 serve    --device D [--sessions N] [--decisions N] [--shards N]\n\
          \x20          [--mix static|all] [--qtable FILE] [--seed N] [--json]\n\
          \x20          [--faults none|lossy-edge|lossy-cloud|flaky|stragglers|chaos]\n\
-         \x20          [--qstore dense|cow]\n\
          \x20          [--arrivals poisson|bursty|diurnal] [--rate HZ]\n\
          \x20          [--horizon-ms MS] [--queue N]\n\
          \x20          [--admission drop|deadline|degrade]\n\
@@ -90,15 +89,13 @@ fn print_help() {
          `serve` runs a fleet of independent device sessions (each with its\n\
          own engine, environment trace and RNG stream) over the sharded\n\
          decision server; --qtable warm-starts every session from a trained\n\
-         table. Session reports are bit-identical for any --shards value.\n\
+         table, shared as one copy-on-write base: each session stores only\n\
+         the rows it rewrites. Without --qtable every session draws its own\n\
+         random table. Session reports are bit-identical for any --shards\n\
+         value.\n\
          --faults injects seeded link dropouts, timeouts, disconnection\n\
          windows, stragglers and thermal bursts; failed offloads retry with\n\
          backoff and fall back locally, and reports stay deterministic.\n\
-         --qstore picks the Q-table backend: `dense` gives every session\n\
-         a private table; `cow` shares one immutable base (the --qtable\n\
-         warm start, or a zero table) and gives each session a sparse\n\
-         copy-on-write overlay — same decisions, a fraction of the\n\
-         memory. With --qtable the two backends are bit-identical.\n\
          --arrivals switches serving open-loop: requests arrive on a\n\
          seeded per-session schedule (--rate req/s over --horizon-ms of\n\
          virtual time) instead of back-to-back; --queue bounds each\n\
@@ -555,15 +552,6 @@ fn cmd_serve(flags: &BTreeMap<String, String>) -> Result<(), String> {
             )
         })?,
     };
-    let qstore = match flags.get("qstore") {
-        None => QStoreKind::Dense,
-        Some(name) => QStoreKind::parse(name).ok_or_else(|| {
-            format!(
-                "--qstore must be one of {}, got `{name}`",
-                QStoreKind::ALL.map(|k| k.name()).join(", ")
-            )
-        })?,
-    };
     let openloop = parse_openloop(flags)?;
     let config = ServeConfig {
         sessions,
@@ -572,7 +560,6 @@ fn cmd_serve(flags: &BTreeMap<String, String>) -> Result<(), String> {
         base_seed: parse_u64(flags, "seed", 0xf1ee7)?,
         record_latency: true,
         faults,
-        qstore,
         openloop,
         ..ServeConfig::fleet()
     };

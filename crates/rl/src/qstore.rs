@@ -35,24 +35,19 @@
 //! [`QStore`] serializes as the flattened dense wire format (`{states,
 //! actions, values}`) — stateless deserialization cannot rebind an
 //! `Arc`'d base, so an agent snapshot always carries its full logical
-//! table and restores as `Dense`. The overlay-granular format is
-//! [`OverlaySnapshot`]: the sparse deltas plus the base's
-//! [`QTable::value_digest`], restored with [`CowQTable::from_snapshot`]
-//! against an explicitly supplied base (digest- and shape-checked, so a
-//! tampered or mismatched snapshot is rejected instead of silently
-//! producing wrong Q values).
+//! table and restores as `Dense`. An overlay has no persistent form of
+//! its own.
 
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
 use crate::qtable::{
-    best_allowed, lane_values, note_row_write, scan_lanes, QLane, QTable, RowMax,
-    ShapeMismatchError, LANES,
+    best_allowed, lane_values, note_row_write, QLane, QTable, RowMax, ShapeMismatchError, LANES,
 };
 
-/// Which storage backend a [`QStore`] uses. Carried by serving configs
-/// and benchmark records.
+/// Which storage backend a [`QStore`] uses. Carried by store and fleet
+/// memory accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum QStoreKind {
     /// A private dense [`QTable`] per agent.
@@ -62,20 +57,12 @@ pub enum QStoreKind {
 }
 
 impl QStoreKind {
-    /// Every backend, dense (the historical default) first.
-    pub const ALL: [QStoreKind; 2] = [QStoreKind::Dense, QStoreKind::Cow];
-
-    /// The backend's lowercase name, as used on CLIs and in reports.
+    /// The backend's lowercase name, as reports print it.
     pub fn name(self) -> &'static str {
         match self {
             QStoreKind::Dense => "dense",
             QStoreKind::Cow => "cow",
         }
-    }
-
-    /// Resolves a backend from its lowercase name.
-    pub fn parse(name: &str) -> Option<QStoreKind> {
-        QStoreKind::ALL.iter().copied().find(|k| k.name() == name)
     }
 }
 
@@ -178,14 +165,6 @@ impl CowQTable {
     /// Fraction of the state space this overlay has materialized.
     pub fn occupancy(&self) -> f64 {
         self.overlay_rows() as f64 / self.states() as f64
-    }
-
-    /// The materialized states in ascending order — the deterministic
-    /// iteration order snapshots and digests are built from.
-    pub fn overlay_states(&self) -> Vec<usize> {
-        let mut states: Vec<usize> = self.row_states.iter().map(|&s| s as usize).collect();
-        states.sort_unstable();
-        states
     }
 
     /// Bytes owned exclusively by this overlay: slot index, lane arena
@@ -353,198 +332,7 @@ impl CowQTable {
         }
         QTable::from_values(states, actions, &values)
     }
-
-    /// Captures the overlay as a sparse, base-bound snapshot: every
-    /// materialized row's full logical values, sorted by state, plus the
-    /// base's value digest so restoration can verify it is replayed over
-    /// the same base.
-    pub fn snapshot(&self) -> OverlaySnapshot {
-        let deltas = self
-            .overlay_states()
-            .iter()
-            .map(|&state| OverlayDelta {
-                state,
-                values: lane_values(self.row_lines(state), self.actions()).collect(),
-            })
-            .collect();
-        OverlaySnapshot {
-            states: self.states(),
-            actions: self.actions(),
-            base_digest: self.base.value_digest(),
-            deltas,
-        }
-    }
-
-    /// Restores an overlay from a snapshot over an explicitly supplied
-    /// base table.
-    ///
-    /// # Errors
-    ///
-    /// Rejects the snapshot when the base's shape or value digest does
-    /// not match what the snapshot was taken over, or when a delta row
-    /// is malformed (out-of-range state, wrong row length, duplicate
-    /// state, a non-finite value) — a tampered snapshot fails loudly
-    /// instead of serving wrong Q values.
-    pub fn from_snapshot(
-        base: Arc<QTable>,
-        snapshot: &OverlaySnapshot,
-    ) -> Result<Self, OverlayError> {
-        if base.states() != snapshot.states || base.actions() != snapshot.actions {
-            return Err(OverlayError::ShapeMismatch {
-                snapshot: (snapshot.states, snapshot.actions),
-                base: (base.states(), base.actions()),
-            });
-        }
-        let found = base.value_digest();
-        if found != snapshot.base_digest {
-            return Err(OverlayError::BaseDigestMismatch {
-                expected: snapshot.base_digest,
-                found,
-            });
-        }
-        let mut overlay = CowQTable::new(base);
-        for delta in &snapshot.deltas {
-            if delta.state >= snapshot.states {
-                return Err(OverlayError::StateOutOfRange {
-                    state: delta.state,
-                    states: snapshot.states,
-                });
-            }
-            if delta.values.len() != snapshot.actions {
-                return Err(OverlayError::RowLengthMismatch {
-                    state: delta.state,
-                    expected: snapshot.actions,
-                    found: delta.values.len(),
-                });
-            }
-            if overlay.find(delta.state).is_some() {
-                return Err(OverlayError::DuplicateState { state: delta.state });
-            }
-            if let Some(action) = delta.values.iter().position(|v| !v.is_finite()) {
-                return Err(OverlayError::NonFiniteValue {
-                    state: delta.state,
-                    action,
-                });
-            }
-            let row = overlay.row_for_write(delta.state);
-            let lanes = &mut overlay.lanes[row * overlay.stride..(row + 1) * overlay.stride];
-            for (a, &v) in delta.values.iter().enumerate() {
-                lanes[a / LANES].0[a % LANES] = v;
-            }
-            let lanes = &overlay.lanes[row * overlay.stride..(row + 1) * overlay.stride];
-            overlay.maxes[row] = scan_lanes(lanes, snapshot.actions);
-        }
-        Ok(overlay)
-    }
 }
-
-/// One materialized overlay row: a state and its full logical values.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct OverlayDelta {
-    /// The state this row shadows.
-    pub state: usize,
-    /// The row's logical values, in action order (padding excluded).
-    pub values: Vec<f64>,
-}
-
-/// The persistent form of a [`CowQTable`]'s private overlay: sparse
-/// per-row deltas bound to a specific base table by shape and value
-/// digest. The base itself is *not* carried — it is shared fleet
-/// infrastructure, persisted once as a plain [`QTable`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct OverlaySnapshot {
-    /// State count of the base the snapshot was taken over.
-    pub states: usize,
-    /// Action count of the base the snapshot was taken over.
-    pub actions: usize,
-    /// [`QTable::value_digest`] of that base.
-    pub base_digest: u64,
-    /// Materialized rows, sorted by state.
-    pub deltas: Vec<OverlayDelta>,
-}
-
-/// Why an [`OverlaySnapshot`] could not be restored.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OverlayError {
-    /// The supplied base has a different shape than the snapshot's.
-    ShapeMismatch {
-        /// The snapshot's (states, actions).
-        snapshot: (usize, usize),
-        /// The supplied base's (states, actions).
-        base: (usize, usize),
-    },
-    /// The supplied base holds different values than the snapshot's.
-    BaseDigestMismatch {
-        /// The digest recorded in the snapshot.
-        expected: u64,
-        /// The supplied base's digest.
-        found: u64,
-    },
-    /// A delta names a state past the table.
-    StateOutOfRange {
-        /// The offending state.
-        state: usize,
-        /// The table's state count.
-        states: usize,
-    },
-    /// A delta row has the wrong number of values.
-    RowLengthMismatch {
-        /// The offending state.
-        state: usize,
-        /// The action count every row must carry.
-        expected: usize,
-        /// What the delta carried.
-        found: usize,
-    },
-    /// Two deltas name the same state.
-    DuplicateState {
-        /// The duplicated state.
-        state: usize,
-    },
-    /// A delta holds a NaN or infinite Q value.
-    NonFiniteValue {
-        /// The state of the offending delta.
-        state: usize,
-        /// The first action whose value is not finite.
-        action: usize,
-    },
-}
-
-impl std::fmt::Display for OverlayError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            OverlayError::ShapeMismatch { snapshot, base } => write!(
-                f,
-                "overlay snapshot shape {}x{} does not match base {}x{}",
-                snapshot.0, snapshot.1, base.0, base.1
-            ),
-            OverlayError::BaseDigestMismatch { expected, found } => write!(
-                f,
-                "overlay snapshot was taken over a different base: digest {expected:016x} expected, base has {found:016x}"
-            ),
-            OverlayError::StateOutOfRange { state, states } => {
-                write!(f, "overlay delta state {state} out of range ({states})")
-            }
-            OverlayError::RowLengthMismatch {
-                state,
-                expected,
-                found,
-            } => write!(
-                f,
-                "overlay delta for state {state} carries {found} values, expected {expected}"
-            ),
-            OverlayError::DuplicateState { state } => {
-                write!(f, "overlay snapshot names state {state} twice")
-            }
-            OverlayError::NonFiniteValue { state, action } => write!(
-                f,
-                "overlay delta value at (state {state}, action {action}) is not finite"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for OverlayError {}
 
 /// Q-value storage behind the agent: a private dense table, or a shared
 /// base with a copy-on-write overlay. Every read is bit-identical
@@ -685,7 +473,7 @@ impl QStore {
             QStore::Dense(q) => q.value_digest(),
             // The overlay digest must walk rows through the overlay, so
             // materializing is the straightforward correct path; digests
-            // are taken at snapshot boundaries, not per decision.
+            // are taken in tests and tools, never per decision.
             QStore::Cow(c) => c.to_table().value_digest(),
         }
     }
@@ -750,9 +538,8 @@ impl PartialEq for QStore {
 // A store serializes as the flattened dense wire format — byte-for-byte
 // the [`QTable`] format, so agent snapshots written before tiered
 // storage existed keep loading, and snapshots of cow-backed agents load
-// anywhere. Restoring an *overlay* (sparse deltas over an out-of-band
-// base) goes through [`OverlaySnapshot`] instead: stateless
-// deserialization has no base table to bind an `Arc` to.
+// anywhere. Stateless deserialization has no base table to bind an
+// `Arc` to, so every store restores as dense.
 impl Serialize for QStore {
     fn to_value(&self) -> serde::Value {
         match self {
@@ -813,7 +600,6 @@ mod tests {
             cow.set(i % 3, i % 5, i as f64);
         }
         assert_eq!(cow.overlay_rows(), 3);
-        assert_eq!(cow.overlay_states(), vec![0, 1, 2]);
         assert!((cow.occupancy() - 3.0 / 8.0).abs() < 1e-12);
     }
 
@@ -901,159 +687,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_round_trips_over_the_same_base() {
-        let b = base(8, 11, 42);
-        let mut cow = CowQTable::new(b.clone());
-        cow.set(5, 3, 7.0);
-        cow.set(1, 0, -2.0);
-        cow.add(5, 10, 0.25);
-        let snap = cow.snapshot();
-        assert_eq!(snap.deltas.len(), 2);
-        assert!(snap.deltas.windows(2).all(|w| w[0].state < w[1].state));
-        let json = serde_json::to_string(&snap).unwrap();
-        let parsed: OverlaySnapshot = serde_json::from_str(&json).unwrap();
-        let restored = CowQTable::from_snapshot(b, &parsed).unwrap();
-        assert_eq!(restored.overlay_rows(), 2);
-        assert_eq!(restored.to_table(), cow.to_table());
-        assert_eq!(
-            QStore::Cow(restored).value_digest(),
-            QStore::Cow(cow).value_digest()
-        );
-    }
-
-    #[test]
-    fn snapshot_rejects_a_different_base() {
-        let b = base(8, 11, 42);
-        let mut cow = CowQTable::new(b);
-        cow.set(0, 0, 1.0);
-        let snap = cow.snapshot();
-        // Same shape, different values: digest mismatch.
-        let other = base(8, 11, 43);
-        let err = CowQTable::from_snapshot(other, &snap).unwrap_err();
-        assert!(matches!(err, OverlayError::BaseDigestMismatch { .. }));
-        assert!(err.to_string().contains("different base"));
-        // Different shape: rejected before any digest work.
-        let wrong_shape = base(8, 12, 42);
-        let err = CowQTable::from_snapshot(wrong_shape, &snap).unwrap_err();
-        assert!(matches!(err, OverlayError::ShapeMismatch { .. }));
-    }
-
-    #[test]
-    fn snapshot_rejects_malformed_deltas() {
-        let b = base(4, 3, 5);
-        let good = OverlaySnapshot {
-            states: 4,
-            actions: 3,
-            base_digest: b.value_digest(),
-            deltas: vec![OverlayDelta {
-                state: 1,
-                values: vec![1.0, 2.0, 3.0],
-            }],
-        };
-        assert!(CowQTable::from_snapshot(b.clone(), &good).is_ok());
-        let out_of_range = OverlaySnapshot {
-            deltas: vec![OverlayDelta {
-                state: 4,
-                values: vec![1.0, 2.0, 3.0],
-            }],
-            ..good.clone()
-        };
-        assert!(matches!(
-            CowQTable::from_snapshot(b.clone(), &out_of_range).unwrap_err(),
-            OverlayError::StateOutOfRange {
-                state: 4,
-                states: 4
-            }
-        ));
-        let short_row = OverlaySnapshot {
-            deltas: vec![OverlayDelta {
-                state: 1,
-                values: vec![1.0],
-            }],
-            ..good.clone()
-        };
-        assert!(matches!(
-            CowQTable::from_snapshot(b.clone(), &short_row).unwrap_err(),
-            OverlayError::RowLengthMismatch {
-                state: 1,
-                expected: 3,
-                found: 1
-            }
-        ));
-        let duplicated = OverlaySnapshot {
-            deltas: vec![
-                OverlayDelta {
-                    state: 1,
-                    values: vec![1.0, 2.0, 3.0],
-                },
-                OverlayDelta {
-                    state: 1,
-                    values: vec![4.0, 5.0, 6.0],
-                },
-            ],
-            ..good
-        };
-        assert!(matches!(
-            CowQTable::from_snapshot(b, &duplicated).unwrap_err(),
-            OverlayError::DuplicateState { state: 1 }
-        ));
-    }
-
-    #[test]
-    fn snapshot_rejects_non_finite_values() {
-        let b = base(4, 3, 5);
-        // JSON has no infinity, but an overflowing literal parses as one.
-        let json = format!(
-            r#"{{"states":4,"actions":3,"base_digest":{},"deltas":[{{"state":0,"values":[1.0,2.0,3.0]}},{{"state":2,"values":[0.5,1e999,0.0]}}]}}"#,
-            b.value_digest()
-        );
-        let snap: OverlaySnapshot = serde_json::from_str(&json).unwrap();
-        let err = CowQTable::from_snapshot(b.clone(), &snap).unwrap_err();
-        assert_eq!(
-            err,
-            OverlayError::NonFiniteValue {
-                state: 2,
-                action: 1
-            }
-        );
-        assert!(err.to_string().contains("(state 2, action 1)"), "{err}");
-        let nan = serde::Value::Object(vec![
-            ("state".to_string(), serde::Value::UInt(3)),
-            (
-                "values".to_string(),
-                serde::Value::Array(vec![
-                    serde::Value::Float(f64::NAN),
-                    serde::Value::Float(0.0),
-                    serde::Value::Float(0.0),
-                ]),
-            ),
-        ]);
-        let snap = OverlaySnapshot {
-            deltas: vec![OverlayDelta::from_value(&nan).unwrap()],
-            ..snap
-        };
-        assert_eq!(
-            CowQTable::from_snapshot(b, &snap).unwrap_err(),
-            OverlayError::NonFiniteValue {
-                state: 3,
-                action: 0
-            }
-        );
-    }
-
-    #[test]
-    fn restored_overlay_argmax_cache_is_consistent() {
-        let b = base(4, 9, 17);
-        let mut cow = CowQTable::new(b.clone());
-        cow.set(2, 4, 100.0);
-        cow.set(2, 7, 100.0); // higher-index tie: cache must stay at 4
-        let restored = CowQTable::from_snapshot(b, &cow.snapshot()).unwrap();
-        let all = vec![true; 9];
-        assert_eq!(restored.best_action(2, &all), Some((4, 100.0)));
-        assert_eq!(restored.best_action(2, &all), cow.best_action(2, &all));
-    }
-
-    #[test]
     fn transfer_between_backends_copies_values() {
         let donor_table = {
             let mut q = QTable::new_zeroed(3, 4);
@@ -1113,15 +746,6 @@ mod tests {
             cow_stats.private_bytes,
             cow_stats.shared_bytes
         );
-    }
-
-    #[test]
-    fn store_kind_names_round_trip() {
-        for kind in QStoreKind::ALL {
-            assert_eq!(QStoreKind::parse(kind.name()), Some(kind));
-            assert_eq!(kind.to_string(), kind.name());
-        }
-        assert_eq!(QStoreKind::parse("sparse"), None);
     }
 
     #[test]

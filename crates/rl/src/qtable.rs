@@ -492,10 +492,8 @@ impl QTable {
     }
 
     /// FNV-1a digest over the logical values' IEEE 754 bits, state-major
-    /// and action-minor (padding excluded). Overlay snapshots record this
-    /// to bind their sparse deltas to the exact base table they were
-    /// taken over; two tables with equal logical values digest equally
-    /// regardless of storage backend.
+    /// and action-minor (padding excluded): two tables with equal
+    /// logical values digest equally regardless of storage backend.
     pub fn value_digest(&self) -> u64 {
         const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;

@@ -336,32 +336,4 @@ proptest! {
         let back: QStore = serde_json::from_str(&json).expect("deserializes");
         prop_assert_eq!(&back, &eager);
     }
-
-    /// Overlay snapshots survive serde exactly and restore to the same
-    /// logical table over the same base; a snapshot bound to a tampered
-    /// base digest is rejected.
-    #[test]
-    fn overlay_snapshot_round_trip_and_tamper_rejection(
-        states in 1usize..8,
-        actions in 1usize..10,
-        seed in any::<u64>(),
-        writes in prop::collection::vec((0usize..8, 0usize..10, -3i8..=3i8), 0..40),
-    ) {
-        let base = Arc::new(QTable::new_random(states, actions, seed));
-        let mut cow = CowQTable::new(base.clone());
-        for &(s, a, v) in &writes {
-            cow.set(s % states, a % actions, v as f64);
-        }
-        let snap = cow.snapshot();
-        let json = serde_json::to_string(&snap).expect("serializes");
-        let parsed = serde_json::from_str(&json).expect("deserializes");
-        prop_assert_eq!(&snap, &parsed);
-        let restored = CowQTable::from_snapshot(base.clone(), &parsed).expect("restores");
-        prop_assert_eq!(restored.overlay_rows(), cow.overlay_rows());
-        prop_assert_eq!(restored.to_table(), cow.to_table());
-        // Tamper with the recorded base digest: restoration must refuse.
-        let mut tampered = snap;
-        tampered.base_digest ^= 1;
-        prop_assert!(CowQTable::from_snapshot(base, &tampered).is_err());
-    }
 }

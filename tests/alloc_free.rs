@@ -2,18 +2,21 @@
 //!
 //! A thread-local counting allocator wraps the system allocator. Each
 //! case serves a one-shard fleet at two horizons and compares the heap
-//! allocations `serve()` made. `shards: Some(1)` runs every session on
+//! allocations the fleet made. `shards: Some(1)` runs every session on
 //! the calling thread, so the counter sees the whole fleet. Whatever a
 //! fleet allocates (sessions, Q-table blocks, queues, reports) must be
 //! paid at setup: ten times the decisions must cost the same number of
 //! allocations. One `Vec` built per decision shows up as exactly one
 //! extra allocation per decision.
 
+mod dense_fleet;
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use autoscale::prelude::*;
-use autoscale_rl::{Hyperparameters, QLearningAgent, QStoreKind, QTable};
+use autoscale_rl::{Hyperparameters, QLearningAgent, QTable};
+use dense_fleet::dense_warm_fleet;
 
 /// The system allocator, counting the calls that hand out memory on
 /// the current thread.
@@ -75,10 +78,10 @@ struct Measured {
     report: ServeReport,
 }
 
-fn measure(config: &ServeConfig, mix: &ScenarioMix, warm: Option<&QLearningAgent>) -> Measured {
+fn measure(fleet: impl FnOnce(&Simulator) -> ServeReport) -> Measured {
     let sim = Simulator::new(DeviceId::Mi8Pro);
     let (allocs0, bytes0) = (ALLOCS.with(Cell::get), BYTES.with(Cell::get));
-    let report = serve(&sim, mix, config, warm).expect("the fleet serves");
+    let report = fleet(&sim);
     let (allocs1, bytes1) = (ALLOCS.with(Cell::get), BYTES.with(Cell::get));
     Measured {
         allocs: allocs1 - allocs0,
@@ -108,8 +111,20 @@ fn assert_allocation_free(
     slack: Slack,
     config: impl Fn(usize) -> ServeConfig,
 ) {
-    let short = measure(&config(SHORT), mix, warm);
-    let long = measure(&config(LONG), mix, warm);
+    assert_fleet_allocation_free(name, slack, |sim, decisions| {
+        serve(sim, mix, &config(decisions), warm).expect("the fleet serves")
+    });
+}
+
+/// Runs `fleet` at the short and the long horizon and asserts the long
+/// run allocated no more than `slack` allows.
+fn assert_fleet_allocation_free(
+    name: &str,
+    slack: Slack,
+    fleet: impl Fn(&Simulator, usize) -> ServeReport,
+) {
+    let short = measure(|sim| fleet(sim, SHORT));
+    let long = measure(|sim| fleet(sim, LONG));
     let (served_short, served_long) = (
         short.report.total_decisions(),
         long.report.total_decisions(),
@@ -263,25 +278,25 @@ fn recording_latency_sizes_its_buffers_once() {
 
 #[test]
 fn warm_dense_fleet_allocates_nothing_per_decision() {
+    // The baseline the copy-on-write store is measured against: every
+    // session on a private dense clone of the warm table.
     let warm = warm_agent();
-    assert_allocation_free(
-        "warm dense",
-        &one_per_model(),
-        Some(&warm),
-        Slack::None,
-        |d| closed(10, d),
-    );
+    let mix = one_per_model();
+    assert_fleet_allocation_free("warm dense", Slack::None, |sim, decisions| {
+        dense_warm_fleet(sim, &mix, &closed(10, decisions), &warm)
+    });
 }
 
 #[test]
 fn cow_fleets_allocate_only_for_new_overlay_rows() {
+    // A warm fleet shares the agent's table as one copy-on-write base:
+    // a session allocates only when it writes a row for the first time.
     let warm = warm_agent();
-    for (name, start) in [("warm cow", Some(&warm)), ("cold cow", None)] {
-        assert_allocation_free(name, &one_per_model(), start, Slack::OverlayRows, |d| {
-            ServeConfig {
-                qstore: QStoreKind::Cow,
-                ..closed(10, d)
-            }
-        });
-    }
+    assert_allocation_free(
+        "warm",
+        &one_per_model(),
+        Some(&warm),
+        Slack::OverlayRows,
+        |d| closed(10, d),
+    );
 }

@@ -1,5 +1,8 @@
 //! Property-based tests over the substrate invariants, spanning crates.
 
+mod common;
+mod dense_fleet;
+
 use autoscale::prelude::*;
 use autoscale::state::State;
 use autoscale_net::Rssi;
@@ -7,6 +10,8 @@ use autoscale_rl::{
     EpsilonGreedy, Hyperparameters, MaskSet, QLearningAgent, QStore, QStoreKind, QTable,
 };
 use autoscale_sim::{ArrivalSampler, ChurnWindow};
+use common::{arb_fault_profile, arb_openloop};
+use dense_fleet::dense_warm_fleet;
 use proptest::prelude::*;
 
 fn arb_snapshot() -> impl Strategy<Value = Snapshot> {
@@ -244,66 +249,23 @@ proptest! {
     }
 }
 
-/// An arbitrary fault profile: every rate spans [0, 1] (including the
-/// degenerate all-fail and all-clear corners), windows up to 6 requests,
-/// stragglers up to 8x, bursts up to 50 °C.
-fn arb_fault_profile() -> impl Strategy<Value = FaultProfile> {
-    (
-        (0.0..=1.0f64, 0.0..=1.0f64, 0.0..=1.0f64, 0.0..=1.0f64),
-        (0.0..=1.0f64, 0.0..=1.0f64, 0usize..=6),
-        (0.0..=1.0f64, 0.5..=8.0f64),
-        (0.0..=1.0f64, 25.0..=50.0f64),
-    )
-        .prop_map(
-            |(
-                (edge_drop, cloud_drop, edge_to, cloud_to),
-                (edge_disc, cloud_disc, disconnect_len),
-                (straggler_rate, straggler_scale),
-                (thermal_burst_rate, thermal_burst_temp_c),
-            )| {
-                // Per-attempt dropout and timeout rates share one draw, so
-                // their sum must stay within [0, 1] for the bands to be
-                // disjoint; rescale the pair when it overflows.
-                let scale = |drop: f64, to: f64| {
-                    let sum = drop + to;
-                    if sum > 1.0 {
-                        (drop / sum, to / sum)
-                    } else {
-                        (drop, to)
-                    }
-                };
-                let (edge_dropout_rate, edge_timeout_rate) = scale(edge_drop, edge_to);
-                let (cloud_dropout_rate, cloud_timeout_rate) = scale(cloud_drop, cloud_to);
-                FaultProfile {
-                    edge_dropout_rate,
-                    cloud_dropout_rate,
-                    edge_timeout_rate,
-                    cloud_timeout_rate,
-                    edge_disconnect_rate: edge_disc,
-                    cloud_disconnect_rate: cloud_disc,
-                    disconnect_len,
-                    straggler_rate,
-                    straggler_scale,
-                    thermal_burst_rate,
-                    thermal_burst_temp_c,
-                }
-            },
-        )
-}
-
-/// A faulted serving run over a 4-session fleet.
-fn faulted_serve(profile: FaultProfile, seed: u64, shards: usize) -> ServeReport {
-    let sim = Simulator::new(DeviceId::Mi8Pro);
-    let mix = ScenarioMix::static_envs();
-    let config = ServeConfig {
+/// A closed-loop fleet of 4 sessions, 40 decisions each.
+fn small_fleet(profile: FaultProfile, seed: u64, shards: usize) -> ServeConfig {
+    ServeConfig {
         sessions: 4,
         decisions_per_session: 40,
         shards: Some(shards),
         base_seed: seed,
         faults: profile,
         ..ServeConfig::fleet()
-    };
-    serve(&sim, &mix, &config, None).expect("faulted fleets never error")
+    }
+}
+
+/// A faulted serving run over a 4-session fleet.
+fn faulted_serve(profile: FaultProfile, seed: u64, shards: usize) -> ServeReport {
+    let sim = Simulator::new(DeviceId::Mi8Pro);
+    let config = small_fleet(profile, seed, shards);
+    serve(&sim, &ScenarioMix::static_envs(), &config, None).expect("faulted fleets never error")
 }
 
 /// A paper-shaped agent with random Q-values, used as a common warm
@@ -320,8 +282,9 @@ fn warm_paper_agent(table_seed: u64) -> QLearningAgent {
     )
 }
 
-/// [`faulted_serve`] with an explicit Q-store backend and a common
-/// warm-start agent.
+/// [`faulted_serve`] warm-started from `warm`, on the given Q-store:
+/// `Cow` is the fleet `serve()` runs, `Dense` gives every session a
+/// private clone of `warm` instead.
 fn warm_serve(
     qstore: QStoreKind,
     profile: FaultProfile,
@@ -331,16 +294,11 @@ fn warm_serve(
 ) -> ServeReport {
     let sim = Simulator::new(DeviceId::Mi8Pro);
     let mix = ScenarioMix::static_envs();
-    let config = ServeConfig {
-        sessions: 4,
-        decisions_per_session: 40,
-        shards: Some(shards),
-        base_seed: seed,
-        faults: profile,
-        qstore,
-        ..ServeConfig::fleet()
-    };
-    serve(&sim, &mix, &config, Some(warm)).expect("warm fleets never error")
+    let config = small_fleet(profile, seed, shards);
+    match qstore {
+        QStoreKind::Dense => dense_warm_fleet(&sim, &mix, &config, warm),
+        QStoreKind::Cow => serve(&sim, &mix, &config, Some(warm)).expect("warm fleets never error"),
+    }
 }
 
 proptest! {
@@ -529,30 +487,6 @@ proptest! {
     }
 }
 
-/// An arbitrary open-loop traffic shape: every named arrival process at
-/// rates spanning "well under" to "well over" the device's service rate,
-/// every named churn schedule, every admission policy, and queue bounds
-/// down to a single slot.
-fn arb_openloop() -> impl Strategy<Value = OpenLoopConfig> {
-    (
-        prop::sample::select(ArrivalProcess::NAMES.to_vec()),
-        20.0..=1500.0f64,
-        prop::sample::select(ChurnConfig::NAMES.to_vec()),
-        prop::sample::select(AdmissionPolicy::NAMES.to_vec()),
-        1usize..=16,
-    )
-        .prop_map(|(arrivals, rate_hz, churn, admission, queue_capacity)| {
-            let horizon_ms = 250.0;
-            OpenLoopConfig {
-                arrivals: ArrivalProcess::parse(arrivals, rate_hz).expect("named process"),
-                churn: ChurnConfig::parse(churn, horizon_ms).expect("named schedule"),
-                horizon_ms,
-                queue_capacity,
-                admission: AdmissionPolicy::parse(admission).expect("named policy"),
-            }
-        })
-}
-
 /// An open-loop serving run over a 4-session fleet.
 fn openloop_serve(
     open: OpenLoopConfig,
@@ -561,17 +495,11 @@ fn openloop_serve(
     shards: usize,
 ) -> ServeReport {
     let sim = Simulator::new(DeviceId::Mi8Pro);
-    let mix = ScenarioMix::static_envs();
     let config = ServeConfig {
-        sessions: 4,
-        decisions_per_session: 40,
-        shards: Some(shards),
-        base_seed: seed,
-        faults: profile,
         openloop: Some(open),
-        ..ServeConfig::fleet()
+        ..small_fleet(profile, seed, shards)
     };
-    serve(&sim, &mix, &config, None).expect("open-loop fleets never error")
+    serve(&sim, &ScenarioMix::static_envs(), &config, None).expect("open-loop fleets never error")
 }
 
 proptest! {
