@@ -147,24 +147,27 @@ fn openloop_overload() -> OpenLoopConfig {
 
 /// The warm fleet `serve()` would run, with every session on a private
 /// dense clone of `warm` instead of an overlay over a shared base: the
-/// baseline the copy-on-write backend is measured against.
+/// baseline the copy-on-write backend is measured against. Like
+/// `serve()`, it spawns every session from one template engine, so the
+/// two arms differ only in their Q-stores.
 fn serve_dense(
     sim: &Simulator,
     mix: &ScenarioMix,
     config: &ServeConfig,
     warm: &QLearningAgent,
 ) -> ServeReport {
+    let template = AutoScaleEngine::new(sim, config.engine);
     let specs = session_specs(mix, config);
     let results = run_cells(
         resolve_threads(config.shards),
         config.base_seed,
         &specs,
         |cell| {
-            let session = DeviceSession::with_faults(
+            let session = DeviceSession::spawn(
                 sim,
                 *cell.spec,
-                config.engine,
-                Some(warm),
+                &template,
+                Some(warm.clone()),
                 cell.seed,
                 config.faults,
             )

@@ -136,18 +136,10 @@ impl ActionSpace {
     /// `i` can execute that workload (e.g. DSP actions are masked out for
     /// MobileBERT).
     pub fn mask(&self, sim: &Simulator, workload: Workload) -> Vec<bool> {
-        let mut out = Vec::new();
-        self.mask_into(sim, workload, &mut out);
-        out
-    }
-
-    /// Fills `out` with the feasibility mask for a workload, reusing the
-    /// buffer's capacity — the allocation-free form of
-    /// [`ActionSpace::mask`] for callers that refresh a scratch buffer
-    /// per decision instead of allocating one.
-    pub fn mask_into(&self, sim: &Simulator, workload: Workload, out: &mut Vec<bool>) {
-        out.clear();
-        out.extend(self.actions.iter().map(|r| sim.is_feasible(workload, r)));
+        self.actions
+            .iter()
+            .map(|r| sim.is_feasible(workload, r))
+            .collect()
     }
 
     /// The coarse execution targets of this space: the distinct

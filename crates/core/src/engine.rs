@@ -6,7 +6,10 @@
 //! microseconds and ~0.4 MB on a phone (Section VI-C), which deep-RL
 //! alternatives cannot match.
 
+use std::sync::Arc;
+
 use autoscale_nn::Workload;
+use autoscale_rl::qtable::ShapeMismatchError;
 use autoscale_rl::{
     ConvergenceDetector, EpsilonGreedy, Hyperparameters, MaskSet, QLearningAgent, ScalarKernel,
 };
@@ -123,23 +126,42 @@ impl std::error::Error for NoFeasibleActionError {}
 
 /// The AutoScale execution-scaling engine.
 ///
+/// An engine is two parts. Its decision context — the state space, the
+/// action space and the per-workload feasibility masks, state bases and
+/// reward configurations — depends only on the device and the
+/// configuration, and never changes after construction. Its learner —
+/// the Q-learning agent, the convergence detector and the seed — is what
+/// a session trains. [`AutoScaleEngine::spawn`] makes a sibling engine
+/// with a fresh learner over the same, shared context: a serving fleet
+/// builds the context once and spawns every session from it.
+///
 /// An engine binds to the device it was built for: the action space and
 /// the per-workload feasibility masks are enumerated from the
 /// construction-time [`Simulator`], so `decide`/`learn` must be driven
 /// with that same testbed.
 #[derive(Debug, Clone)]
 pub struct AutoScaleEngine {
-    states: StateSpace,
-    actions: ActionSpace,
+    context: DecisionContext,
     agent: QLearningAgent,
     detector: ConvergenceDetector,
     config: EngineConfig,
+}
+
+/// What an engine decides over: everything that depends only on the
+/// device and the engine configuration, precomputed at construction so
+/// the per-decision hot path is allocation-free and skips the O(layers)
+/// network fold on every state encoding.
+///
+/// Cloning shares it. The action space and the workload contexts sit
+/// behind reference counts; the workload contexts as a fat pointer, so
+/// a decision reaches its context in one load, as from a `Vec`. The
+/// state space, which every decision reads, stays by value.
+#[derive(Debug, Clone)]
+struct DecisionContext {
+    states: StateSpace,
+    actions: Arc<ActionSpace>,
     /// Per-workload decision context indexed by [`Workload::index`].
-    /// Everything here depends only on (device, workload, config), so
-    /// precomputing it at construction keeps the per-decision hot path
-    /// allocation-free and skips the O(layers) network fold on every
-    /// state encoding.
-    contexts: Vec<WorkloadContext>,
+    workloads: Arc<[WorkloadContext]>,
 }
 
 /// The construction-time invariants of one workload on one device: its
@@ -153,46 +175,43 @@ struct WorkloadContext {
     reward: RewardConfig,
 }
 
-/// Precomputes the decision context of every Table III workload.
-fn contexts_for(
-    states: &StateSpace,
-    actions: &ActionSpace,
-    sim: &Simulator,
-    config: &EngineConfig,
-) -> Vec<WorkloadContext> {
-    Workload::ALL
-        .iter()
-        .map(|&w| WorkloadContext {
-            mask: MaskSet::from_bools(&actions.mask(sim, w)),
-            state_base: states.network_base(sim.network(w)),
-            reward: config.reward_for(w),
-        })
-        .collect()
+impl DecisionContext {
+    /// Precomputes the decision context of every Table III workload on a
+    /// simulator's host device.
+    fn new(sim: &Simulator, config: &EngineConfig) -> Self {
+        let states = StateSpace::paper();
+        let actions = ActionSpace::for_simulator(sim);
+        let workloads = Workload::ALL
+            .iter()
+            .map(|&w| WorkloadContext {
+                mask: MaskSet::from_bools(&actions.mask(sim, w)),
+                state_base: states.network_base(sim.network(w)),
+                reward: config.reward_for(w),
+            })
+            .collect();
+        DecisionContext {
+            states,
+            actions: Arc::new(actions),
+            workloads,
+        }
+    }
+
+    /// Checks that an agent's Q-table is shaped for this context's state
+    /// and action spaces.
+    fn fits(&self, agent: &QLearningAgent) -> Result<(), ShapeMismatchError> {
+        let expected = (self.states.len(), self.actions.len());
+        let found = (agent.store().states(), agent.store().actions());
+        if found != expected {
+            return Err(ShapeMismatchError { expected, found });
+        }
+        Ok(())
+    }
 }
 
 impl AutoScaleEngine {
     /// Builds an engine for a simulator's host device.
     pub fn new(sim: &Simulator, config: EngineConfig) -> Self {
-        let states = StateSpace::paper();
-        let actions = ActionSpace::for_simulator(sim);
-        let agent = QLearningAgent::new(
-            states.len(),
-            actions.len(),
-            config.hyperparameters,
-            config.seed,
-        );
-        // Convergence cannot be meaningful before the epsilon-greedy sweep
-        // has visited every action once (see ConvergenceDetector docs).
-        let detector = ConvergenceDetector::paper().with_min_observations(actions.len());
-        let contexts = contexts_for(&states, &actions, sim, &config);
-        AutoScaleEngine {
-            states,
-            actions,
-            agent,
-            detector,
-            config,
-            contexts,
-        }
+        Self::assemble(DecisionContext::new(sim, &config), config, None)
     }
 
     /// Builds an engine around a pre-trained agent (e.g. one restored
@@ -206,32 +225,67 @@ impl AutoScaleEngine {
         sim: &Simulator,
         config: EngineConfig,
         agent: QLearningAgent,
-    ) -> Result<Self, autoscale_rl::qtable::ShapeMismatchError> {
-        let states = StateSpace::paper();
-        let actions = ActionSpace::for_simulator(sim);
-        if agent.store().states() != states.len() || agent.store().actions() != actions.len() {
-            return Err(autoscale_rl::qtable::ShapeMismatchError {
-                expected: (states.len(), actions.len()),
-                found: (agent.store().states(), agent.store().actions()),
-            });
+    ) -> Result<Self, ShapeMismatchError> {
+        let context = DecisionContext::new(sim, &config);
+        context.fits(&agent)?;
+        Ok(Self::assemble(context, config, Some(agent)))
+    }
+
+    /// A sibling engine over this engine's decision context, shared
+    /// rather than rebuilt, with a learner of its own: `agent`, or a
+    /// fresh random Q-table drawn from `seed`, and a fresh convergence
+    /// detector. Its configuration is this engine's with `seed` in place
+    /// of the seed. The result decides, learns and converges exactly as
+    /// [`AutoScaleEngine::new`] (or [`AutoScaleEngine::with_agent`]) with
+    /// that configuration would, on this engine's device.
+    ///
+    /// # Errors
+    ///
+    /// Returns the shape mismatch if `agent`'s Q-table does not match
+    /// this device's state and action spaces.
+    pub fn spawn(
+        &self,
+        seed: u64,
+        agent: Option<QLearningAgent>,
+    ) -> Result<Self, ShapeMismatchError> {
+        if let Some(agent) = &agent {
+            self.context.fits(agent)?;
         }
-        let detector = ConvergenceDetector::paper().with_min_observations(actions.len());
-        let contexts = contexts_for(&states, &actions, sim, &config);
-        Ok(AutoScaleEngine {
-            states,
-            actions,
+        let config = EngineConfig {
+            seed,
+            ..self.config
+        };
+        Ok(Self::assemble(self.context.clone(), config, agent))
+    }
+
+    /// The one constructor body: `agent` (shape-checked by the caller),
+    /// or a fresh random Q-table drawn from `config.seed`, and a fresh
+    /// detector, over `context`.
+    fn assemble(
+        context: DecisionContext,
+        config: EngineConfig,
+        agent: Option<QLearningAgent>,
+    ) -> Self {
+        let (states, actions) = (context.states.len(), context.actions.len());
+        let agent = agent.unwrap_or_else(|| {
+            QLearningAgent::new(states, actions, config.hyperparameters, config.seed)
+        });
+        // Convergence cannot be meaningful before the epsilon-greedy sweep
+        // has visited every action once (see ConvergenceDetector docs).
+        let detector = ConvergenceDetector::paper().with_min_observations(actions);
+        AutoScaleEngine {
+            context,
             agent,
             detector,
             config,
-            contexts,
-        })
+        }
     }
 
     /// The precomputed feasibility mask for a workload on this engine's
     /// device — the allocation-free equivalent of
     /// [`ActionSpace::mask`].
     pub fn mask_for(&self, workload: Workload) -> &[bool] {
-        self.contexts[workload.index()].mask.bools()
+        self.context.workloads[workload.index()].mask.bools()
     }
 
     /// Encodes the state a decision for `workload` under `snapshot` is
@@ -240,17 +294,18 @@ impl AutoScaleEngine {
     /// [`StateSpace::encode_observation`] on the construction-time
     /// simulator's network, without the per-decision O(layers) fold.
     pub fn state_for(&self, workload: Workload, snapshot: &Snapshot) -> usize {
-        self.contexts[workload.index()].state_base + self.states.runtime_index(snapshot)
+        self.context.workloads[workload.index()].state_base
+            + self.context.states.runtime_index(snapshot)
     }
 
     /// The engine's state space.
     pub fn states(&self) -> &StateSpace {
-        &self.states
+        &self.context.states
     }
 
     /// The engine's action space.
     pub fn actions(&self) -> &ActionSpace {
-        &self.actions
+        &self.context.actions
     }
 
     /// The underlying Q-learning agent.
@@ -285,7 +340,7 @@ impl AutoScaleEngine {
     ) -> Result<DecisionStep, NoFeasibleActionError> {
         debug_assert_eq!(
             self.state_for(workload, snapshot),
-            self.states
+            self.states()
                 .encode_observation(sim.network(workload), snapshot),
             "factored state must match the direct encoding"
         );
@@ -328,15 +383,15 @@ impl AutoScaleEngine {
         snapshot: &Snapshot,
         rng: &mut StdRng,
     ) -> Result<DecisionStep, NoFeasibleActionError> {
-        let ctx = &self.contexts[workload.index()];
-        let state_index = ctx.state_base + self.states.runtime_index(snapshot);
+        let ctx = &self.context.workloads[workload.index()];
+        let state_index = ctx.state_base + self.context.states.runtime_index(snapshot);
         let action_index = policy
             .choose(self.agent.store(), state_index, &ctx.mask, rng)
             .ok_or(NoFeasibleActionError { workload })?;
         Ok(DecisionStep {
             state_index,
             action_index,
-            request: self.actions.request(action_index),
+            request: self.context.actions.request(action_index),
         })
     }
 
@@ -356,7 +411,7 @@ impl AutoScaleEngine {
         let state_index = self.state_for(workload, snapshot);
         debug_assert_eq!(
             state_index,
-            self.states
+            self.states()
                 .encode_observation(sim.network(workload), snapshot),
             "factored state must match the direct encoding"
         );
@@ -367,7 +422,7 @@ impl AutoScaleEngine {
         Ok(DecisionStep {
             state_index,
             action_index,
-            request: self.actions.request(action_index),
+            request: self.context.actions.request(action_index),
         })
     }
 
@@ -401,9 +456,9 @@ impl AutoScaleEngine {
         } else {
             *outcome
         };
-        let ctx = &self.contexts[workload.index()];
+        let ctx = &self.context.workloads[workload.index()];
         let r = reward(&ctx.reward, &rewarded);
-        let next_state = ctx.state_base + self.states.runtime_index(next_snapshot);
+        let next_state = ctx.state_base + self.context.states.runtime_index(next_snapshot);
         self.agent.update(
             step.state_index,
             step.action_index,
@@ -436,10 +491,7 @@ impl AutoScaleEngine {
     /// # Errors
     ///
     /// Returns the shape mismatch if the Q-tables differ in size.
-    pub fn transfer_from(
-        &mut self,
-        donor: &AutoScaleEngine,
-    ) -> Result<(), autoscale_rl::qtable::ShapeMismatchError> {
+    pub fn transfer_from(&mut self, donor: &AutoScaleEngine) -> Result<(), ShapeMismatchError> {
         self.agent.transfer_from(&donor.agent)
     }
 
@@ -454,13 +506,14 @@ impl AutoScaleEngine {
         // update counter and exploration policy are untouched: a transfer
         // injects knowledge, it does not reset the agent's history.
         let donor_q = donor.agent.store();
-        for a in 0..self.actions.len() {
-            let request = self.actions.request(a);
-            let donor_a = match donor.match_action(&request, &self.actions) {
+        let actions = &self.context.actions;
+        for a in 0..actions.len() {
+            let request = actions.request(a);
+            let donor_a = match donor.match_action(&request, actions) {
                 Some(idx) => idx,
                 None => continue,
             };
-            for s in 0..self.states.len() {
+            for s in 0..self.context.states.len() {
                 let v = donor_q.get(s, donor_a);
                 self.agent.store_mut().set(s, a, v);
             }
@@ -474,11 +527,12 @@ impl AutoScaleEngine {
         // Relative DVFS position of the request on the recipient device.
         let rel = relative_freq(request, recipient_actions);
         let mut best: Option<(usize, f64)> = None;
-        for (i, cand) in self.actions.actions().iter().enumerate() {
+        let actions = &self.context.actions;
+        for (i, cand) in actions.actions().iter().enumerate() {
             if cand.placement != request.placement || cand.precision != request.precision {
                 continue;
             }
-            let cand_rel = relative_freq(cand, &self.actions);
+            let cand_rel = relative_freq(cand, actions);
             let dist = (cand_rel - rel).abs();
             if best.is_none_or(|(_, d)| dist < d) {
                 best = Some((i, dist));
@@ -737,12 +791,12 @@ mod tests {
             before_updates,
             "transfer must not reset the update history"
         );
-        for a in 0..recipient.actions.len() {
-            let request = recipient.actions.request(a);
-            let Some(donor_a) = donor.match_action(&request, &recipient.actions) else {
+        for a in 0..recipient.actions().len() {
+            let request = recipient.actions().request(a);
+            let Some(donor_a) = donor.match_action(&request, recipient.actions()) else {
                 continue;
             };
-            for s in (0..recipient.states.len()).step_by(97) {
+            for s in (0..recipient.states().len()).step_by(97) {
                 assert_eq!(
                     recipient.agent().store().get(s, a),
                     donor.agent().store().get(s, donor_a),
@@ -863,6 +917,99 @@ mod tests {
                 "{w}"
             );
         }
+    }
+
+    /// Drives `spawned` and `built` through the same `steps` decisions on
+    /// one environment trace, freezing each when it converges, and
+    /// asserts they decide, learn and converge alike. Returns whether
+    /// they converged.
+    fn assert_twins(
+        sim: &Simulator,
+        workload: Workload,
+        mut spawned: AutoScaleEngine,
+        mut built: AutoScaleEngine,
+        steps: usize,
+    ) -> bool {
+        assert_eq!(spawned.config(), built.config());
+        let mut env = Environment::for_id(EnvironmentId::S1);
+        let mut env_rng = seeded_rng(12);
+        let (mut rng_a, mut rng_b) = (seeded_rng(13), seeded_rng(13));
+        for i in 0..steps {
+            let snapshot = env.sample(&mut env_rng);
+            let step = spawned
+                .decide(sim, workload, &snapshot, &mut rng_a)
+                .expect("feasible");
+            let twin = built
+                .decide(sim, workload, &snapshot, &mut rng_b)
+                .expect("feasible");
+            assert_eq!(step, twin, "{workload} step {i}");
+            let outcome = sim
+                .execute_measured(workload, &step.request, &snapshot, &mut env_rng)
+                .expect("feasible");
+            let r = spawned.learn(sim, workload, step, &outcome, &snapshot);
+            let r_twin = built.learn(sim, workload, twin, &outcome, &snapshot);
+            assert_eq!(r.to_bits(), r_twin.to_bits(), "{workload} step {i}");
+            assert_eq!(spawned.is_converged(), built.is_converged());
+            if spawned.is_converged() {
+                spawned.freeze();
+                built.freeze();
+            }
+        }
+        assert_eq!(spawned.agent(), built.agent(), "{workload}");
+        assert_eq!(
+            spawned.convergence().converged_at(),
+            built.convergence().converged_at()
+        );
+        spawned.is_converged()
+    }
+
+    #[test]
+    fn spawned_engines_match_freshly_built_ones() {
+        // The template's own seed and agent must not leak into what it
+        // spawns; its configuration (here a streaming one, which changes
+        // every vision reward) must.
+        let sim = Simulator::new(DeviceId::Mi8Pro);
+        let config = EngineConfig {
+            streaming: true,
+            alpha: 0.2,
+            seed: 1,
+            ..EngineConfig::paper()
+        };
+        let template = AutoScaleEngine::new(&sim, config);
+        let reseeded = EngineConfig { seed: 77, ..config };
+        let mut converged = 0;
+        for w in [Workload::MobileNetV2, Workload::MobileBert] {
+            let cold = template.spawn(77, None).expect("no agent to mismatch");
+            converged +=
+                assert_twins(&sim, w, cold, AutoScaleEngine::new(&sim, reseeded), 300) as usize;
+            let warm = trained_engine(&sim, w, 60).agent().clone();
+            let spawned = template.spawn(77, Some(warm.clone())).expect("same shape");
+            let built = AutoScaleEngine::with_agent(&sim, reseeded, warm).expect("same shape");
+            converged += assert_twins(&sim, w, spawned, built, 300) as usize;
+        }
+        assert!(converged > 0, "the comparison reached convergence");
+        let moto = Simulator::new(DeviceId::MotoXForce);
+        let foreign = AutoScaleEngine::new(&moto, EngineConfig::paper());
+        assert!(template.spawn(3, Some(foreign.agent().clone())).is_err());
+    }
+
+    #[test]
+    fn spawned_engines_share_the_template_context() {
+        let sim = Simulator::new(DeviceId::Mi8Pro);
+        let template = AutoScaleEngine::new(&sim, EngineConfig::paper());
+        let a = template.spawn(1, None).expect("no agent to mismatch");
+        let b = template.spawn(2, None).expect("no agent to mismatch");
+        for engine in [&a, &b] {
+            assert!(Arc::ptr_eq(
+                &engine.context.workloads,
+                &template.context.workloads
+            ));
+            assert!(Arc::ptr_eq(
+                &engine.context.actions,
+                &template.context.actions
+            ));
+        }
+        assert_ne!(a.agent(), b.agent(), "each spawn draws its own table");
     }
 
     #[test]

@@ -12,12 +12,13 @@
 //! **bit-identical for any shard count**.
 //!
 //! The per-decision hot path inside each session is allocation-free:
-//! feasibility masks are precomputed per workload at engine
-//! construction, state encoding is pure arithmetic, the epsilon-greedy
-//! policy reads the allowed actions in O(1), and the Q-table argmax is
-//! served from an incrementally maintained per-state cache.
-//! `tests/alloc_free.rs` counts the heap allocations of whole fleets at
-//! two horizons and requires them to be equal.
+//! feasibility masks are precomputed per workload, once per fleet, and
+//! shared by every session; state encoding is pure arithmetic, the
+//! epsilon-greedy policy reads the allowed actions in O(1), and the
+//! Q-table argmax is served from an incrementally maintained per-state
+//! cache. `tests/alloc_free.rs` counts the heap allocations of whole
+//! fleets at two horizons and requires them to be equal, and at two
+//! fleet sizes and requires a small constant per extra session.
 //!
 //! Wall-clock decision latencies are measured (optionally) but kept
 //! *outside* the deterministic [`SessionReport`]s, so determinism can be
@@ -41,7 +42,7 @@ use autoscale_sim::{ExecutionError, FaultProfile, Simulator};
 use serde::{Deserialize, Serialize};
 
 use crate::action::ActionSpace;
-use crate::engine::{EngineConfig, NoFeasibleActionError};
+use crate::engine::{AutoScaleEngine, EngineConfig, NoFeasibleActionError};
 use crate::parallel::{cell_seed, resolve_threads, run_cells};
 use crate::state::StateSpace;
 
@@ -322,6 +323,12 @@ pub fn session_specs(mix: &ScenarioMix, config: &ServeConfig) -> Vec<SessionSpec
 /// sharded across worker threads, optionally warm-started from a shared
 /// pre-trained agent.
 ///
+/// What depends only on the device and `config.engine` — the action
+/// space, the per-workload feasibility masks, state bases and rewards —
+/// is built once, in a template engine, before the shards start; every
+/// session is spawned from it ([`DeviceSession::spawn`]) and pays only
+/// for its own learner.
+///
 /// The warm start picks the Q-value store. A cold fleet gives every
 /// session a private random table (Algorithm 1's init, drawn from the
 /// session's seed), built lazily one 64-state block at a time. A warm
@@ -363,29 +370,20 @@ pub fn serve(
             Some((agent, base))
         }
     };
+    // The decision context depends only on the device and the engine
+    // config: built once here, shared by every session.
+    let template = AutoScaleEngine::new(sim, config.engine);
     let specs = session_specs(mix, config);
     let shards = resolve_threads(config.shards);
     let results = run_cells(shards, config.base_seed, &specs, |cell| {
-        let session = match &warm {
-            None => DeviceSession::with_faults(
-                sim,
-                *cell.spec,
-                config.engine,
-                None,
-                cell.seed,
-                config.faults,
-            )?,
-            // The agent's values, params, policy state and update count,
-            // over the shared base.
-            Some((agent, base)) => DeviceSession::with_store(
-                sim,
-                *cell.spec,
-                config.engine,
-                agent.overlay_variant(base)?,
-                cell.seed,
-                config.faults,
-            )?,
+        // A warm session gets the agent's values, params, policy state
+        // and update count, over the shared base.
+        let agent = match &warm {
+            None => None,
+            Some((agent, base)) => Some(agent.overlay_variant(base)?),
         };
+        let session =
+            DeviceSession::spawn(sim, *cell.spec, &template, agent, cell.seed, config.faults)?;
         match &config.openloop {
             None => session
                 .run(config.record_latency)
@@ -452,7 +450,6 @@ pub fn session_seed(base_seed: u64, index: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::AutoScaleEngine;
     use autoscale_nn::Workload;
     use autoscale_platform::DeviceId;
     use autoscale_sim::EnvironmentId;

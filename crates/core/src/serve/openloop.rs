@@ -508,7 +508,7 @@ fn serve_queued(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::EngineConfig;
+    use crate::engine::{AutoScaleEngine, EngineConfig};
     use crate::serve::{DeviceSession, SessionSpec};
     use autoscale_nn::Workload;
     use autoscale_platform::DeviceId;
@@ -530,7 +530,8 @@ mod tests {
         faults: FaultProfile,
     ) -> (SessionReport, Vec<u64>, QStoreStats, SessionTraffic) {
         let sim = Simulator::new(DeviceId::Mi8Pro);
-        DeviceSession::with_faults(&sim, spec(), EngineConfig::paper(), None, seed, faults)
+        let template = AutoScaleEngine::new(&sim, EngineConfig::paper());
+        DeviceSession::spawn(&sim, spec(), &template, None, seed, faults)
             .expect("no warm start")
             .run_openloop(false, open, seed)
             .expect("open-loop session runs")
@@ -695,18 +696,12 @@ mod tests {
     fn latency_recording_does_not_perturb_open_loop_reports() {
         let sim = Simulator::new(DeviceId::Mi8Pro);
         let open = OpenLoopConfig::poisson(60.0, 1_000.0);
+        let template = AutoScaleEngine::new(&sim, EngineConfig::paper());
         let go = |record: bool| {
-            DeviceSession::with_faults(
-                &sim,
-                spec(),
-                EngineConfig::paper(),
-                None,
-                9,
-                FaultProfile::none(),
-            )
-            .expect("no warm start")
-            .run_openloop(record, &open, 9)
-            .expect("runs")
+            DeviceSession::spawn(&sim, spec(), &template, None, 9, FaultProfile::none())
+                .expect("no warm start")
+                .run_openloop(record, &open, 9)
+                .expect("runs")
         };
         let timed = go(true);
         let quiet = go(false);

@@ -22,7 +22,7 @@ use serde::{Deserialize, Serialize};
 
 use super::timing::DecisionTimer;
 use super::ServeError;
-use crate::engine::{AutoScaleEngine, EngineConfig};
+use crate::engine::AutoScaleEngine;
 use crate::parallel::cell_seed;
 use crate::seeded_rng;
 
@@ -146,11 +146,11 @@ pub(super) struct Tally {
 /// shared simulator.
 ///
 /// The per-decision loop is allocation-free, as `tests/alloc_free.rs`
-/// counts: the engine's feasibility masks are precomputed per workload,
-/// the epsilon-greedy policy reads the allowed actions in O(1), and the
-/// closed loop sizes its latency buffer once up front. The open loop's
-/// request count depends on its arrival schedule, so there the latency
-/// buffer grows amortized.
+/// counts: the engine's feasibility masks are precomputed per workload
+/// in the fleet's template engine and shared, the epsilon-greedy policy
+/// reads the allowed actions in O(1), and the closed loop sizes its
+/// latency buffer once up front. The open loop's request count depends
+/// on its arrival schedule, so there the latency buffer grows amortized.
 pub struct DeviceSession<'a> {
     pub(super) sim: &'a Simulator,
     pub(super) spec: SessionSpec,
@@ -171,6 +171,12 @@ pub struct DeviceSession<'a> {
 impl<'a> DeviceSession<'a> {
     /// Builds a session over a shared simulator, under a fault profile.
     ///
+    /// The session's engine is spawned from `template`
+    /// ([`AutoScaleEngine::spawn`]), which must have been built for
+    /// `sim`'s device: it shares the template's decision context and
+    /// configuration and owns only its learner, so one template serves a
+    /// whole fleet.
+    ///
     /// `seed` is the session's private seed (one per session, derived by
     /// the caller — see [`crate::parallel::cell_seed`]). Its streams stay
     /// uncorrelated: the engine's random Q-table initialization draws
@@ -179,70 +185,31 @@ impl<'a> DeviceSession<'a> {
     /// so the fault schedule never perturbs the decision stream. An empty
     /// profile builds no injector at all, and with any profile the
     /// schedule is a pure function of the session seed — shard-count
-    /// invariant like everything else. A `warm_start` agent is cloned
-    /// into the session (a private dense table) so each session keeps
-    /// learning independently.
+    /// invariant like everything else.
+    ///
+    /// `agent` is the warm start, taken by value: the session learns on
+    /// it independently of every other session. [`super::serve`] passes
+    /// each session a copy-on-write overlay over the fleet's shared base
+    /// ([`QLearningAgent::overlay_variant`]), which decides exactly as a
+    /// clone of the agent would. `None` draws a random table from stream
+    /// 0, as Algorithm 1 prescribes.
     ///
     /// # Errors
     ///
-    /// Returns the shape mismatch if `warm_start` has a Q-table shaped
-    /// for a different device. [`super::serve`] validates the fleet's
-    /// warm start once via [`super::validate_warm_start`], so this only
-    /// trips for callers that build sessions by hand.
-    pub fn with_faults(
+    /// Returns the shape mismatch if `agent` has a Q-table shaped for a
+    /// different device. [`super::serve`] validates the fleet's warm
+    /// start once via [`super::validate_warm_start`], so this only trips
+    /// for callers that build sessions by hand.
+    pub fn spawn(
         sim: &'a Simulator,
         spec: SessionSpec,
-        config: EngineConfig,
-        warm_start: Option<&QLearningAgent>,
-        seed: u64,
-        faults: FaultProfile,
-    ) -> Result<Self, ShapeMismatchError> {
-        Self::build(sim, spec, config, warm_start.cloned(), seed, faults)
-    }
-
-    /// [`Self::with_faults`] around a fully pre-built agent — the entry
-    /// point of warm fleets, where [`super::serve`] hands each session a
-    /// copy-on-write overlay over the fleet's shared base
-    /// ([`QLearningAgent::overlay_variant`]) instead of a private dense
-    /// clone. The agent is taken by value (it is this session's private
-    /// learner); everything else — seed streams, fault injection, QoS —
-    /// matches [`Self::with_faults`] exactly, so an agent passed here
-    /// behaves identically to the same agent passed as a warm start.
-    ///
-    /// # Errors
-    ///
-    /// Returns the shape mismatch if the agent's store was built for a
-    /// different device.
-    pub fn with_store(
-        sim: &'a Simulator,
-        spec: SessionSpec,
-        config: EngineConfig,
-        agent: QLearningAgent,
-        seed: u64,
-        faults: FaultProfile,
-    ) -> Result<Self, ShapeMismatchError> {
-        Self::build(sim, spec, config, Some(agent), seed, faults)
-    }
-
-    /// The one constructor body: an engine around `agent` (or a fresh
-    /// random table), on the session's seed streams.
-    fn build(
-        sim: &'a Simulator,
-        spec: SessionSpec,
-        config: EngineConfig,
+        template: &AutoScaleEngine,
         agent: Option<QLearningAgent>,
         seed: u64,
         faults: FaultProfile,
     ) -> Result<Self, ShapeMismatchError> {
-        let engine_config = EngineConfig {
-            seed: cell_seed(seed, 0),
-            ..config
-        };
-        let engine = match agent {
-            Some(agent) => AutoScaleEngine::with_agent(sim, engine_config, agent)?,
-            None => AutoScaleEngine::new(sim, engine_config),
-        };
-        let qos_ms = config.scenario_for(spec.workload).qos_ms();
+        let engine = template.spawn(cell_seed(seed, 0), agent)?;
+        let qos_ms = engine.config().scenario_for(spec.workload).qos_ms();
         let injector = (!faults.is_none()).then(|| FaultInjector::new(faults, cell_seed(seed, 2)));
         Ok(DeviceSession {
             sim,
@@ -476,6 +443,7 @@ impl<'a> DeviceSession<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::EngineConfig;
     use autoscale_platform::DeviceId;
 
     fn spec(decisions: usize) -> SessionSpec {
@@ -488,10 +456,11 @@ mod tests {
     }
 
     fn session(sim: &Simulator, decisions: usize, seed: u64) -> DeviceSession<'_> {
-        DeviceSession::with_faults(
+        let template = AutoScaleEngine::new(sim, EngineConfig::paper());
+        DeviceSession::spawn(
             sim,
             spec(decisions),
-            EngineConfig::paper(),
+            &template,
             None,
             seed,
             FaultProfile::none(),
@@ -584,11 +553,12 @@ mod tests {
     #[test]
     fn faulted_sessions_reproduce_and_count_consistently() {
         let sim = Simulator::new(DeviceId::Mi8Pro);
+        let template = AutoScaleEngine::new(&sim, EngineConfig::paper());
         let run = |seed: u64| {
-            DeviceSession::with_faults(
+            DeviceSession::spawn(
                 &sim,
                 spec(150),
-                EngineConfig::paper(),
+                &template,
                 None,
                 seed,
                 autoscale_sim::FaultProfile::chaos(),
@@ -612,8 +582,8 @@ mod tests {
         use autoscale_rl::qtable::BLOCK_ROWS;
         use autoscale_rl::{Hyperparameters, QStoreKind, QTable};
         let sim = Simulator::new(DeviceId::Mi8Pro);
-        let states = crate::state::StateSpace::paper().len();
-        let actions = crate::action::ActionSpace::for_simulator(&sim).len();
+        let template = AutoScaleEngine::new(&sim, EngineConfig::paper());
+        let (states, actions) = (template.states().len(), template.actions().len());
         // One shared warm agent: the dense path clones it per session,
         // the cow path overlays its flattened base — same logical values,
         // so the sessions must be bit-identical.
@@ -621,11 +591,11 @@ mod tests {
             QTable::new_random(states, actions, 0xba5e),
             Hyperparameters::paper(),
         );
-        let dense = DeviceSession::with_faults(
+        let dense = DeviceSession::spawn(
             &sim,
             spec(100),
-            EngineConfig::paper(),
-            Some(&warm),
+            &template,
+            Some(warm.clone()),
             21,
             FaultProfile::none(),
         )
@@ -634,11 +604,11 @@ mod tests {
         .expect("session runs");
         let base = warm.shared_base();
         let overlay_agent = warm.overlay_variant(&base).expect("same shape");
-        let cow = DeviceSession::with_store(
+        let cow = DeviceSession::spawn(
             &sim,
             spec(100),
-            EngineConfig::paper(),
-            overlay_agent,
+            &template,
+            Some(overlay_agent),
             21,
             FaultProfile::none(),
         )

@@ -162,6 +162,10 @@ pub struct Simulator {
     /// cache never invalidates). `Workload` doubles as the network id:
     /// there is exactly one canonical [`Network`] per workload.
     cost_tables: CostTables,
+    /// Whether each workload's network has a recurrent layer, indexed by
+    /// [`Workload::index`]: recorded once here so a feasibility check
+    /// reads a flag instead of walking every layer.
+    recurrent: [bool; Workload::ALL.len()],
 }
 
 impl Simulator {
@@ -194,6 +198,7 @@ impl Simulator {
             .map(|&w| (w, Network::workload(w)))
             .collect();
         let cost_tables = Self::build_cost_tables(&host, &tablet, &cloud, &networks);
+        let recurrent = Workload::ALL.map(|w| networks[&w].has_recurrent_layers());
         Simulator {
             host,
             tablet,
@@ -202,6 +207,7 @@ impl Simulator {
             p2p: LinkModel::for_kind(LinkKind::PeerToPeer),
             networks,
             cost_tables,
+            recurrent,
         }
     }
 
@@ -302,7 +308,7 @@ impl Simulator {
         if !processor.supports_precision(request.precision) {
             return Err(ExecutionError::UnsupportedPrecision(placement));
         }
-        if self.network(workload).has_recurrent_layers() && !processor.runs_recurrent() {
+        if self.recurrent[workload.index()] && !processor.runs_recurrent() {
             return Err(ExecutionError::RecurrentUnsupported(placement));
         }
         Ok(processor)
@@ -603,7 +609,7 @@ impl Simulator {
             sim: self,
             workload,
             network,
-            recurrent: network.has_recurrent_layers(),
+            recurrent: self.recurrent[workload.index()],
             accuracy: accuracy_for(workload),
             slots,
             lat_noise,
@@ -1341,6 +1347,63 @@ mod tests {
             .unwrap();
         assert_eq!(a, b);
         assert_eq!(rng_a, rng_b);
+    }
+
+    #[test]
+    fn feasibility_matches_the_layer_walk_on_every_testbed() {
+        // `check` reads a recurrent flag recorded at construction; the
+        // rule it replaces walked the workload's layers on every call.
+        // Every (placement, precision) pair covers every action of every
+        // action space, whose requests differ further only in DVFS step.
+        let testbeds = [
+            Simulator::new(DeviceId::Mi8Pro),
+            Simulator::new(DeviceId::GalaxyS10e),
+            Simulator::new(DeviceId::MotoXForce),
+            Simulator::with_devices(
+                autoscale_platform::Device::mi8pro_npu(),
+                autoscale_platform::Device::galaxy_tab_s6(),
+                autoscale_platform::Device::cloud_server_tpu(),
+            ),
+        ];
+        for sim in &testbeds {
+            let mut recurrent_rejections = 0;
+            for w in Workload::ALL {
+                for site in [
+                    Placement::OnDevice as fn(ProcessorKind) -> Placement,
+                    Placement::ConnectedEdge,
+                    Placement::Cloud,
+                ] {
+                    for kind in ProcessorKind::ALL {
+                        for precision in Precision::ALL {
+                            let req = Request {
+                                placement: site(kind),
+                                precision,
+                                freq_index: 0,
+                            };
+                            let walked = sim.processor_for(req.placement).is_some_and(|p| {
+                                p.supports_precision(precision)
+                                    && (p.runs_recurrent()
+                                        || !sim.network(w).has_recurrent_layers())
+                            });
+                            assert_eq!(
+                                sim.is_feasible(w, &req),
+                                walked,
+                                "{} {w} {}",
+                                sim.host().id(),
+                                req.placement
+                            );
+                            if matches!(
+                                sim.check(w, &req),
+                                Err(ExecutionError::RecurrentUnsupported(_))
+                            ) {
+                                recurrent_rejections += 1;
+                            }
+                        }
+                    }
+                }
+            }
+            assert!(recurrent_rejections > 0, "{}", sim.host().id());
+        }
     }
 
     #[test]

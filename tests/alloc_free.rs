@@ -1,4 +1,5 @@
-//! Serving allocates nothing per decision.
+//! Serving allocates nothing per decision, and a constant number per
+//! session.
 //!
 //! A thread-local counting allocator wraps the system allocator. Each
 //! case serves a one-shard fleet at two horizons and compares the heap
@@ -7,7 +8,10 @@
 //! fleet allocates (sessions, Q-table blocks, queues, reports) must be
 //! paid at setup: ten times the decisions must cost the same number of
 //! allocations. One `Vec` built per decision shows up as exactly one
-//! extra allocation per decision.
+//! extra allocation per decision. The setup case counts the other axis:
+//! twice the sessions may cost only a small, fixed number of
+//! allocations per extra session, because the per-device decision
+//! context is built once per fleet.
 
 mod dense_fleet;
 
@@ -70,6 +74,13 @@ static COUNTING: Counting = Counting;
 /// Decisions per session at the short and the long horizon.
 const SHORT: usize = 2_000;
 const LONG: usize = 20_000;
+
+/// Sessions in the small and the large fleet of the setup case.
+const FEW: usize = 20;
+const MANY: usize = 40;
+/// Allocations one session's setup may cost, its first Q-table block or
+/// overlay row included.
+const SETUP_ALLOCATIONS: u64 = 12;
 
 /// One fleet run: what it allocated on this thread, and its report.
 struct Measured {
@@ -299,4 +310,39 @@ fn cow_fleets_allocate_only_for_new_overlay_rows() {
         Slack::OverlayRows,
         |d| closed(10, d),
     );
+}
+
+#[test]
+fn a_session_setup_costs_a_constant_number_of_allocations() {
+    // The action space, the feasibility masks, the state bases and the
+    // rewards depend only on the device and the engine config, so
+    // `serve()` builds them once per fleet. An extra session pays for
+    // its own learner, environment, fault injector and report only.
+    let warm = warm_agent();
+    let cases = [
+        ("cold", one_per_model(), None, FaultProfile::none()),
+        ("warm", one_per_model(), Some(&warm), FaultProfile::none()),
+        (
+            "chaos",
+            ScenarioMix::all_envs(),
+            None,
+            FaultProfile::chaos(),
+        ),
+    ];
+    for (name, mix, warm, faults) in cases {
+        let allocs = |sessions| {
+            let config = ServeConfig {
+                faults,
+                ..closed(sessions, 1)
+            };
+            measure(|sim| serve(sim, &mix, &config, warm).expect("the fleet serves")).allocs
+        };
+        let (few, many) = (allocs(FEW), allocs(MANY));
+        let extra = (MANY - FEW) as u64;
+        assert!(
+            few <= many && many - few <= extra * SETUP_ALLOCATIONS,
+            "{name}: {few} allocations for {FEW} sessions vs {many} for {MANY} \
+             ({SETUP_ALLOCATIONS} allowed per extra session)"
+        );
+    }
 }

@@ -7,7 +7,8 @@ use autoscale_rl::{QLearningAgent, QStoreKind};
 
 /// The closed-loop fleet `serve(sim, mix, config, Some(warm))` runs,
 /// with every session on a private dense clone of `warm` instead of an
-/// overlay over one shared base. Sessions run in order on the calling
+/// overlay over one shared base. Like `serve()`, it spawns every session
+/// from one template engine. Sessions run in order on the calling
 /// thread; no latency is recorded.
 pub fn dense_warm_fleet(
     sim: &Simulator,
@@ -26,15 +27,16 @@ pub fn dense_warm_fleet(
         overlay_rows: 0,
         max_session_private_bytes: 0,
     };
+    let template = AutoScaleEngine::new(sim, config.engine);
     let sessions = session_specs(mix, config)
         .into_iter()
         .enumerate()
         .map(|(index, spec)| {
-            let (report, _, stats) = DeviceSession::with_faults(
+            let (report, _, stats) = DeviceSession::spawn(
                 sim,
                 spec,
-                config.engine,
-                Some(warm),
+                &template,
+                Some(warm.clone()),
                 session_seed(config.base_seed, index),
                 config.faults,
             )
