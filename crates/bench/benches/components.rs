@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use autoscale::prelude::*;
-use autoscale_platform::{latency, ExecutionConditions, NetworkCostCache};
+use autoscale_platform::{latency, ExecutionConditions, NetworkCostTable};
 use autoscale_predictors::gp::RbfKernel;
 use autoscale_predictors::partition::partition_cost;
 use autoscale_predictors::GaussianProcess;
@@ -27,7 +27,7 @@ fn bench_components(c: &mut Criterion) {
     // and the shallowest vision networks.
     for workload in [Workload::ResNet50, Workload::MobileNetV3] {
         let net = sim.network(workload);
-        let cache = NetworkCostCache::build(cpu, net);
+        let table = NetworkCostTable::build(cpu, net, Precision::Fp32);
         let name = match workload {
             Workload::ResNet50 => "resnet50",
             _ => "mobilenet_v3",
@@ -36,7 +36,7 @@ fn bench_components(c: &mut Criterion) {
             b.iter(|| latency::network_latency_ms(cpu, black_box(net), &cond))
         });
         c.bench_function(&format!("latency_cached_{name}_cpu"), |b| {
-            b.iter(|| cache.latency_ms(cpu, black_box(&cond)))
+            b.iter(|| table.latency_ms(cpu, black_box(&cond)))
         });
     }
 

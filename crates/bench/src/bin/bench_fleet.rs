@@ -163,7 +163,7 @@ fn serve_dense(
         config.base_seed,
         &specs,
         |cell| {
-            let session = DeviceSession::spawn(
+            DeviceSession::spawn(
                 sim,
                 *cell.spec,
                 &template,
@@ -171,15 +171,8 @@ fn serve_dense(
                 cell.seed,
                 config.faults,
             )
-            .expect("the donor was trained on this device");
-            match &config.openloop {
-                None => session
-                    .run(false)
-                    .map(|(report, _, stats)| (report, stats, None)),
-                Some(open) => session
-                    .run_openloop(false, open, cell.seed)
-                    .map(|(report, _, stats, traffic)| (report, stats, Some(traffic))),
-            }
+            .expect("the donor was trained on this device")
+            .run(false, config.openloop.as_ref())
             .expect("warm fleets never error")
         },
     );
@@ -192,11 +185,12 @@ fn serve_dense(
     };
     let mut sessions = Vec::with_capacity(results.len());
     let mut traffics = Vec::new();
-    for (report, stats, traffic) in results {
-        store.private_bytes += stats.private_bytes;
-        store.max_session_private_bytes = store.max_session_private_bytes.max(stats.private_bytes);
-        sessions.push(report);
-        traffics.extend(traffic);
+    for run in results {
+        store.private_bytes += run.store.private_bytes;
+        store.max_session_private_bytes =
+            store.max_session_private_bytes.max(run.store.private_bytes);
+        sessions.push(run.report);
+        traffics.extend(run.traffic);
     }
     ServeReport {
         sessions,

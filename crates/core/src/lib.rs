@@ -107,7 +107,7 @@ pub mod prelude {
     pub use crate::scheduler::{Decision, Scheduler, SchedulerKind};
     pub use crate::serve::{
         serve, AdmissionPolicy, DeviceSession, FleetTraffic, OpenLoopConfig, ScenarioMix,
-        ServeConfig, ServeReport, SessionReport, SessionSpec, SessionTraffic,
+        ServeConfig, ServeReport, SessionReport, SessionRun, SessionSpec, SessionTraffic,
     };
     pub use crate::state::{State, StateSpace};
     pub use autoscale_nn::{Network, Precision, Task, Workload};

@@ -32,7 +32,7 @@ mod timing;
 
 pub use mix::ScenarioMix;
 pub use openloop::{AdmissionPolicy, FleetTraffic, OpenLoopConfig, SessionTraffic};
-pub use session::{DeviceSession, SessionReport, SessionSpec};
+pub use session::{DeviceSession, SessionReport, SessionRun, SessionSpec};
 
 use std::sync::Arc;
 
@@ -327,7 +327,9 @@ pub fn session_specs(mix: &ScenarioMix, config: &ServeConfig) -> Vec<SessionSpec
 /// space, the per-workload feasibility masks, state bases and rewards —
 /// is built once, in a template engine, before the shards start; every
 /// session is spawned from it ([`DeviceSession::spawn`]) and pays only
-/// for its own learner.
+/// for its own learner. Each session then runs through
+/// [`DeviceSession::run`] with the fleet's `config.openloop`: closed
+/// loop when it is `None`, its arrival schedule otherwise.
 ///
 /// The warm start picks the Q-value store. A cold fleet gives every
 /// session a private random table (Algorithm 1's init, drawn from the
@@ -382,18 +384,8 @@ pub fn serve(
             None => None,
             Some((agent, base)) => Some(agent.overlay_variant(base)?),
         };
-        let session =
-            DeviceSession::spawn(sim, *cell.spec, &template, agent, cell.seed, config.faults)?;
-        match &config.openloop {
-            None => session
-                .run(config.record_latency)
-                .map(|(report, latencies, stats)| (report, latencies, stats, None)),
-            Some(open) => session
-                .run_openloop(config.record_latency, open, cell.seed)
-                .map(|(report, latencies, stats, traffic)| {
-                    (report, latencies, stats, Some(traffic))
-                }),
-        }
+        DeviceSession::spawn(sim, *cell.spec, &template, agent, cell.seed, config.faults)?
+            .run(config.record_latency, config.openloop.as_ref())
     });
     let mut sessions = Vec::with_capacity(results.len());
     let mut latencies_ns = Vec::new();
@@ -410,16 +402,17 @@ pub fn serve(
         max_session_private_bytes: 0,
     };
     for result in results {
-        let (report, latencies, stats, session_traffic) = result?;
-        store.private_bytes += stats.private_bytes;
-        store.overlay_rows += stats.overlay_rows;
-        store.max_session_private_bytes = store.max_session_private_bytes.max(stats.private_bytes);
+        let run = result?;
+        store.private_bytes += run.store.private_bytes;
+        store.overlay_rows += run.store.overlay_rows;
+        store.max_session_private_bytes =
+            store.max_session_private_bytes.max(run.store.private_bytes);
         // Every cow session shares the same base, so it is counted once
         // for the fleet rather than summed per session.
-        store.shared_bytes = store.shared_bytes.max(stats.shared_bytes);
-        sessions.push(report);
-        latencies_ns.extend(latencies);
-        traffics.extend(session_traffic);
+        store.shared_bytes = store.shared_bytes.max(run.store.shared_bytes);
+        sessions.push(run.report);
+        latencies_ns.extend(run.latencies_ns);
+        traffics.extend(run.traffic);
     }
     let traffic = config
         .openloop

@@ -23,9 +23,13 @@
 //!    depth histogram *after* completions, *before* admission.
 //! 3. **Admission.** A full queue always drops (bounded memory). The
 //!    deadline policy additionally drops a request whose *predicted*
-//!    sojourn (current backlog plus `queue_len × mean service time`)
-//!    exceeds the scenario QoS; the degrade policy admits it but serves
-//!    it greedily with exploration off.
+//!    sojourn (current backlog plus `(queue_len + 1) × mean service
+//!    time`) exceeds the scenario QoS — unless the arrival finds the
+//!    device idle (empty queue, `free_at <= t`). Admitting that one
+//!    delays no one, and its service refreshes the mean, so one slow
+//!    early request cannot lock the session out for good. The degrade
+//!    policy admits a predicted-late request but serves it greedily
+//!    with exploration off.
 //! 4. **Window end.** Arrivals at or after `min(leave, horizon)` are
 //!    never offered. A session that churns out with
 //!    [`ChurnConfig::drain_on_leave`] unset abandons its queue
@@ -37,8 +41,9 @@
 //!
 //! # RNG stream layout
 //!
-//! The session seed (one per session, `cell_seed(base_seed, i)`) is
-//! split into five disjoint streams:
+//! The session seed (one per session, `cell_seed(base_seed, i)`, kept by
+//! the [`DeviceSession`] since `spawn`) is split into five disjoint
+//! streams:
 //!
 //! | stream | derivation          | consumer                        |
 //! |--------|---------------------|---------------------------------|
@@ -58,11 +63,10 @@
 
 use std::collections::VecDeque;
 
-use autoscale_rl::QStoreStats;
-use autoscale_sim::{ArrivalProcess, ArrivalSampler, ChurnConfig, ChurnWindow, PreparedExecutor};
+use autoscale_sim::{ArrivalProcess, ArrivalSampler, ChurnConfig, ChurnWindow};
 use serde::{Deserialize, Serialize};
 
-use super::session::{fnv1a_fold, fnv1a_start, DeviceSession, SessionReport};
+use super::session::{fnv1a_fold, fnv1a_start, DeviceSession, SessionReport, SessionRun};
 use super::ServeError;
 use crate::parallel::cell_seed;
 
@@ -340,25 +344,22 @@ struct QueuedRequest {
     degraded: bool,
 }
 
-/// The discrete-event session loop — the open-loop counterpart of
-/// [`DeviceSession::run`]. Requests are served through
+/// The discrete-event session loop: [`DeviceSession::run`] with an
+/// open-loop configuration. Requests are served through
 /// [`serve_queued`], which runs the session's one request step.
 ///
-/// Consumes the session and returns its deterministic report, the
-/// wall-clock decision latencies (beside, never inside), the Q-store
-/// stats, and the session's traffic accounting.
+/// Consumes the session and returns its run with the session's traffic
+/// accounting set.
 pub(super) fn drive(
     mut session: DeviceSession<'_>,
     record_latency: bool,
     open: &OpenLoopConfig,
-    seed: u64,
-) -> Result<(SessionReport, Vec<u64>, QStoreStats, SessionTraffic), ServeError> {
+) -> Result<SessionRun, ServeError> {
     let capacity = open.capacity();
-    let window = ChurnWindow::draw(open.churn, cell_seed(seed, 4));
-    let mut sampler = ArrivalSampler::new(open.arrivals, cell_seed(seed, 3));
+    let window = ChurnWindow::draw(open.churn, cell_seed(session.seed, 4));
+    let mut sampler = ArrivalSampler::new(open.arrivals, cell_seed(session.seed, 3));
     let join_ms = window.join_ms;
     let end_ms = window.end_ms(open.horizon_ms);
-    let prepared = session.sim.prepare(session.spec.workload);
 
     // One bounded queue per session, allocated before the event loop;
     // admission caps its depth at `capacity`.
@@ -402,7 +403,6 @@ pub(super) fn drive(
             let Some(item) = queue.pop_front() else { break };
             serve_queued(
                 &mut session,
-                &prepared,
                 item,
                 record_latency,
                 &mut free_at_ms,
@@ -426,10 +426,14 @@ pub(super) fn drive(
         let predicted_sojourn_ms =
             (free_at_ms - at_ms).max(0.0) + (depth as f64 + 1.0) * mean_service_ms;
         let late = predicted_sojourn_ms > session.qos_ms;
+        // An arrival that finds the device idle delays no one, so the
+        // deadline policy always admits it: its service refreshes the
+        // mean, which one slow request could otherwise pin above the QoS.
+        let idle = depth == 0 && free_at_ms <= at_ms;
         let degraded = match open.admission {
             AdmissionPolicy::DropTail => false,
             AdmissionPolicy::Deadline => {
-                if late {
+                if late && !idle {
                     traffic.dropped_deadline += 1;
                     continue;
                 }
@@ -450,7 +454,6 @@ pub(super) fn drive(
         while let Some(item) = queue.pop_front() {
             serve_queued(
                 &mut session,
-                &prepared,
                 item,
                 record_latency,
                 &mut free_at_ms,
@@ -466,17 +469,20 @@ pub(super) fn drive(
         traffic.served + traffic.dropped(),
         "open-loop conservation: offered == served + dropped"
     );
-    let (report, latencies_ns, store_stats) = session.finish();
-    let report = SessionReport {
-        offered_requests: traffic.offered,
-        dropped_requests: traffic.dropped(),
-        degraded_requests: traffic.degraded,
-        deadline_violations: traffic.deadline_violations,
-        peak_queue_depth: traffic.peak_queue_depth,
-        arrival_digest,
-        ..report
-    };
-    Ok((report, latencies_ns, store_stats, traffic))
+    let closed = session.finish();
+    Ok(SessionRun {
+        report: SessionReport {
+            offered_requests: traffic.offered,
+            dropped_requests: traffic.dropped(),
+            degraded_requests: traffic.degraded,
+            deadline_violations: traffic.deadline_violations,
+            peak_queue_depth: traffic.peak_queue_depth,
+            arrival_digest,
+            ..closed.report
+        },
+        traffic: Some(traffic),
+        ..closed
+    })
 }
 
 /// Serves one queued request through the session's request step, then
@@ -484,14 +490,13 @@ pub(super) fn drive(
 /// time, sojourn violations and the degraded count.
 fn serve_queued(
     session: &mut DeviceSession<'_>,
-    prepared: &PreparedExecutor<'_>,
     item: QueuedRequest,
     record_latency: bool,
     free_at_ms: &mut f64,
     traffic: &mut SessionTraffic,
 ) -> Result<(), ServeError> {
     let start_ms = free_at_ms.max(item.at_ms);
-    let outcome = session.serve_request(prepared, item.degraded, record_latency)?;
+    let outcome = session.serve_request(item.degraded, record_latency)?;
     *free_at_ms = start_ms + outcome.latency_ms;
     traffic.busy_ms += outcome.latency_ms;
     // Sojourn = completion - arrival: the latency the *user* saw,
@@ -524,17 +529,20 @@ mod tests {
         }
     }
 
-    fn run(
-        open: &OpenLoopConfig,
-        seed: u64,
-        faults: FaultProfile,
-    ) -> (SessionReport, Vec<u64>, QStoreStats, SessionTraffic) {
+    fn run(open: &OpenLoopConfig, seed: u64, faults: FaultProfile) -> SessionRun {
         let sim = Simulator::new(DeviceId::Mi8Pro);
         let template = AutoScaleEngine::new(&sim, EngineConfig::paper());
         DeviceSession::spawn(&sim, spec(), &template, None, seed, faults)
             .expect("no warm start")
-            .run_openloop(false, open, seed)
+            .run(false, Some(open))
             .expect("open-loop session runs")
+    }
+
+    /// The traffic of one open-loop session run.
+    fn traffic(open: &OpenLoopConfig, seed: u64, faults: FaultProfile) -> SessionTraffic {
+        run(open, seed, faults)
+            .traffic
+            .expect("an open loop reports traffic")
     }
 
     #[test]
@@ -542,11 +550,10 @@ mod tests {
         let open = OpenLoopConfig::poisson(40.0, 2_000.0);
         let a = run(&open, 7, FaultProfile::none());
         let b = run(&open, 7, FaultProfile::none());
-        assert_eq!(a.0, b.0);
-        assert_eq!(a.3, b.3);
+        assert_eq!(a, b);
         assert_ne!(
-            a.0.arrival_digest,
-            run(&open, 8, FaultProfile::none()).0.arrival_digest
+            a.report.arrival_digest,
+            run(&open, 8, FaultProfile::none()).report.arrival_digest
         );
     }
 
@@ -565,7 +572,8 @@ mod tests {
                 queue_capacity: 8,
                 ..OpenLoopConfig::poisson(2_000.0, 1_000.0)
             };
-            let (report, _, _, traffic) = run(&open, 11, FaultProfile::none());
+            let served = run(&open, 11, FaultProfile::none());
+            let (report, traffic) = (&served.report, served.traffic.as_ref().expect("traffic"));
             assert!(traffic.offered > 500, "overload offers a lot");
             assert_eq!(
                 traffic.offered,
@@ -587,7 +595,8 @@ mod tests {
     #[test]
     fn zero_rate_sessions_produce_empty_but_valid_reports() {
         let open = OpenLoopConfig::poisson(0.0, 5_000.0);
-        let (report, latencies, _, traffic) = run(&open, 3, FaultProfile::none());
+        let served = run(&open, 3, FaultProfile::none());
+        let (report, traffic) = (&served.report, served.traffic.as_ref().expect("traffic"));
         assert_eq!(traffic.offered, 0);
         assert_eq!(traffic.served, 0);
         assert_eq!(traffic.dropped(), 0);
@@ -595,7 +604,7 @@ mod tests {
         assert_eq!(report.mean_reward, 0.0);
         assert_eq!(report.trace_digest, fnv1a_start());
         assert_eq!(report.arrival_digest, fnv1a_start());
-        assert!(latencies.is_empty());
+        assert!(served.latencies_ns.is_empty());
         assert_eq!(report.converged_at, None);
     }
 
@@ -605,24 +614,22 @@ mod tests {
             queue_capacity: 16,
             ..OpenLoopConfig::poisson(500.0, 1_000.0)
         };
-        let deadline = run(
+        let deadline = traffic(
             &OpenLoopConfig {
                 admission: AdmissionPolicy::Deadline,
                 ..base
             },
             5,
             FaultProfile::none(),
-        )
-        .3;
-        let degrade = run(
+        );
+        let degrade = traffic(
             &OpenLoopConfig {
                 admission: AdmissionPolicy::Degrade,
                 ..base
             },
             5,
             FaultProfile::none(),
-        )
-        .3;
+        );
         assert!(deadline.dropped_deadline > 0, "overload predicts lateness");
         assert_eq!(degrade.dropped_deadline, 0, "degrade never deadline-drops");
         assert!(
@@ -641,17 +648,17 @@ mod tests {
             queue_capacity: 4,
             ..OpenLoopConfig::poisson(800.0, 1_500.0)
         };
-        let reference = run(&open, 21, FaultProfile::none()).0.arrival_digest;
+        let reference = run(&open, 21, FaultProfile::none()).report.arrival_digest;
         for admission in [AdmissionPolicy::Deadline, AdmissionPolicy::Degrade] {
             let variant = run(
                 &OpenLoopConfig { admission, ..open },
                 21,
                 FaultProfile::none(),
             );
-            assert_eq!(variant.0.arrival_digest, reference, "{admission}");
+            assert_eq!(variant.report.arrival_digest, reference, "{admission}");
         }
         let chaotic = run(&open, 21, FaultProfile::chaos());
-        assert_eq!(chaotic.0.arrival_digest, reference, "faults");
+        assert_eq!(chaotic.report.arrival_digest, reference, "faults");
     }
 
     #[test]
@@ -668,10 +675,10 @@ mod tests {
             queue_capacity: 16,
             ..OpenLoopConfig::poisson(1_000.0, 10_000.0)
         };
-        let a = run(&abandon, 13, FaultProfile::none()).3;
+        let a = traffic(&abandon, 13, FaultProfile::none());
         assert_eq!(
             a,
-            run(&abandon, 13, FaultProfile::none()).3,
+            traffic(&abandon, 13, FaultProfile::none()),
             "deterministic"
         );
         assert!(a.dropped_churn > 0, "abandoned mid-queue requests");
@@ -682,7 +689,7 @@ mod tests {
             },
             ..abandon
         };
-        let d = run(&drain, 13, FaultProfile::none()).3;
+        let d = traffic(&drain, 13, FaultProfile::none());
         assert_eq!(d.dropped_churn, 0, "drained instead");
         assert_eq!(d.offered, a.offered, "same schedule either way");
         assert_eq!(
@@ -700,15 +707,15 @@ mod tests {
         let go = |record: bool| {
             DeviceSession::spawn(&sim, spec(), &template, None, 9, FaultProfile::none())
                 .expect("no warm start")
-                .run_openloop(record, &open, 9)
+                .run(record, Some(&open))
                 .expect("runs")
         };
         let timed = go(true);
         let quiet = go(false);
-        assert_eq!(timed.0, quiet.0);
-        assert_eq!(timed.3, quiet.3);
-        assert_eq!(timed.1.len(), timed.3.served);
-        assert!(quiet.1.is_empty());
+        assert_eq!(timed.report, quiet.report);
+        assert_eq!(timed.traffic, quiet.traffic);
+        assert_eq!(timed.latencies_ns.len(), timed.report.decisions);
+        assert!(quiet.latencies_ns.is_empty());
     }
 
     #[test]
@@ -717,8 +724,8 @@ mod tests {
             queue_capacity: 8,
             ..OpenLoopConfig::poisson(2_000.0, 1_000.0)
         };
-        let a = run(&open, 1, FaultProfile::none()).3;
-        let b = run(&open, 2, FaultProfile::none()).3;
+        let a = traffic(&open, 1, FaultProfile::none());
+        let b = traffic(&open, 2, FaultProfile::none());
         let fleet = FleetTraffic::aggregate(&[a.clone(), b.clone()], open.horizon_ms);
         assert_eq!(fleet.offered, a.offered + b.offered);
         assert_eq!(fleet.served, a.served + b.served);
@@ -760,7 +767,7 @@ mod tests {
             ..OpenLoopConfig::poisson(200.0, 500.0)
         };
         assert_eq!(open.capacity(), 1);
-        let (_, _, _, traffic) = run(&open, 17, FaultProfile::none());
+        let traffic = traffic(&open, 17, FaultProfile::none());
         assert!(traffic.peak_queue_depth <= 1);
         assert_eq!(traffic.queue_histogram.len(), 2);
         assert_eq!(traffic.offered, traffic.served + traffic.dropped());

@@ -14,12 +14,12 @@ use autoscale_nn::Workload;
 use autoscale_rl::qtable::ShapeMismatchError;
 use autoscale_rl::{EpsilonGreedy, QLearningAgent, QStoreStats};
 use autoscale_sim::{
-    Environment, EnvironmentId, FaultInjector, FaultProfile, Outcome, PreparedExecutor,
-    ResiliencePolicy, Simulator,
+    Environment, EnvironmentId, FaultInjector, FaultProfile, Outcome, ResiliencePolicy, Simulator,
 };
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 
+use super::openloop::{OpenLoopConfig, SessionTraffic};
 use super::timing::DecisionTimer;
 use super::ServeError;
 use crate::engine::AutoScaleEngine;
@@ -142,6 +142,23 @@ pub(super) struct Tally {
     frozen_at: Option<usize>,
 }
 
+/// Everything one session run returns: the deterministic report, and
+/// beside it what is measured or merely observed.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SessionRun {
+    /// The deterministic outcome of the session.
+    pub report: SessionReport,
+    /// Wall-clock decision latencies in nanoseconds, one per served
+    /// request; empty unless latency recording was on.
+    pub latencies_ns: Vec<u64>,
+    /// The session's Q-value store after learning: its memory
+    /// accounting, kept outside the report, whose serialized field set is
+    /// pinned.
+    pub store: QStoreStats,
+    /// The open loop's traffic accounting; `None` for a closed-loop run.
+    pub traffic: Option<SessionTraffic>,
+}
+
 /// One live device session: engine, environment and RNG bundled over a
 /// shared simulator.
 ///
@@ -166,6 +183,8 @@ pub struct DeviceSession<'a> {
     pub(super) injector: Option<FaultInjector>,
     pub(super) resilience: ResiliencePolicy,
     pub(super) tally: Tally,
+    /// The session's private seed, which every stream is split from.
+    pub(super) seed: u64,
 }
 
 impl<'a> DeviceSession<'a> {
@@ -185,7 +204,9 @@ impl<'a> DeviceSession<'a> {
     /// so the fault schedule never perturbs the decision stream. An empty
     /// profile builds no injector at all, and with any profile the
     /// schedule is a pure function of the session seed — shard-count
-    /// invariant like everything else.
+    /// invariant like everything else. The session keeps `seed`: an
+    /// open-loop [`Self::run`] splits its arrival and churn streams (3
+    /// and 4) from it.
     ///
     /// `agent` is the warm start, taken by value: the session learns on
     /// it independently of every other session. [`super::serve`] passes
@@ -232,20 +253,32 @@ impl<'a> DeviceSession<'a> {
                 served: 0,
                 frozen_at: None,
             },
+            seed,
         })
     }
 
-    /// Runs the session to completion: `spec.decisions` iterations of
+    /// Runs the session to completion.
+    ///
+    /// Closed loop (`open` is `None`): `spec.decisions` iterations of
     /// decide → execute → learn, freezing to pure exploitation once the
     /// reward converges (the paper's serving-mode switch).
     ///
-    /// With `record_latency` the wall-clock time of each *decision* (the
+    /// Open loop: requests arrive on the session's private arrival
+    /// schedule instead of back-to-back, queue in a bounded buffer under
+    /// the configured admission policy, and the session only exists
+    /// inside its churn window; `spec.decisions` is ignored. The
+    /// discrete-event loop lives in [`super::openloop`]. Its arrival and
+    /// churn streams are split from the session seed (`cell_seed(seed,
+    /// 3)` and `cell_seed(seed, 4)`), disjoint from the engine (0),
+    /// environment/exploration (1) and fault (2) streams, so open-loop
+    /// traffic never perturbs — and is never perturbed by — any other
+    /// stream.
+    ///
+    /// Either way every request goes through the same step. With
+    /// `record_latency` the wall-clock time of each *decision* (the
     /// Q-table lookup, not the simulated inference) is captured in
-    /// nanoseconds; the measurements are returned beside the
-    /// deterministic report, along with the final [`QStoreStats`] of the
-    /// session's Q-value store (its memory accounting after learning —
-    /// also kept outside the report, whose serialized field set is
-    /// pinned).
+    /// nanoseconds and returned beside the deterministic report, as is
+    /// the final [`QStoreStats`] of the session's Q-value store.
     ///
     /// # Errors
     ///
@@ -257,66 +290,32 @@ impl<'a> DeviceSession<'a> {
     pub fn run(
         mut self,
         record_latency: bool,
-    ) -> Result<(SessionReport, Vec<u64>, QStoreStats), ServeError> {
+        open: Option<&OpenLoopConfig>,
+    ) -> Result<SessionRun, ServeError> {
+        if let Some(open) = open {
+            return super::openloop::drive(self, record_latency, open);
+        }
         if record_latency {
             // Sized once for the whole session: recording allocates
             // nothing per decision.
             self.latencies_ns.reserve_exact(self.spec.decisions);
         }
-        let prepared = self.sim.prepare(self.spec.workload);
         for _ in 0..self.spec.decisions {
-            self.serve_request(&prepared, false, record_latency)?;
+            self.serve_request(false, record_latency)?;
         }
         Ok(self.finish())
     }
 
-    /// Runs the session open-loop: requests arrive on the session's
-    /// private arrival schedule instead of back-to-back, queue in a
-    /// bounded buffer under the configured admission policy, and the
-    /// session only exists inside its churn window. The discrete-event
-    /// loop lives in [`super::openloop`]; every request it serves goes
-    /// through the same step as [`Self::run`].
-    ///
-    /// `seed` must be the same session seed the constructors received:
-    /// the arrival and churn streams are split from it
-    /// (`cell_seed(seed, 3)` and `cell_seed(seed, 4)`), disjoint from
-    /// the engine (0), environment/exploration (1) and fault (2)
-    /// streams, so open-loop traffic never perturbs — and is never
-    /// perturbed by — any other stream.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::run`].
-    pub fn run_openloop(
-        self,
-        record_latency: bool,
-        open: &super::openloop::OpenLoopConfig,
-        seed: u64,
-    ) -> Result<
-        (
-            SessionReport,
-            Vec<u64>,
-            QStoreStats,
-            super::openloop::SessionTraffic,
-        ),
-        ServeError,
-    > {
-        super::openloop::drive(self, record_latency, open, seed)
-    }
-
     /// Serves one request: sample → decide → execute → learn →
     /// convergence check, folded into the session's [`Tally`]. The
-    /// closed and the open loop serve every request through here, over
-    /// the session's [`PreparedExecutor`] (placement dispatch, cost-cache
-    /// lookup and noise distributions resolved once per session instead
-    /// of once per request).
+    /// closed and the open loop serve every request through here, and
+    /// every request executes through the simulator's own calls.
     ///
     /// `greedy` decides with exploration off — the open loop's degrade
     /// admission. It draws exactly what an exploring decision draws, so
     /// degrading a request never re-times the session's streams.
     pub(super) fn serve_request(
         &mut self,
-        prepared: &PreparedExecutor<'_>,
         greedy: bool,
         record_latency: bool,
     ) -> Result<Outcome, ServeError> {
@@ -355,18 +354,20 @@ impl<'a> DeviceSession<'a> {
         let tally = &mut self.tally;
         tally.digest = fnv1a_fold(tally.digest, step.state_index as u64);
         tally.digest = fnv1a_fold(tally.digest, step.action_index as u64);
-        // The fault-free path calls the prepared execute_measured — the
-        // same math as Simulator::execute_measured with the per-request
-        // dispatch amortized — so an absent injector costs nothing and
-        // changes nothing. Under faults, the resilient path draws the
-        // same two noise values per request from the session stream; all
-        // fault draws come from the injector's private stream.
+        // An absent injector costs nothing and changes nothing. Under
+        // faults, the resilient path draws the same two noise values per
+        // request from the session stream; all fault draws come from the
+        // injector's private stream.
+        let workload = self.spec.workload;
         let outcome = match &mut self.injector {
-            None => prepared.execute_measured(&step.request, &snapshot, &mut self.rng),
+            None => self
+                .sim
+                .execute_measured(workload, &step.request, &snapshot, &mut self.rng),
             Some(injector) => {
                 let plan = injector.next_faults();
-                prepared
+                self.sim
                     .execute_resilient(
+                        workload,
                         &step.request,
                         &snapshot,
                         &plan,
@@ -393,9 +394,9 @@ impl<'a> DeviceSession<'a> {
             tally.qos_violations += 1;
         }
         tally.total_energy_mj += outcome.energy_mj;
-        tally.reward_sum +=
-            self.engine
-                .learn(self.sim, self.spec.workload, step, &outcome, &snapshot);
+        tally.reward_sum += self
+            .engine
+            .learn(self.sim, workload, step, &outcome, &snapshot);
         if tally.frozen_at.is_none() && self.engine.is_converged() {
             self.engine.freeze();
             tally.frozen_at = Some(tally.served);
@@ -404,12 +405,13 @@ impl<'a> DeviceSession<'a> {
         Ok(outcome)
     }
 
-    /// Consumes the session into its report, its latency samples and its
-    /// final Q-store stats. The report's open-loop fields are zero — a
-    /// closed-loop run offers nothing, queues nothing and drops nothing,
-    /// so a pre-open-loop report is this report minus six zeros; the open
-    /// loop fills them in from its own bookkeeping.
-    pub(super) fn finish(self) -> (SessionReport, Vec<u64>, QStoreStats) {
+    /// Consumes the session into its closed-loop run: the report, the
+    /// latency samples and the final Q-store stats, with no traffic. The
+    /// report's open-loop fields are zero — a closed-loop run offers
+    /// nothing, queues nothing and drops nothing, so a pre-open-loop
+    /// report is this report minus six zeros; the open loop fills them in
+    /// from its own bookkeeping.
+    pub(super) fn finish(self) -> SessionRun {
         let tally = self.tally;
         let report = SessionReport {
             session: self.spec.session,
@@ -435,8 +437,12 @@ impl<'a> DeviceSession<'a> {
             arrival_digest: 0,
             converged_at: tally.frozen_at,
         };
-        let store_stats = self.engine.agent().store().stats();
-        (report, self.latencies_ns, store_stats)
+        SessionRun {
+            report,
+            latencies_ns: self.latencies_ns,
+            store: self.engine.agent().store().stats(),
+            traffic: None,
+        }
     }
 }
 
@@ -471,7 +477,12 @@ mod tests {
     #[test]
     fn same_seed_reproduces_the_report_bit_for_bit() {
         let sim = Simulator::new(DeviceId::Mi8Pro);
-        let run = |seed| session(&sim, 120, seed).run(false).expect("session runs").0;
+        let run = |seed| {
+            session(&sim, 120, seed)
+                .run(false, None)
+                .expect("session runs")
+                .report
+        };
         assert_eq!(run(7), run(7));
         assert_ne!(run(7).trace_digest, run(8).trace_digest);
     }
@@ -479,17 +490,21 @@ mod tests {
     #[test]
     fn latency_recording_does_not_perturb_the_trace() {
         let sim = Simulator::new(DeviceId::Mi8Pro);
-        let timed = session(&sim, 80, 3).run(true).expect("session runs");
-        let untimed = session(&sim, 80, 3).run(false).expect("session runs");
-        assert_eq!(timed.0, untimed.0);
-        assert_eq!(timed.1.len(), 80);
-        assert!(untimed.1.is_empty());
+        let timed = session(&sim, 80, 3).run(true, None).expect("session runs");
+        let untimed = session(&sim, 80, 3).run(false, None).expect("session runs");
+        assert_eq!(timed.report, untimed.report);
+        assert_eq!(timed.latencies_ns.len(), 80);
+        assert!(untimed.latencies_ns.is_empty());
+        assert_eq!(timed.traffic, None, "a closed loop carries no traffic");
     }
 
     #[test]
     fn long_sessions_converge_and_freeze() {
         let sim = Simulator::new(DeviceId::Mi8Pro);
-        let (report, _, _) = session(&sim, 200, 11).run(false).expect("session runs");
+        let report = session(&sim, 200, 11)
+            .run(false, None)
+            .expect("session runs")
+            .report;
         assert!(report.converged_at.is_some(), "200 calm runs converge");
         assert_eq!(report.decisions, 200);
         assert!(report.mean_reward.is_finite());
@@ -498,12 +513,16 @@ mod tests {
     #[test]
     fn session_report_serializes_no_wall_clock_fields() {
         // The structural guarantee behind the timing quarantine: latency
-        // samples live *beside* the report (the second tuple element of
-        // `run`), so the serialized report — the thing digests and
+        // samples live *beside* the report (`SessionRun::latencies_ns`),
+        // so the serialized report — the thing digests and
         // shard-invariance comparisons are built from — must not carry
         // any wall-clock field.
         let sim = Simulator::new(DeviceId::Mi8Pro);
-        let (report, latencies, _) = session(&sim, 30, 5).run(true).expect("session runs");
+        let SessionRun {
+            report,
+            latencies_ns: latencies,
+            ..
+        } = session(&sim, 30, 5).run(true, None).expect("session runs");
         assert_eq!(
             latencies.len(),
             30,
@@ -564,9 +583,9 @@ mod tests {
                 autoscale_sim::FaultProfile::chaos(),
             )
             .expect("no warm start")
-            .run(false)
+            .run(false, None)
             .expect("session survives chaos")
-            .0
+            .report
         };
         let a = run(33);
         assert_eq!(a, run(33), "same seed, same faults, same report");
@@ -600,7 +619,7 @@ mod tests {
             FaultProfile::none(),
         )
         .expect("matching shape")
-        .run(false)
+        .run(false, None)
         .expect("session runs");
         let base = warm.shared_base();
         let overlay_agent = warm.overlay_variant(&base).expect("same shape");
@@ -613,10 +632,10 @@ mod tests {
             FaultProfile::none(),
         )
         .expect("matching shape")
-        .run(false)
+        .run(false, None)
         .expect("session runs");
-        assert_eq!(cow.0, dense.0, "reports are backend-independent");
-        let (dense_stats, cow_stats) = (dense.2, cow.2);
+        assert_eq!(cow.report, dense.report, "reports are backend-independent");
+        let (dense_stats, cow_stats) = (dense.store, cow.store);
         assert_eq!(dense_stats.kind, QStoreKind::Dense);
         assert_eq!(cow_stats.kind, QStoreKind::Cow);
         assert!(cow_stats.overlay_rows > 0, "learning materialized rows");

@@ -172,56 +172,6 @@ impl NetworkCostTable {
     }
 }
 
-/// All cost tables for one (processor, network) pair: one
-/// [`NetworkCostTable`] per precision the processor supports.
-///
-/// The cache never invalidates — a [`Network`] is immutable once built,
-/// so callers key caches by whatever identifies the network in their
-/// domain (this repository's simulator keys by
-/// [`Workload`](autoscale_nn::Workload), which names the one canonical
-/// network per task).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct NetworkCostCache {
-    tables: Vec<NetworkCostTable>,
-}
-
-impl NetworkCostCache {
-    /// Builds tables for every precision `processor` supports.
-    pub fn build(processor: &Processor, network: &Network) -> Self {
-        NetworkCostCache {
-            tables: processor
-                .precisions()
-                .iter()
-                .map(|&p| NetworkCostTable::build(processor, network, p))
-                .collect(),
-        }
-    }
-
-    /// The table for one precision, if the processor supports it.
-    pub fn table(&self, precision: Precision) -> Option<&NetworkCostTable> {
-        self.tables.iter().find(|t| t.precision == precision)
-    }
-
-    /// Memoized network latency under `cond`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cond.precision` is not supported by the processor the
-    /// cache was built from (callers validate feasibility first), or on
-    /// the same out-of-range conditions as [`NetworkCostTable::latency_ms`].
-    pub fn latency_ms(&self, processor: &Processor, cond: &ExecutionConditions) -> f64 {
-        self.table(cond.precision)
-            .unwrap_or_else(|| {
-                // lint:allow(panic-in-lib): executor feasibility checks reject unsupported precisions before costing
-                panic!(
-                    "no cost table for precision {:?} (unsupported by processor)",
-                    cond.precision
-                )
-            })
-            .latency_ms(processor, cond)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -324,21 +274,6 @@ mod tests {
     }
 
     #[test]
-    fn cache_selects_table_by_precision() {
-        let cpu = cpu();
-        let net = Network::workload(Workload::InceptionV1);
-        let cache = NetworkCostCache::build(&cpu, &net);
-        for &precision in cpu.precisions() {
-            let mut cond = ExecutionConditions::max_frequency(&cpu, precision);
-            cond.mem_availability = 0.5;
-            let naive = network_latency_ms(&cpu, &net, &cond);
-            let cached = cache.latency_ms(&cpu, &cond);
-            assert!((cached - naive).abs() <= 1e-9 * naive);
-        }
-        assert!(cache.table(Precision::Fp16).is_none());
-    }
-
-    #[test]
     fn cached_evaluation_is_bitwise_deterministic() {
         let gpu = gpu();
         let net = Network::workload(Workload::ResNet50);
@@ -359,15 +294,5 @@ mod tests {
         let table = NetworkCostTable::build(&cpu, &net, Precision::Fp32);
         let cond = ExecutionConditions::max_frequency(&cpu, Precision::Int8);
         let _ = table.latency_ms(&cpu, &cond);
-    }
-
-    #[test]
-    #[should_panic(expected = "no cost table for precision")]
-    fn unsupported_precision_panics() {
-        let cpu = cpu();
-        let net = Network::workload(Workload::MobileNetV1);
-        let cache = NetworkCostCache::build(&cpu, &net);
-        let cond = ExecutionConditions::max_frequency(&cpu, Precision::Fp16);
-        let _ = cache.latency_ms(&cpu, &cond);
     }
 }

@@ -49,7 +49,7 @@ pub mod power;
 pub mod processor;
 pub mod thermal;
 
-pub use cost::{NetworkCostCache, NetworkCostTable};
+pub use cost::NetworkCostTable;
 pub use device::{Device, DeviceClass, DeviceId};
 pub use dvfs::{DvfsLadder, FreqStep};
 pub use latency::{layer_breakdown, network_latency_ms, ExecutionConditions, KindLatency};

@@ -1,12 +1,10 @@
 //! The simulator: executes a fully specified request and reports the
 //! latency, energy and accuracy the paper's testbed would have measured.
 
-use std::collections::BTreeMap;
-
 use autoscale_net::{FailedTransfer, LinkKind, LinkModel, Transfer};
 use autoscale_nn::{accuracy_for, Network, Precision, Workload};
 use autoscale_platform::{
-    power, Device, DeviceId, ExecutionConditions, NetworkCostCache, Processor, ProcessorKind,
+    power, Device, DeviceId, ExecutionConditions, NetworkCostTable, Processor, ProcessorKind,
 };
 use rand::rngs::StdRng;
 use rand_distr::{Distribution, Normal};
@@ -122,20 +120,21 @@ const LATENCY_NOISE_STD: f64 = 0.03;
 /// lands the simulated MAPE in the same range).
 const ENERGY_NOISE_STD: f64 = 0.055;
 
-/// Memoized per-(placement, workload) roofline cost tables.
-type CostTables = BTreeMap<(Placement, Workload), NetworkCostCache>;
+/// Cost-table slots per workload: three sites × every processor kind ×
+/// every precision.
+const SLOTS: usize = 3 * ProcessorKind::ALL.len() * Precision::ALL.len();
 
-/// Dense placement slots: three sites × every processor kind.
-const PLACEMENT_SLOTS: usize = 3 * ProcessorKind::ALL.len();
-
-/// Dense index of a placement into per-workload slot arrays.
-fn placement_slot(placement: Placement) -> usize {
+/// Index of a (placement, precision) pair among one workload's cost-table
+/// slots. Sites count host, tablet, cloud; kinds and precisions count in
+/// their `ALL` order, which is how [`Simulator::with_devices`] lays the
+/// tables out.
+fn slot(placement: Placement, precision: Precision) -> usize {
     let (site, kind) = match placement {
         Placement::OnDevice(k) => (0, k),
         Placement::ConnectedEdge(k) => (1, k),
         Placement::Cloud(k) => (2, k),
     };
-    site * ProcessorKind::ALL.len() + kind as usize
+    (site * ProcessorKind::ALL.len() + kind as usize) * Precision::ALL.len() + precision as usize
 }
 
 /// The tighter (lower) of two optional frequency-ratio caps.
@@ -156,16 +155,22 @@ pub struct Simulator {
     cloud: Device,
     wlan: LinkModel,
     p2p: LinkModel,
-    networks: BTreeMap<Workload, Network>,
-    /// Memoized roofline terms for every reachable (placement, workload)
-    /// pair, built once at construction (networks are immutable, so the
-    /// cache never invalidates). `Workload` doubles as the network id:
-    /// there is exactly one canonical [`Network`] per workload.
-    cost_tables: CostTables,
+    /// Each workload's canonical network, indexed by [`Workload::index`].
+    networks: Vec<Network>,
+    /// Memoized roofline terms, indexed by `workload.index() * SLOTS +
+    /// slot(placement, precision)`: a table wherever the site has a
+    /// processor of that kind that runs that precision, `None`
+    /// elsewhere. Built once at construction; networks are immutable, so
+    /// the tables never invalidate.
+    cost_tables: Vec<Option<NetworkCostTable>>,
     /// Whether each workload's network has a recurrent layer, indexed by
     /// [`Workload::index`]: recorded once here so a feasibility check
     /// reads a flag instead of walking every layer.
     recurrent: [bool; Workload::ALL.len()],
+    /// Multiplicative latency measurement noise.
+    lat_noise: Normal,
+    /// Multiplicative energy measurement noise.
+    en_noise: Normal,
 }
 
 impl Simulator {
@@ -193,12 +198,32 @@ impl Simulator {
     /// Panics if `host` is not a phone.
     pub fn with_devices(host: Device, tablet: Device, cloud: Device) -> Self {
         assert!(host.is_phone(), "the simulator host must be a phone");
-        let networks: BTreeMap<Workload, Network> = Workload::ALL
+        let networks: Vec<Network> = Workload::ALL
             .iter()
-            .map(|&w| (w, Network::workload(w)))
+            .map(|&w| Network::workload(w))
             .collect();
-        let cost_tables = Self::build_cost_tables(&host, &tablet, &cloud, &networks);
-        let recurrent = Workload::ALL.map(|w| networks[&w].has_recurrent_layers());
+        // One table per (workload, site, kind, precision), in `slot`
+        // order: the lookup never searches.
+        let mut cost_tables = Vec::with_capacity(networks.len() * SLOTS);
+        for network in &networks {
+            for device in [&host, &tablet, &cloud] {
+                for kind in ProcessorKind::ALL {
+                    let processor = device.processor(kind);
+                    for precision in Precision::ALL {
+                        cost_tables.push(
+                            processor
+                                .filter(|p| p.supports_precision(precision))
+                                .map(|p| NetworkCostTable::build(p, network, precision)),
+                        );
+                    }
+                }
+            }
+        }
+        let recurrent = Workload::ALL.map(|w| networks[w.index()].has_recurrent_layers());
+        // lint:allow(panic-in-lib): the noise std constants are valid Normal parameters
+        let lat_noise = Normal::new(1.0, LATENCY_NOISE_STD).expect("valid normal");
+        // lint:allow(panic-in-lib): the noise std constants are valid Normal parameters
+        let en_noise = Normal::new(1.0, ENERGY_NOISE_STD).expect("valid normal");
         Simulator {
             host,
             tablet,
@@ -208,42 +233,9 @@ impl Simulator {
             networks,
             cost_tables,
             recurrent,
+            lat_noise,
+            en_noise,
         }
-    }
-
-    /// Precomputes the roofline cost tables for every processor reachable
-    /// from this testbed and every workload's canonical network.
-    fn build_cost_tables(
-        host: &Device,
-        tablet: &Device,
-        cloud: &Device,
-        networks: &BTreeMap<Workload, Network>,
-    ) -> CostTables {
-        type Slot<'a> = (&'a Device, fn(ProcessorKind) -> Placement);
-        let slots: [Slot<'_>; 3] = [
-            (host, Placement::OnDevice),
-            (tablet, Placement::ConnectedEdge),
-            (cloud, Placement::Cloud),
-        ];
-        let mut tables = BTreeMap::new();
-        for (device, placement_for) in slots {
-            for kind in ProcessorKind::ALL {
-                if let Some(processor) = device.processor(kind) {
-                    for (&workload, network) in networks {
-                        tables.insert(
-                            (placement_for(kind), workload),
-                            NetworkCostCache::build(processor, network),
-                        );
-                    }
-                }
-            }
-        }
-        tables
-    }
-
-    /// The memoized cost tables for a feasible (placement, workload) pair.
-    fn cost_cache(&self, placement: Placement, workload: Workload) -> &NetworkCostCache {
-        &self.cost_tables[&(placement, workload)]
     }
 
     /// The host phone.
@@ -273,7 +265,7 @@ impl Simulator {
 
     /// The cached network for a workload.
     pub fn network(&self, workload: Workload) -> &Network {
-        &self.networks[&workload]
+        &self.networks[workload.index()]
     }
 
     /// The device a placement lands on.
@@ -291,6 +283,26 @@ impl Simulator {
             .processor(placement.processor_kind())
     }
 
+    /// The processor and cost table a request runs on, or why it cannot
+    /// run: feasibility and the lookup in one step.
+    fn resolve(
+        &self,
+        workload: Workload,
+        request: &Request,
+    ) -> Result<(&Processor, &NetworkCostTable), ExecutionError> {
+        let placement = request.placement;
+        let processor = self
+            .processor_for(placement)
+            .ok_or(ExecutionError::NoSuchProcessor(placement))?;
+        let table = self.cost_tables[workload.index() * SLOTS + slot(placement, request.precision)]
+            .as_ref()
+            .ok_or(ExecutionError::UnsupportedPrecision(placement))?;
+        if self.recurrent[workload.index()] && !processor.runs_recurrent() {
+            return Err(ExecutionError::RecurrentUnsupported(placement));
+        }
+        Ok((processor, table))
+    }
+
     /// Validates that a request can execute for a workload.
     ///
     /// # Errors
@@ -301,17 +313,8 @@ impl Simulator {
         workload: Workload,
         request: &Request,
     ) -> Result<&Processor, ExecutionError> {
-        let placement = request.placement;
-        let processor = self
-            .processor_for(placement)
-            .ok_or(ExecutionError::NoSuchProcessor(placement))?;
-        if !processor.supports_precision(request.precision) {
-            return Err(ExecutionError::UnsupportedPrecision(placement));
-        }
-        if self.recurrent[workload.index()] && !processor.runs_recurrent() {
-            return Err(ExecutionError::RecurrentUnsupported(placement));
-        }
-        Ok(processor)
+        self.resolve(workload, request)
+            .map(|(processor, _)| processor)
     }
 
     /// Whether a request can execute for a workload.
@@ -347,25 +350,19 @@ impl Simulator {
         burst_cap: Option<f64>,
         compute_stretch: f64,
     ) -> Result<Outcome, ExecutionError> {
-        let processor = self.check(workload, request)?;
+        let (processor, table) = self.resolve(workload, request)?;
         let network = self.network(workload);
         let accuracy = accuracy_for(workload).at(request.precision);
 
         let outcome = match request.placement {
             Placement::OnDevice(_) => on_device_outcome(
-                &self.host,
-                processor,
-                self.cost_cache(request.placement, workload),
-                request,
-                snapshot,
-                burst_cap,
-                accuracy,
+                &self.host, processor, table, request, snapshot, burst_cap, accuracy,
             ),
             Placement::ConnectedEdge(_) => remote_outcome(
                 self.host.base_power_w(),
                 network,
                 processor,
-                self.cost_cache(request.placement, workload),
+                table,
                 &self.tablet,
                 &self.p2p,
                 snapshot.p2p,
@@ -377,7 +374,7 @@ impl Simulator {
                 self.host.base_power_w(),
                 network,
                 processor,
-                self.cost_cache(request.placement, workload),
+                table,
                 &self.cloud,
                 &self.wlan,
                 snapshot.wlan,
@@ -403,18 +400,18 @@ impl Simulator {
         rng: &mut StdRng,
     ) -> Result<Outcome, ExecutionError> {
         let expected = self.execute_expected(workload, request, snapshot)?;
-        Ok(Self::apply_noise(expected, rng))
+        Ok(self.apply_noise(expected, rng))
     }
 
     /// Applies measurement noise to an expected outcome. Always draws
     /// exactly two values from `rng`, so callers consume the stream at a
     /// fixed rate per execution.
-    fn apply_noise(expected: Outcome, rng: &mut StdRng) -> Outcome {
-        // lint:allow(panic-in-lib): the noise std constants are valid Normal parameters
-        let lat_noise = Normal::new(1.0, LATENCY_NOISE_STD).expect("valid normal");
-        // lint:allow(panic-in-lib): the noise std constants are valid Normal parameters
-        let en_noise = Normal::new(1.0, ENERGY_NOISE_STD).expect("valid normal");
-        apply_noise_with(expected, &lat_noise, &en_noise, rng)
+    fn apply_noise(&self, expected: Outcome, rng: &mut StdRng) -> Outcome {
+        Outcome {
+            latency_ms: expected.latency_ms * self.lat_noise.sample(rng).max(0.7),
+            energy_mj: expected.energy_mj * self.en_noise.sample(rng).max(0.7),
+            accuracy: expected.accuracy,
+        }
     }
 
     /// Executes a request under a fault plan, applying a resilience
@@ -464,7 +461,7 @@ impl Simulator {
                     1.0,
                 )?;
                 return Ok(ResilientOutcome::clean(
-                    Self::apply_noise(expected, rng),
+                    self.apply_noise(expected, rng),
                     *request,
                 ));
             }
@@ -530,7 +527,7 @@ impl Simulator {
                 self.expected_with_faults(workload, &fallback, snapshot, faults.thermal_cap, 1.0)?;
             (expected, fallback, true)
         };
-        let measured = Self::apply_noise(expected, rng);
+        let measured = self.apply_noise(expected, rng);
         Ok(ResilientOutcome {
             outcome: Outcome {
                 latency_ms: measured.latency_ms + penalty_ms,
@@ -578,42 +575,14 @@ impl Simulator {
         best.map(|(_, req)| req)
     }
 
-    /// Prepares the executor's batch interface for one workload: every
-    /// per-workload lookup (network, recurrent-support flag, accuracy
-    /// table, per-placement processor and roofline cache, noise
-    /// distributions) resolved once, so a serving loop issuing thousands
-    /// of requests for the same workload pays none of them per request.
+    /// A per-workload view that forwards to this simulator's execute
+    /// calls and does no work of its own. Only the serving-fleet
+    /// benchmark's replica calls it.
+    #[doc(hidden)]
     pub fn prepare(&self, workload: Workload) -> PreparedExecutor<'_> {
-        let network = self.network(workload);
-        let mut slots = [None; PLACEMENT_SLOTS];
-        type Slot<'a> = (&'a Device, fn(ProcessorKind) -> Placement);
-        let sites: [Slot<'_>; 3] = [
-            (&self.host, Placement::OnDevice),
-            (&self.tablet, Placement::ConnectedEdge),
-            (&self.cloud, Placement::Cloud),
-        ];
-        for (device, placement_for) in sites {
-            for kind in ProcessorKind::ALL {
-                if let Some(processor) = device.processor(kind) {
-                    let placement = placement_for(kind);
-                    slots[placement_slot(placement)] =
-                        Some((processor, self.cost_cache(placement, workload)));
-                }
-            }
-        }
-        // lint:allow(panic-in-lib): the noise std constants are valid Normal parameters
-        let lat_noise = Normal::new(1.0, LATENCY_NOISE_STD).expect("valid normal");
-        // lint:allow(panic-in-lib): the noise std constants are valid Normal parameters
-        let en_noise = Normal::new(1.0, ENERGY_NOISE_STD).expect("valid normal");
         PreparedExecutor {
             sim: self,
             workload,
-            network,
-            recurrent: self.recurrent[workload.index()],
-            accuracy: accuracy_for(workload),
-            slots,
-            lat_noise,
-            en_noise,
         }
     }
 }
@@ -623,7 +592,7 @@ impl Simulator {
 fn on_device_outcome(
     host: &Device,
     processor: &Processor,
-    cache: &NetworkCostCache,
+    table: &NetworkCostTable,
     request: &Request,
     snapshot: &Snapshot,
     burst_cap: Option<f64>,
@@ -636,7 +605,7 @@ fn on_device_outcome(
         mem_availability: snapshot.mem_availability(),
         thermal_cap: tighter_cap(host.thermal().cap_for(snapshot.co_cpu), burst_cap),
     };
-    let latency_ms = cache.latency_ms(processor, &cond);
+    let latency_ms = table.latency_ms(processor, &cond);
     let energy = power::on_device_energy_mj(processor, &cond, latency_ms, host.base_power_w());
     Outcome {
         latency_ms,
@@ -653,7 +622,7 @@ fn remote_outcome(
     host_base_power_w: f64,
     network: &Network,
     processor: &Processor,
-    cache: &NetworkCostCache,
+    table: &NetworkCostTable,
     remote: &Device,
     link: &LinkModel,
     rssi: autoscale_net::Rssi,
@@ -668,7 +637,7 @@ fn remote_outcome(
     // time is untouched — the link is fine, the server is slow).
     let cond = ExecutionConditions::max_frequency(processor, request.precision);
     let remote_ms =
-        (cache.latency_ms(processor, &cond) + remote.serving_overhead_ms()) * compute_stretch;
+        (table.latency_ms(processor, &cond) + remote.serving_overhead_ms()) * compute_stretch;
     let latency_ms = transfer.wire_ms() + remote_ms;
     // Phone-side energy (eq. 4): TX + RX bursts, then base + radio-wait
     // power for the remainder of the round trip.
@@ -682,155 +651,43 @@ fn remote_outcome(
     }
 }
 
-/// Applies measurement noise with pre-built distributions. Always draws
-/// exactly two values from `rng` — the fixed per-execution stream rate
-/// every caller (and the determinism contract) relies on.
-fn apply_noise_with(
-    expected: Outcome,
-    lat_noise: &Normal,
-    en_noise: &Normal,
-    rng: &mut StdRng,
-) -> Outcome {
-    Outcome {
-        latency_ms: expected.latency_ms * lat_noise.sample(rng).max(0.7),
-        energy_mj: expected.energy_mj * en_noise.sample(rng).max(0.7),
-        accuracy: expected.accuracy,
-    }
-}
-
-/// The executor's batch interface: a per-workload view of the simulator
-/// with every workload-constant lookup hoisted out of the request path.
-///
-/// Built by [`Simulator::prepare`] once per (session, workload) and used
-/// for every request in the batch. Outcomes are bit-identical to the
-/// corresponding [`Simulator`] methods — both run the same private
-/// outcome helpers on the same memoized cost tables, and the noise
-/// distributions carry the same parameters — which
-/// `executor::tests::prepared_executor_matches_the_simulator` pins.
-#[derive(Debug, Clone)]
+/// A per-workload view of a [`Simulator`] that forwards each call to it
+/// with the workload filled in. Built by [`Simulator::prepare`]; kept
+/// only until the serving-fleet benchmark's replica calls the simulator
+/// directly.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy)]
 pub struct PreparedExecutor<'a> {
     sim: &'a Simulator,
     workload: Workload,
-    network: &'a Network,
-    /// Whether the workload has recurrent layers (feasibility gating).
-    recurrent: bool,
-    accuracy: autoscale_nn::AccuracyTable,
-    /// `(processor, cost cache)` per placement slot; `None` where the
-    /// site has no processor of that kind.
-    slots: [Option<(&'a Processor, &'a NetworkCostCache)>; PLACEMENT_SLOTS],
-    lat_noise: Normal,
-    en_noise: Normal,
 }
 
 impl<'a> PreparedExecutor<'a> {
-    /// The workload this view serves.
-    pub fn workload(&self) -> Workload {
-        self.workload
-    }
-
     /// The underlying simulator.
     pub fn simulator(&self) -> &'a Simulator {
         self.sim
     }
 
-    /// The feasibility-checked (processor, cost cache) pair of a request.
-    fn checked_slot(
-        &self,
-        request: &Request,
-    ) -> Result<(&'a Processor, &'a NetworkCostCache), ExecutionError> {
-        let placement = request.placement;
-        let (processor, cache) = self.slots[placement_slot(placement)]
-            .ok_or(ExecutionError::NoSuchProcessor(placement))?;
-        if !processor.supports_precision(request.precision) {
-            return Err(ExecutionError::UnsupportedPrecision(placement));
-        }
-        if self.recurrent && !processor.runs_recurrent() {
-            return Err(ExecutionError::RecurrentUnsupported(placement));
-        }
-        Ok((processor, cache))
-    }
-
-    /// [`Simulator::execute_expected`] through the prepared view.
+    /// [`Simulator::execute_measured`] for this view's workload.
     ///
     /// # Errors
     ///
-    /// Returns an [`ExecutionError`] if the request is infeasible.
-    pub fn execute_expected(
-        &self,
-        request: &Request,
-        snapshot: &Snapshot,
-    ) -> Result<Outcome, ExecutionError> {
-        let (processor, cache) = self.checked_slot(request)?;
-        let accuracy = self.accuracy.at(request.precision);
-        let outcome = match request.placement {
-            Placement::OnDevice(_) => on_device_outcome(
-                &self.sim.host,
-                processor,
-                cache,
-                request,
-                snapshot,
-                None,
-                accuracy,
-            ),
-            Placement::ConnectedEdge(_) => remote_outcome(
-                self.sim.host.base_power_w(),
-                self.network,
-                processor,
-                cache,
-                &self.sim.tablet,
-                &self.sim.p2p,
-                snapshot.p2p,
-                request,
-                accuracy,
-                1.0,
-            ),
-            Placement::Cloud(_) => remote_outcome(
-                self.sim.host.base_power_w(),
-                self.network,
-                processor,
-                cache,
-                &self.sim.cloud,
-                &self.sim.wlan,
-                snapshot.wlan,
-                request,
-                accuracy,
-                1.0,
-            ),
-        };
-        Ok(outcome)
-    }
-
-    /// [`Simulator::execute_measured`] through the prepared view: the
-    /// expected outcome with the same two noise draws applied.
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`ExecutionError`] if the request is infeasible.
+    /// As [`Simulator::execute_measured`].
     pub fn execute_measured(
         &self,
         request: &Request,
         snapshot: &Snapshot,
         rng: &mut StdRng,
     ) -> Result<Outcome, ExecutionError> {
-        let expected = self.execute_expected(request, snapshot)?;
-        Ok(apply_noise_with(
-            expected,
-            &self.lat_noise,
-            &self.en_noise,
-            rng,
-        ))
+        self.sim
+            .execute_measured(self.workload, request, snapshot, rng)
     }
 
-    /// [`Simulator::execute_resilient`] for this view's workload. Fault
-    /// handling is rare and branchy, so it delegates to the simulator's
-    /// full path rather than duplicating it — the clean-path speedup is
-    /// where batching pays.
+    /// [`Simulator::execute_resilient`] for this view's workload.
     ///
     /// # Errors
     ///
-    /// Returns an [`ExecutionError`] if the request is infeasible, or
-    /// [`ExecutionError::NoLocalFallback`] if an exhausted offload has no
-    /// feasible local substitute.
+    /// As [`Simulator::execute_resilient`].
     pub fn execute_resilient(
         &self,
         request: &Request,
@@ -847,8 +704,7 @@ impl<'a> PreparedExecutor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use autoscale_nn::Precision;
-    use autoscale_platform::ProcessorKind;
+    use autoscale_platform::latency;
     use rand::SeedableRng;
 
     fn sim() -> Simulator {
@@ -1267,94 +1123,45 @@ mod tests {
         assert_eq!(best.placement, Placement::OnDevice(ProcessorKind::Cpu));
     }
 
-    #[test]
-    fn prepared_executor_matches_the_simulator() {
-        // The batch interface must be bit-identical to the per-request
-        // API: same outcomes, same errors, same RNG draws.
-        let sim = sim();
-        let calm = Snapshot::calm();
-        let busy = Snapshot::new(0.6, 0.3, calm.wlan, calm.p2p);
-        for w in [
-            Workload::MobileNetV1,
-            Workload::ResNet50,
-            Workload::MobileBert,
-        ] {
-            let prepared = sim.prepare(w);
-            assert_eq!(prepared.workload(), w);
-            for site in [
-                Placement::OnDevice as fn(ProcessorKind) -> Placement,
-                Placement::ConnectedEdge,
-                Placement::Cloud,
-            ] {
-                for kind in ProcessorKind::ALL {
-                    for precision in Precision::ALL {
-                        let placement = site(kind);
-                        if sim.processor_for(placement).is_none() {
-                            let req = Request {
-                                placement,
-                                precision,
-                                freq_index: 0,
-                            };
-                            assert_eq!(
-                                prepared.execute_expected(&req, &calm),
-                                sim.execute_expected(w, &req, &calm)
-                            );
-                            continue;
-                        }
-                        let req = max_req(&sim, placement, precision);
-                        for snapshot in [&calm, &busy] {
-                            assert_eq!(
-                                prepared.execute_expected(&req, snapshot),
-                                sim.execute_expected(w, &req, snapshot),
-                                "{w} {placement} {precision:?}"
-                            );
-                            let mut rng_a = StdRng::seed_from_u64(31);
-                            let mut rng_b = StdRng::seed_from_u64(31);
-                            assert_eq!(
-                                prepared.execute_measured(&req, snapshot, &mut rng_a),
-                                sim.execute_measured(w, &req, snapshot, &mut rng_b),
-                            );
-                            assert_eq!(rng_a, rng_b, "draw counts diverged");
-                        }
-                    }
-                }
+    /// The latency a request should take, from public pieces only: the
+    /// uncached layer walk on the site's processor, plus, for an offload,
+    /// the link's wire time and the remote's serving overhead.
+    fn walked_latency_ms(sim: &Simulator, w: Workload, req: &Request, snapshot: &Snapshot) -> f64 {
+        let network = sim.network(w);
+        let device = sim.device_for(req.placement);
+        let processor = device
+            .processor(req.placement.processor_kind())
+            .expect("a feasible request has a processor");
+        let (link, rssi) = match req.placement {
+            Placement::OnDevice(_) => {
+                let cond = ExecutionConditions {
+                    freq_index: req.freq_index,
+                    precision: req.precision,
+                    compute_availability: snapshot.cpu_availability(),
+                    mem_availability: snapshot.mem_availability(),
+                    thermal_cap: device.thermal().cap_for(snapshot.co_cpu),
+                };
+                return latency::network_latency_ms(processor, network, &cond);
             }
-        }
-    }
-
-    #[test]
-    fn prepared_resilient_matches_the_simulator() {
-        let sim = sim();
-        let prepared = sim.prepare(Workload::ResNet50);
-        let policy = crate::faults::ResiliencePolicy::for_qos(50.0);
-        let mut faults = crate::faults::RequestFaults::none(0);
-        faults.cloud.attempts[0] = Some(autoscale_net::OutageKind::Dropout);
-        let req = max_req(&sim, Placement::Cloud(ProcessorKind::Gpu), Precision::Fp32);
-        let mut rng_a = StdRng::seed_from_u64(8);
-        let mut rng_b = StdRng::seed_from_u64(8);
-        let a = prepared
-            .execute_resilient(&req, &Snapshot::calm(), &faults, &policy, &mut rng_a)
-            .unwrap();
-        let b = sim
-            .execute_resilient(
-                Workload::ResNet50,
-                &req,
-                &Snapshot::calm(),
-                &faults,
-                &policy,
-                &mut rng_b,
-            )
-            .unwrap();
-        assert_eq!(a, b);
-        assert_eq!(rng_a, rng_b);
+            Placement::ConnectedEdge(_) => (sim.p2p(), snapshot.p2p),
+            Placement::Cloud(_) => (sim.wlan(), snapshot.wlan),
+        };
+        let cond = ExecutionConditions::max_frequency(processor, req.precision);
+        let transfer = Transfer::compute(link, network.input_bytes(), network.output_bytes(), rssi);
+        transfer.wire_ms()
+            + latency::network_latency_ms(processor, network, &cond)
+            + device.serving_overhead_ms()
     }
 
     #[test]
     fn feasibility_matches_the_layer_walk_on_every_testbed() {
-        // `check` reads a recurrent flag recorded at construction; the
-        // rule it replaces walked the workload's layers on every call.
-        // Every (placement, precision) pair covers every action of every
-        // action space, whose requests differ further only in DVFS step.
+        // `check` reads a recurrent flag recorded at construction and a
+        // cost table found by one index; both must agree with the walk
+        // over the workload's layers. Every (placement, precision) pair
+        // covers every action of every action space, whose requests
+        // differ further only in DVFS step. Where the walk says feasible,
+        // the executed latency must equal the walked one, within the
+        // cost table's 1e-9 association error.
         let testbeds = [
             Simulator::new(DeviceId::Mi8Pro),
             Simulator::new(DeviceId::GalaxyS10e),
@@ -1365,8 +1172,16 @@ mod tests {
                 autoscale_platform::Device::cloud_server_tpu(),
             ),
         ];
+        let calm = Snapshot::calm();
+        let busy = Snapshot::new(
+            0.6,
+            0.3,
+            autoscale_net::Rssi::WEAK,
+            autoscale_net::Rssi::WEAK,
+        );
         for sim in &testbeds {
             let mut recurrent_rejections = 0;
+            let mut executed = 0;
             for w in Workload::ALL {
                 for site in [
                     Placement::OnDevice as fn(ProcessorKind) -> Placement,
@@ -1375,34 +1190,39 @@ mod tests {
                 ] {
                     for kind in ProcessorKind::ALL {
                         for precision in Precision::ALL {
-                            let req = Request {
-                                placement: site(kind),
-                                precision,
-                                freq_index: 0,
-                            };
+                            let req = max_req(sim, site(kind), precision);
                             let walked = sim.processor_for(req.placement).is_some_and(|p| {
                                 p.supports_precision(precision)
                                     && (p.runs_recurrent()
                                         || !sim.network(w).has_recurrent_layers())
                             });
-                            assert_eq!(
-                                sim.is_feasible(w, &req),
-                                walked,
-                                "{} {w} {}",
-                                sim.host().id(),
-                                req.placement
-                            );
+                            let at =
+                                format!("{} {w} {} {precision:?}", sim.host().id(), req.placement);
+                            assert_eq!(sim.is_feasible(w, &req), walked, "{at}");
                             if matches!(
                                 sim.check(w, &req),
                                 Err(ExecutionError::RecurrentUnsupported(_))
                             ) {
                                 recurrent_rejections += 1;
                             }
+                            for snapshot in [&calm, &busy] {
+                                let outcome = sim.execute_expected(w, &req, snapshot);
+                                assert_eq!(outcome.is_ok(), walked, "{at}");
+                                let Ok(outcome) = outcome else { continue };
+                                let want = walked_latency_ms(sim, w, &req, snapshot);
+                                assert!(
+                                    (outcome.latency_ms - want).abs() <= 1e-9 * want,
+                                    "{at}: executed {} ms, walked {want} ms",
+                                    outcome.latency_ms
+                                );
+                                executed += 1;
+                            }
                         }
                     }
                 }
             }
             assert!(recurrent_rejections > 0, "{}", sim.host().id());
+            assert!(executed > 0, "{}", sim.host().id());
         }
     }
 

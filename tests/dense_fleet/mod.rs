@@ -32,7 +32,7 @@ pub fn dense_warm_fleet(
         .into_iter()
         .enumerate()
         .map(|(index, spec)| {
-            let (report, _, stats) = DeviceSession::spawn(
+            let run = DeviceSession::spawn(
                 sim,
                 spec,
                 &template,
@@ -41,12 +41,12 @@ pub fn dense_warm_fleet(
                 config.faults,
             )
             .expect("the warm start fits the device")
-            .run(false)
+            .run(false, None)
             .expect("warm fleets never error");
-            store.private_bytes += stats.private_bytes;
+            store.private_bytes += run.store.private_bytes;
             store.max_session_private_bytes =
-                store.max_session_private_bytes.max(stats.private_bytes);
-            report
+                store.max_session_private_bytes.max(run.store.private_bytes);
+            run.report
         })
         .collect();
     ServeReport {

@@ -365,19 +365,19 @@ proptest! {
         prop_assert_eq!(&a[..], &b[..10]);
     }
 
-    /// Prefix stability survives the batched execution path: driving the
-    /// per-workload [`autoscale_sim::PreparedExecutor`] with the plans of
-    /// a 10-request schedule produces the same outcomes — and consumes
-    /// the same session-RNG draws — as driving it with the first 10 plans
-    /// of a 40-request schedule. Batching amortizes dispatch; it must not
-    /// change when fault plans are drawn or how they are applied.
+    /// Prefix stability survives execution: driving
+    /// `Simulator::execute_resilient` with the plans of a 10-request
+    /// schedule produces the same outcomes — and consumes the same
+    /// session-RNG draws — as driving it with the first 10 plans of a
+    /// 40-request schedule. Execution must not change when fault plans
+    /// are drawn or how they are applied.
     #[test]
-    fn batched_resilient_execution_is_prefix_stable(
+    fn resilient_execution_is_prefix_stable(
         profile in arb_fault_profile(),
         seed in any::<u64>(),
     ) {
         let sim = Simulator::new(DeviceId::Mi8Pro);
-        let prepared = sim.prepare(Workload::MobileNetV1);
+        let workload = Workload::MobileNetV1;
         let request = Request::at_max_frequency(
             &sim,
             Placement::Cloud(ProcessorKind::Cpu),
@@ -392,11 +392,25 @@ proptest! {
         let mut long_rng = autoscale::seeded_rng(seed ^ 0x5e5510);
         for plan_from_long in long_plans.iter().take(10) {
             let plan_from_short = short.next_faults();
-            let a = prepared
-                .execute_resilient(&request, &snapshot, &plan_from_short, &policy, &mut short_rng)
+            let a = sim
+                .execute_resilient(
+                    workload,
+                    &request,
+                    &snapshot,
+                    &plan_from_short,
+                    &policy,
+                    &mut short_rng,
+                )
                 .expect("cloud CPU FP32 always runs");
-            let b = prepared
-                .execute_resilient(&request, &snapshot, plan_from_long, &policy, &mut long_rng)
+            let b = sim
+                .execute_resilient(
+                    workload,
+                    &request,
+                    &snapshot,
+                    plan_from_long,
+                    &policy,
+                    &mut long_rng,
+                )
                 .expect("cloud CPU FP32 always runs");
             prop_assert_eq!(a, b);
             prop_assert!(short_rng == long_rng, "prefix draws diverged");
@@ -685,4 +699,40 @@ proptest! {
         prop_assert!(traffic.peak_queue_depth <= open.capacity());
         prop_assert!(traffic.drop_rate() > 0.5, "most of a 40x overload is shed");
     }
+}
+
+/// Deadline admission cannot lock a cold open-loop session out. Six cold
+/// sessions at 40 req/s for 5 s (`autoscale-cli serve --device mi8pro
+/// --sessions 6 --mix static --arrivals poisson --rate 40 --horizon-ms
+/// 5000 --admission deadline`): a session whose first request ran past
+/// its QoS used to be predicted late at every later arrival and drop
+/// them all. An arrival that finds the device idle is admitted, so every
+/// session keeps serving and the fleet stays busy.
+#[test]
+fn deadline_admission_keeps_cold_open_loop_sessions_serving() {
+    let sim = Simulator::new(DeviceId::Mi8Pro);
+    let config = ServeConfig {
+        sessions: 6,
+        openloop: Some(OpenLoopConfig {
+            admission: AdmissionPolicy::Deadline,
+            ..OpenLoopConfig::poisson(40.0, 5_000.0)
+        }),
+        ..ServeConfig::fleet()
+    };
+    let report = serve(&sim, &ScenarioMix::static_envs(), &config, None)
+        .expect("open-loop fleets never error");
+    let served: Vec<usize> = report.sessions.iter().map(|s| s.decisions).collect();
+    assert!(
+        served.iter().all(|&n| n >= 10),
+        "served per session: {served:?}"
+    );
+    let traffic = report
+        .traffic
+        .as_ref()
+        .expect("open-loop runs report traffic");
+    assert!(
+        traffic.utilization() > 0.5,
+        "utilization {:.3}, served per session {served:?}",
+        traffic.utilization()
+    );
 }
