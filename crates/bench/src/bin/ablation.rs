@@ -11,10 +11,12 @@
 //! chain.
 
 use autoscale::experiment;
-use autoscale::parallel::{run_cells, threads_from_args};
+use autoscale::parallel::run_cells;
 use autoscale::prelude::*;
 use autoscale::scheduler::AutoScaleScheduler;
-use autoscale_bench::{build_baseline, mean, reward_fn, section, RUNS, TRAIN_RUNS, WARMUP};
+use autoscale_bench::{
+    build_baseline, mean, reward_fn, section, threads_from_args, RUNS, TRAIN_RUNS, WARMUP,
+};
 use autoscale_net::Rssi;
 use autoscale_rl::Hyperparameters;
 

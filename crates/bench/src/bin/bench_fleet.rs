@@ -58,9 +58,7 @@ mod alloc_count {
     use std::alloc::{GlobalAlloc, Layout, System};
     use std::sync::atomic::{AtomicU64, Ordering};
 
-    // lint:allow(shared-mutable-hot-state): allocator byte counters are bench diagnostics, printed only — never digested
     static CURRENT: AtomicU64 = AtomicU64::new(0);
-    // lint:allow(shared-mutable-hot-state): allocator byte counters are bench diagnostics, printed only — never digested
     static PEAK: AtomicU64 = AtomicU64::new(0);
 
     struct CountingAllocator;

@@ -9,10 +9,12 @@
 //! (accuracy target, workload); output is bit-identical for any
 //! `--threads` value.
 
-use autoscale::parallel::{run_cells, threads_from_args, Cell};
+use autoscale::parallel::{run_cells, Cell};
 use autoscale::prelude::*;
 use autoscale::scheduler::SchedulerKind;
-use autoscale_bench::{autoscale_for, build_baseline, reward_fn, SuiteAccumulator, RUNS, WARMUP};
+use autoscale_bench::{
+    autoscale_for, build_baseline, reward_fn, threads_from_args, SuiteAccumulator, RUNS, WARMUP,
+};
 
 const TARGETS: [Option<f64>; 4] = [None, Some(50.0), Some(65.0), Some(70.0)];
 

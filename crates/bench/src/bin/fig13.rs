@@ -14,10 +14,12 @@
 //! workloads, a sequential chain that stays inside a single cell.
 
 use autoscale::experiment;
-use autoscale::parallel::{run_cells, threads_from_args, Cell};
+use autoscale::parallel::{run_cells, Cell};
 use autoscale::prelude::*;
 use autoscale::scheduler::{AutoScaleScheduler, OracleScheduler, SchedulerKind};
-use autoscale_bench::{build_baseline, reward_fn, section, RUNS, TRAIN_RUNS, WARMUP};
+use autoscale_bench::{
+    build_baseline, reward_fn, section, threads_from_args, RUNS, TRAIN_RUNS, WARMUP,
+};
 
 const ANALYSIS_ENVS: [EnvironmentId; 3] = [EnvironmentId::S1, EnvironmentId::S4, EnvironmentId::D2];
 const SPOT_CHECKS: [(EnvironmentId, &str); 2] = [

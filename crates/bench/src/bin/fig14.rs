@@ -12,9 +12,9 @@
 //! bit-identical for any `--threads` value.
 
 use autoscale::experiment::{self, TrainingCurve};
-use autoscale::parallel::{run_cells, threads_from_args, Cell};
+use autoscale::parallel::{run_cells, Cell};
 use autoscale::prelude::*;
-use autoscale_bench::{mean, section, TRAIN_RUNS};
+use autoscale_bench::{mean, section, threads_from_args, TRAIN_RUNS};
 
 fn main() {
     let threads = threads_from_args(std::env::args().skip(1));

@@ -9,9 +9,72 @@
 //! (device, workload), each with its own derived RNG seed, so the output
 //! is bit-identical for any `--threads` value.
 
-use autoscale::parallel::{run_cells, threads_from_args};
+use autoscale::experiment;
+use autoscale::parallel::{run_cells, Cell};
 use autoscale::prelude::*;
-use autoscale_bench::{fig9_cell, fig9_specs, section, SuiteAccumulator};
+use autoscale::scheduler::{OracleScheduler, Scheduler, SchedulerKind};
+use autoscale_bench::{
+    autoscale_for, build_baseline, reward_fn, section, threads_from_args, SuiteAccumulator, RUNS,
+    WARMUP,
+};
+
+/// (report, baseline-of-the-same-cell) pairs in recording order.
+type CellReports = Vec<(EpisodeReport, EpisodeReport)>;
+
+/// The sweep grid: one cell per (phone, workload), device-major.
+fn fig9_specs() -> Vec<(DeviceId, Workload)> {
+    DeviceId::PHONES
+        .iter()
+        .flat_map(|&d| Workload::ALL.iter().map(move |&w| (d, w)))
+        .collect()
+}
+
+/// Runs one cell: leave-one-out-trained AutoScale plus the four fixed
+/// baselines, Opt, MOSAIC and NeuroSurgeon across the five static
+/// environments.
+fn fig9_cell(cell: &Cell<'_, (DeviceId, Workload)>) -> CellReports {
+    let (device, w) = *cell.spec;
+    let config = EngineConfig::paper();
+    let envs = EnvironmentId::STATIC;
+    let ev = Evaluator::new(Simulator::new(device), config);
+    let oracle = OracleScheduler::new(ev.sim(), reward_fn(config));
+    let mut rng = autoscale::seeded_rng(cell.seed);
+
+    // Leave-one-out: AutoScale's Q-table is trained on the other nine
+    // workloads (Section V-C), then keeps learning online.
+    let mut autoscale_sched = autoscale_for(ev.sim(), w, &envs, config, 42);
+    let mut prior_rng = autoscale::seeded_rng(43);
+    let qos = config.scenario_for(w).qos_ms();
+    let mut others: Vec<Box<dyn Scheduler>> = vec![
+        build_baseline(SchedulerKind::EdgeBest, ev.sim(), config),
+        build_baseline(SchedulerKind::Cloud, ev.sim(), config),
+        build_baseline(SchedulerKind::ConnectedEdge, ev.sim(), config),
+        build_baseline(SchedulerKind::Oracle, ev.sim(), config),
+        Box::new(experiment::build_mosaic(ev.sim(), qos, &mut prior_rng)),
+        Box::new(experiment::build_neurosurgeon(ev.sim(), &mut prior_rng)),
+    ];
+    let mut reports = Vec::new();
+    for env in envs {
+        let mut base = build_baseline(SchedulerKind::EdgeCpuFp32, ev.sim(), config);
+        let baseline = ev.run(base.as_mut(), w, env, 0, RUNS, None, &mut rng);
+        reports.push((baseline.clone(), baseline.clone()));
+        let rep = ev.run(
+            &mut autoscale_sched,
+            w,
+            env,
+            WARMUP,
+            RUNS,
+            Some(&oracle),
+            &mut rng,
+        );
+        reports.push((rep, baseline.clone()));
+        for s in others.iter_mut() {
+            let rep = ev.run(s.as_mut(), w, env, 0, RUNS, None, &mut rng);
+            reports.push((rep, baseline.clone()));
+        }
+    }
+    reports
+}
 
 fn main() {
     let threads = threads_from_args(std::env::args().skip(1));

@@ -10,12 +10,10 @@
 #![warn(missing_docs)]
 
 use autoscale::experiment;
-use autoscale::parallel::Cell;
+use autoscale::parallel::resolve_threads;
 use autoscale::prelude::*;
 use autoscale::reward::RewardConfig;
-use autoscale::scheduler::{
-    AutoScaleScheduler, FixedScheduler, OracleScheduler, Scheduler, SchedulerKind,
-};
+use autoscale::scheduler::{AutoScaleScheduler, FixedScheduler, OracleScheduler, SchedulerKind};
 
 /// Default per-episode measurement length (inference runs).
 pub const RUNS: usize = 100;
@@ -66,64 +64,34 @@ pub fn autoscale_for(
     AutoScaleScheduler::new(engine, false)
 }
 
-/// (report, baseline-of-the-same-cell) pairs in recording order, the
-/// result type of one figure-sweep cell.
-pub type CellReports = Vec<(EpisodeReport, EpisodeReport)>;
-
-/// The Figure 9 sweep grid: one cell per (phone, workload), device-major.
-pub fn fig9_specs() -> Vec<(DeviceId, Workload)> {
-    DeviceId::PHONES
-        .iter()
-        .flat_map(|&d| Workload::ALL.iter().map(move |&w| (d, w)))
-        .collect()
-}
-
-/// Runs one Figure 9 cell: leave-one-out-trained AutoScale plus the four
-/// fixed baselines, Opt, MOSAIC and NeuroSurgeon across the five static
-/// environments. Shared between the `fig9` binary and the timing harness
-/// (`bench_harness`) so both measure exactly the same work.
-pub fn fig9_cell(cell: &Cell<'_, (DeviceId, Workload)>) -> CellReports {
-    let (device, w) = *cell.spec;
-    let config = EngineConfig::paper();
-    let envs = EnvironmentId::STATIC;
-    let ev = Evaluator::new(Simulator::new(device), config);
-    let oracle = OracleScheduler::new(ev.sim(), reward_fn(config));
-    let mut rng = autoscale::seeded_rng(cell.seed);
-
-    // Leave-one-out: AutoScale's Q-table is trained on the other nine
-    // workloads (Section V-C), then keeps learning online.
-    let mut autoscale_sched = autoscale_for(ev.sim(), w, &envs, config, 42);
-    let mut prior_rng = autoscale::seeded_rng(43);
-    let qos = config.scenario_for(w).qos_ms();
-    let mut others: Vec<Box<dyn Scheduler>> = vec![
-        build_baseline(SchedulerKind::EdgeBest, ev.sim(), config),
-        build_baseline(SchedulerKind::Cloud, ev.sim(), config),
-        build_baseline(SchedulerKind::ConnectedEdge, ev.sim(), config),
-        build_baseline(SchedulerKind::Oracle, ev.sim(), config),
-        Box::new(experiment::build_mosaic(ev.sim(), qos, &mut prior_rng)),
-        Box::new(experiment::build_neurosurgeon(ev.sim(), &mut prior_rng)),
-    ];
-    let mut reports = Vec::new();
-    for env in envs {
-        let mut base = build_baseline(SchedulerKind::EdgeCpuFp32, ev.sim(), config);
-        let baseline = ev.run(base.as_mut(), w, env, 0, RUNS, None, &mut rng);
-        reports.push((baseline.clone(), baseline.clone()));
-        let rep = ev.run(
-            &mut autoscale_sched,
-            w,
-            env,
-            WARMUP,
-            RUNS,
-            Some(&oracle),
-            &mut rng,
-        );
-        reports.push((rep, baseline.clone()));
-        for s in others.iter_mut() {
-            let rep = ev.run(s.as_mut(), w, env, 0, RUNS, None, &mut rng);
-            reports.push((rep, baseline.clone()));
+/// Extracts `--threads N` from command-line arguments and resolves it
+/// via [`resolve_threads`] — the shared flag parser for the sweep
+/// binaries.
+///
+/// # Panics
+///
+/// Panics with a usage message if `--threads` is present without a valid
+/// count.
+pub fn threads_from_args<I: IntoIterator<Item = String>>(args: I) -> usize {
+    let mut args = args.into_iter();
+    let mut requested = None;
+    while let Some(arg) = args.next() {
+        if arg == "--threads" {
+            let value = args
+                .next()
+                .unwrap_or_else(|| panic!("--threads requires a count"));
+            let n: usize = value
+                .parse()
+                .unwrap_or_else(|_| panic!("--threads expects a number, got `{value}`"));
+            requested = Some(n);
+        } else if let Some(value) = arg.strip_prefix("--threads=") {
+            let n: usize = value
+                .parse()
+                .unwrap_or_else(|_| panic!("--threads expects a number, got `{value}`"));
+            requested = Some(n);
         }
     }
-    reports
+    resolve_threads(requested)
 }
 
 /// Mean of a slice.
@@ -228,6 +196,28 @@ pub fn section(title: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use autoscale::parallel::default_threads;
+
+    #[test]
+    fn threads_flag_parsing() {
+        let args = |s: &[&str]| s.iter().map(|a| a.to_string()).collect::<Vec<_>>();
+        let cores = default_threads();
+        assert_eq!(threads_from_args(args(&["--threads", "3"])), 3.min(cores));
+        assert_eq!(
+            threads_from_args(args(&["--threads=5", "other"])),
+            5.min(cores)
+        );
+        assert_eq!(threads_from_args(args(&["--threads", "0"])), cores);
+        assert_eq!(threads_from_args(args(&[])), cores);
+        assert_eq!(resolve_threads(Some(2)), 2.min(cores));
+        assert!(resolve_threads(None) >= 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "--threads expects a number")]
+    fn bad_threads_flag_panics() {
+        let _ = threads_from_args(vec!["--threads".to_string(), "many".to_string()]);
+    }
 
     #[test]
     fn means() {

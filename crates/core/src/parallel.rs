@@ -10,9 +10,9 @@
 //!
 //! * every cell derives its own RNG seed from `(base_seed, cell_index)`
 //!   via [`cell_seed`] — no RNG stream is ever shared between cells;
-//! * workers pull cell indices from a shared atomic counter, and each
-//!   result is stored at its cell's index — scheduling order can never
-//!   reorder or interleave outputs;
+//! * workers pull cell indices from a shared atomic counter and hand
+//!   back `(index, result)` pairs, which are merged in index order —
+//!   scheduling order can never reorder or interleave outputs;
 //! * the cell function only gets shared (`&`) access to its spec, so it
 //!   cannot leak state between cells.
 //!
@@ -28,7 +28,6 @@
 //! one level up, across experiment cells.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// One unit of experiment work: a spec (what to run) plus the identity
 /// the harness assigned to it — a stable index into the grid and a
@@ -76,39 +75,6 @@ pub fn resolve_threads(requested: Option<usize>) -> usize {
     }
 }
 
-/// Extracts `--threads N` from command-line arguments and resolves it
-/// via [`resolve_threads`] — the shared flag parser for the experiment
-/// binaries.
-///
-/// # Panics
-///
-/// Panics with a usage message if `--threads` is present without a valid
-/// count.
-pub fn threads_from_args<I: IntoIterator<Item = String>>(args: I) -> usize {
-    let mut args = args.into_iter();
-    let mut requested = None;
-    while let Some(arg) = args.next() {
-        if arg == "--threads" {
-            let value = args
-                .next()
-                // lint:allow(panic-in-lib): CLI usage error; this helper backs the experiment binaries' --threads flag
-                .unwrap_or_else(|| panic!("--threads requires a count"));
-            let n: usize = value
-                .parse()
-                // lint:allow(panic-in-lib): CLI usage error; this helper backs the experiment binaries' --threads flag
-                .unwrap_or_else(|_| panic!("--threads expects a number, got `{value}`"));
-            requested = Some(n);
-        } else if let Some(value) = arg.strip_prefix("--threads=") {
-            let n: usize = value
-                .parse()
-                // lint:allow(panic-in-lib): CLI usage error; this helper backs the experiment binaries' --threads flag
-                .unwrap_or_else(|_| panic!("--threads expects a number, got `{value}`"));
-            requested = Some(n);
-        }
-    }
-    resolve_threads(requested)
-}
-
 /// Runs one experiment grid: `run(cell)` for every spec, over at most
 /// `threads` worker threads, returning results in grid order.
 ///
@@ -117,7 +83,8 @@ pub fn threads_from_args<I: IntoIterator<Item = String>>(args: I) -> usize {
 /// [`cell_seed`]`(base_seed, i)`. With `threads <= 1` the cells run
 /// in-order on the calling thread.
 ///
-/// Worker panics propagate to the caller once all threads have stopped.
+/// A worker's panic is re-raised on the caller once every worker has
+/// been joined.
 pub fn run_cells<T, R, F>(threads: usize, base_seed: u64, specs: &[T], run: F) -> Vec<R>
 where
     T: Sync,
@@ -131,42 +98,43 @@ where
     };
     // Clamp to the hardware and the grid, then short-circuit: one
     // effective worker means the plain in-order loop on the calling
-    // thread — no spawn, no queue, no deposit lock. This is both the
-    // determinism reference order and the 1-core fast path.
+    // thread — no spawn, no queue. This is both the determinism
+    // reference order and the 1-core fast path.
     let workers = threads.min(default_threads()).min(specs.len());
     if workers <= 1 {
         return (0..specs.len()).map(|i| run(&cell(i))).collect();
     }
 
-    // lint:allow(shared-mutable-hot-state): the claim counter is the work queue — each index is handed to exactly one worker, and results never flow through it
+    // The claim counter is the work queue: each index is handed to
+    // exactly one worker. Results never flow through shared state; each
+    // worker returns its own `(index, result)` pairs when it is joined.
     let next = AtomicUsize::new(0);
-    // Results are indexed by cell; the lock is taken only to deposit a
-    // finished result (cells run for seconds, deposits take nanoseconds).
-    // lint:allow(shared-mutable-hot-state): deposits are keyed by cell index, so the merged Vec is interleaving-independent
-    let slots: Mutex<Vec<Option<R>>> = Mutex::new((0..specs.len()).map(|_| None).collect());
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let index = next.fetch_add(1, Ordering::Relaxed);
-                if index >= specs.len() {
-                    break;
-                }
-                let result = run(&cell(index));
-                slots
-                    .lock()
-                    // lint:allow(panic-in-lib): poisoned only if a worker panicked, which the scope join re-raises anyway
-                    .expect("a worker panicked while depositing a result")[index] = Some(result);
-            });
+    let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut mine = Vec::new();
+                    loop {
+                        let index = next.fetch_add(1, Ordering::Relaxed);
+                        if index >= specs.len() {
+                            return mine;
+                        }
+                        mine.push((index, run(&cell(index))));
+                    }
+                })
+            })
+            .collect();
+        let mut done = Vec::with_capacity(specs.len());
+        for handle in handles {
+            match handle.join() {
+                Ok(mine) => done.extend(mine),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
         }
+        done
     });
-    slots
-        .into_inner()
-        // lint:allow(panic-in-lib): thread::scope returned, so all workers joined
-        .expect("all workers joined")
-        .into_iter()
-        // lint:allow(panic-in-lib): the atomic counter hands every index below specs.len() to exactly one worker
-        .map(|r| r.expect("every cell index below specs.len() was claimed exactly once"))
-        .collect()
+    done.sort_unstable_by_key(|&(index, _)| index);
+    done.into_iter().map(|(_, result)| result).collect()
 }
 
 #[cfg(test)]
@@ -214,21 +182,6 @@ mod tests {
     }
 
     #[test]
-    fn threads_flag_parsing() {
-        let args = |s: &[&str]| s.iter().map(|a| a.to_string()).collect::<Vec<_>>();
-        let cores = default_threads();
-        assert_eq!(threads_from_args(args(&["--threads", "3"])), 3.min(cores));
-        assert_eq!(
-            threads_from_args(args(&["--threads=5", "other"])),
-            5.min(cores)
-        );
-        assert_eq!(threads_from_args(args(&["--threads", "0"])), cores);
-        assert_eq!(threads_from_args(args(&[])), cores);
-        assert_eq!(resolve_threads(Some(2)), 2.min(cores));
-        assert!(resolve_threads(None) >= 1);
-    }
-
-    #[test]
     fn requested_threads_clamp_to_available_parallelism() {
         assert_eq!(resolve_threads(Some(usize::MAX)), default_threads());
         assert_eq!(resolve_threads(Some(1)), 1);
@@ -246,12 +199,6 @@ mod tests {
         let specs: Vec<u8> = (0..12).collect();
         let ids = run_cells(1, 0, &specs, |_| std::thread::current().id());
         assert!(ids.iter().all(|&id| id == caller));
-    }
-
-    #[test]
-    #[should_panic(expected = "--threads expects a number")]
-    fn bad_threads_flag_panics() {
-        let _ = threads_from_args(vec!["--threads".to_string(), "many".to_string()]);
     }
 
     #[test]

@@ -325,9 +325,8 @@ impl<'a> DeviceSession<'a> {
         // the policy rather than switching to a different
         // (differently-drawing) greedy call site. The timer lives in
         // statements of its own, never in the expression that produces
-        // the step — the taint pass tracks statement spans, so this
-        // shape keeps the measured wall clock visibly beside, not
-        // inside, the decision data.
+        // the step, so the measured wall clock stays visibly beside,
+        // not inside, the decision data.
         let policy = if greedy {
             EpsilonGreedy::greedy()
         } else {

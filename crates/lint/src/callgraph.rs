@@ -1,9 +1,8 @@
 //! A workspace-wide function call graph, resolved through bare names
 //! and `impl`/`trait` ownership.
 //!
-//! The interprocedural passes ([`crate::taint`], [`crate::streams`] and
-//! [`crate::shared`]) need to know, for every function in the tree, which other functions
-//! it may call. Rust name resolution is out of scope for a lexer-level
+//! The interprocedural stream pass ([`crate::streams`]) needs to know,
+//! for every function in the tree, which other functions it may call. Rust name resolution is out of scope for a lexer-level
 //! analyzer, so the graph is deliberately **conservative**:
 //!
 //! * a free call `foo(…)` edges to every workspace **free** `fn foo`;
@@ -14,7 +13,7 @@
 //!   `unwrap`, `clone`, …) creates **no** edges at all: wiring every
 //!   `.len()` to every workspace `len` method would melt the graph into
 //!   one component. The cost is that a workspace method shadowing a std
-//!   name is invisible to the interprocedural passes — documented in
+//!   name is invisible to the stream pass — documented in
 //!   DESIGN.md as a known soundness hole;
 //! * a qualified call `Type::foo(…)` narrows to definitions owned by
 //!   `Type` (an `impl Type` block or a `trait Type` declaration) when
@@ -22,8 +21,8 @@
 //! * a call whose name matches no workspace definition is recorded as
 //!   **unresolved** and counted in the JSON report.
 //!
-//! Over-approximation (extra edges) can only widen the reachable sets
-//! and the taint frontier, never hide a finding; missing edges are what
+//! Over-approximation (extra edges) can only widen the reachable sets,
+//! never hide a finding; missing edges are what
 //! the unresolved accounting exists to make visible.
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -71,8 +70,6 @@ pub struct CallSite {
     pub line: u32,
     /// Token index of the callee name.
     pub at: usize,
-    /// Token index of the opening `(` of the argument list.
-    pub args_open: usize,
     /// Resolved callee def ids (empty when unresolved).
     pub resolved: Vec<usize>,
 }
@@ -86,9 +83,6 @@ pub struct CallGraph {
     pub calls: Vec<CallSite>,
     /// Adjacency: def id → callee def ids (deduplicated).
     pub edges: Vec<Vec<usize>>,
-    /// Struct names carrying `#[derive(… Serialize …)]` — their literal
-    /// fields are serialization sinks for the taint pass.
-    pub serialized_structs: BTreeSet<String>,
     /// name → def ids, for resolution.
     by_name: BTreeMap<String, Vec<usize>>,
     /// Every type/trait name that owns at least one workspace `fn` —
@@ -111,8 +105,8 @@ const COPYING_METHODS: [&str; 5] = ["clone", "collect", "to_vec", "to_owned", "t
 /// combinators, slice accessors, numeric ops and seeded-RNG draws.
 /// Growth-prone std methods (`push`, `insert`, `extend`, `sort`,
 /// `reserve`) are not listed, so a workspace method of that name still
-/// receives edges. Changing the list changes the graph every
-/// interprocedural pass runs on.
+/// receives edges. Changing the list changes the graph the stream pass
+/// runs on.
 const STD_ALLOC_FREE: [&str; 159] = [
     // iterator adaptors and consumers (lazy or O(1)-state)
     "iter",
@@ -303,11 +297,10 @@ impl CallGraph {
     /// index-for-index with the contexts.
     pub fn build(files: &[(String, LexedFile)], contexts: &[FileContext]) -> CallGraph {
         let mut graph = CallGraph::default();
-        // Pass 1: definitions, ownership, serialized structs.
+        // Pass 1: definitions and ownership.
         for (file_idx, (_path, lexed)) in files.iter().enumerate() {
             let ctx = &contexts[file_idx];
             let owners = owner_blocks(&lexed.tokens);
-            graph.collect_serialized(&lexed.tokens);
             for span in &ctx.fn_spans {
                 let Some(name_tok) = lexed.tokens.get(span.start + 1) else {
                     continue;
@@ -400,7 +393,6 @@ impl CallGraph {
                     is_method: site.is_method,
                     line: lexed.tokens[k].line,
                     at: k,
-                    args_open: site.args_open,
                     resolved,
                 });
                 graph.calls_by_def[caller].push(call_idx);
@@ -502,53 +494,6 @@ impl CallGraph {
     /// Total number of call edges.
     pub fn edge_count(&self) -> usize {
         self.edges.iter().map(Vec::len).sum()
-    }
-
-    /// Records struct names annotated `#[derive(… Serialize …)]`.
-    fn collect_serialized(&mut self, tokens: &[Token]) {
-        let mut i = 0;
-        while i + 1 < tokens.len() {
-            if !(tokens[i].is_punct('#') && tokens[i + 1].is_punct('[')) {
-                i += 1;
-                continue;
-            }
-            let Some(close) = close_square(tokens, i + 1) else {
-                break;
-            };
-            let args = &tokens[i + 2..close];
-            let is_serialize_derive = args.first().is_some_and(|t| t.is_ident("derive"))
-                && args.iter().any(|t| t.is_ident("Serialize"));
-            if is_serialize_derive {
-                // Skip further attributes, visibility, then expect
-                // `struct Name` (enums serialize too, but their variant
-                // fields are not struct-literal sinks).
-                let mut j = close + 1;
-                while j + 1 < tokens.len() && tokens[j].is_punct('#') && tokens[j + 1].is_punct('[')
-                {
-                    match close_square(tokens, j + 1) {
-                        Some(end) => j = end + 1,
-                        None => break,
-                    }
-                }
-                while j < tokens.len()
-                    && (tokens[j].is_ident("pub")
-                        || tokens[j].is_punct('(')
-                        || tokens[j].is_punct(')')
-                        || tokens[j].is_ident("crate")
-                        || tokens[j].is_ident("super"))
-                {
-                    j += 1;
-                }
-                if tokens[j..].first().is_some_and(|t| t.is_ident("struct")) {
-                    if let Some(name) = tokens.get(j + 1) {
-                        if name.kind == TokenKind::Ident {
-                            self.serialized_structs.insert(name.text.clone());
-                        }
-                    }
-                }
-            }
-            i = close + 1;
-        }
     }
 
     /// Renders the graph as Graphviz DOT: one node per non-test def,
@@ -848,7 +793,6 @@ struct RawCall {
     name: String,
     qualifier: Option<String>,
     is_method: bool,
-    args_open: usize,
 }
 
 /// Recognizes a call whose callee name sits at token `k`: `name(…)`,
@@ -880,7 +824,6 @@ fn call_at(tokens: &[Token], k: usize) -> Option<RawCall> {
         name: t.text.clone(),
         qualifier,
         is_method,
-        args_open: open,
     })
 }
 
@@ -1004,16 +947,6 @@ mod tests {
         let (g, _) = graph_of(LIB, src);
         let unresolved: Vec<&str> = g.unresolved_calls().map(|c| c.name.as_str()).collect();
         assert_eq!(unresolved, vec!["mystery_method"]);
-    }
-
-    #[test]
-    fn serialize_derives_are_collected() {
-        let src =
-            "#[derive(Debug, Clone, Serialize, Deserialize)]\npub struct WireReport { x: u8 }\n\
-                   #[derive(Debug)]\nstruct Plain { y: u8 }\n";
-        let (g, _) = graph_of(LIB, src);
-        assert!(g.serialized_structs.contains("WireReport"));
-        assert!(!g.serialized_structs.contains("Plain"));
     }
 
     #[test]

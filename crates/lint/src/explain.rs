@@ -23,8 +23,10 @@ pub fn explain(rule: Rule) -> &'static str {
              \n\
              Fix: thread simulated time (`tick`, `slot_ms`) through instead.\n\
              Waive: quarantine the read behind a helper annotated\n\
-             `// lint:allow(nondeterministic-time): <why>` — the taint pass\n\
-             will still track its value into digests if it leaks."
+             `// lint:allow(nondeterministic-time): <why>`. Whether a\n\
+             quarantined value stays out of digests is checked by running\n\
+             the program: the reference model and the shard-invariance\n\
+             tests fail when a wall-clock value reaches a session digest."
         }
         Rule::NondeterministicRng => {
             "nondeterministic-rng — entropy-seeded RNG construction.\n\
@@ -67,41 +69,6 @@ pub fn explain(rule: Rule) -> &'static str {
              through return values; binaries own presentation.\n\
              \n\
              Fix: return the value, or move the print to the bin/example."
-        }
-        Rule::TaintedDigest => {
-            "tainted-digest — nondeterminism reaches a digest update.\n\
-             \n\
-             The interprocedural taint pass seeds taint at wall-clock reads\n\
-             (`Instant::now`, `SystemTime`), env reads (`env::var`),\n\
-             entropy-seeded RNGs, and statements marked\n\
-             `// lint:taint-source(<why>)`. Taint propagates through\n\
-             let-bindings, assignments, and *across workspace call edges*\n\
-             via functions whose return value is tainted. The rule fires\n\
-             when a tainted value is passed to `fnv1a_fold` / any\n\
-             `*digest*` call or assigned into a `*digest*` binding — even\n\
-             if the source sits two helper functions away.\n\
-             \n\
-             This is the contract the per-file rules cannot see: a\n\
-             `lint:allow(nondeterministic-time)` quarantine is fine only\n\
-             while the quarantined value stays out of digested state; this\n\
-             rule checks exactly that.\n\
-             \n\
-             Fix: keep wall-clock values out of digest inputs entirely.\n\
-             There is deliberately no casual waiver — if a digest must fold\n\
-             a nondeterministic value, the design is wrong."
-        }
-        Rule::TaintedReportField => {
-            "tainted-report-field — nondeterminism reaches serialized state.\n\
-             \n\
-             Same taint engine as tainted-digest, different sinks: fields of\n\
-             struct literals whose type ends in `Report` or derives serde\n\
-             `Serialize`, and arguments to `serialize`/`to_value` calls.\n\
-             Reports are the replay contract's public surface — a tainted\n\
-             field makes two identical runs produce different artifacts.\n\
-             \n\
-             Fix: report simulated time/energy, not wall-clock; keep\n\
-             measured-wall-time diagnostics in bench binaries, outside\n\
-             serialized session state."
         }
         Rule::UnderivedRngStream => {
             "underived-rng-stream — RNG seeded outside the derivation scheme.\n\
@@ -153,43 +120,6 @@ pub fn explain(rule: Rule) -> &'static str {
              digest-protected protocol (e.g. epsilon-greedy's\n\
              exploration-only bounded draw) with\n\
              `// lint:draws-exempt(<why>)`."
-        }
-        Rule::SharedMutableHotState => {
-            "shared-mutable-hot-state — shared mutable state on the serve path.\n\
-             \n\
-             Fires on (1) `static mut` and interior-mutable `static`s\n\
-             (Mutex/RwLock/RefCell/Cell/OnceLock/Atomic*) in non-test\n\
-             lib/bin/bench code; (2) interior-mutability types or uses of\n\
-             those statics inside functions reachable from serve shard\n\
-             entry points (`serve*`, `DeviceSession::run*`, `decide_*`),\n\
-             reported with the caller witness chain;\n\
-             (3) non-SeqCst atomic orderings (Relaxed/Acquire/Release/\n\
-             AcqRel) in functions that also touch digested or serialized\n\
-             state. Shard-parallel serving is deterministic because shards\n\
-             share nothing mutable; each exception makes interleaving\n\
-             observable.\n\
-             \n\
-             Fix: scope state per shard (the `run_cells` pattern: disjoint\n\
-             indices, merge at the barrier). Waive deliberate diagnostics\n\
-             with `// lint:allow(shared-mutable-hot-state): <why>`."
-        }
-        Rule::LockOrderCycle => {
-            "lock-order-cycle — inconsistent lock acquisition order.\n\
-             \n\
-             The shared-state pass records every `.lock()` (and\n\
-             `.read()`/`.write()` on receivers declared as RwLocks), builds\n\
-             a lock-order graph — within a function, every earlier\n\
-             acquisition precedes every later one; a call made while a lock\n\
-             is held orders that lock before everything the callee\n\
-             transitively acquires — and reports every cycle. A cycle means\n\
-             two shards can interleave opposite orders and deadlock; the\n\
-             fleet barrier then never completes, which in CI looks like a\n\
-             hang, not a failure.\n\
-             \n\
-             Fix: impose one global acquisition order (sort by lock\n\
-             identity) or collapse to a single lock. Waive a provably\n\
-             single-threaded cycle with\n\
-             `// lint:allow(lock-order-cycle): <why>`."
         }
     }
 }

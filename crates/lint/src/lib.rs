@@ -25,13 +25,9 @@
 //! 3. [`rules`] runs the token-pattern rules (see [`rules::Rule`]) and
 //!    filters findings through `// lint:allow(<rule>)` suppressions.
 //! 4. [`callgraph`] builds a conservative workspace call graph on top
-//!    of the same token streams; [`taint`] runs forward determinism-
-//!    taint dataflow over it (wall-clock/env/entropy sources → digest
-//!    and report-field sinks). [`streams`] checks RNG stream discipline
-//!    (seed derivation, draw-count interval analysis over per-request
-//!    paths) and [`shared`] checks shared-state hygiene (global mutable
-//!    state, serve-path interior mutability, lock-order cycles, relaxed
-//!    atomics near digests).
+//!    of the same token streams, and [`streams`] checks RNG stream
+//!    discipline over it (seed derivation, draw-count interval analysis
+//!    over per-request paths).
 //! 5. [`report`] renders the findings as terminal lines or stable JSON
 //!    (`results/lint_baseline.json` is one such document).
 //!
@@ -50,9 +46,7 @@ pub mod explain;
 pub mod lexer;
 pub mod report;
 pub mod rules;
-pub mod shared;
 pub mod streams;
-pub mod taint;
 pub mod walk;
 
 pub use report::{AnalysisStats, PassTimings, Report};
@@ -66,19 +60,19 @@ use crate::context::{classify, FileContext};
 pub struct Analysis {
     /// Findings, suppressions, and coverage stats.
     pub report: Report,
-    /// The workspace call graph the interprocedural passes ran on.
+    /// The workspace call graph the stream pass ran on.
     pub graph: callgraph::CallGraph,
     /// Workspace-relative paths, in the order the graph's `file`
     /// indices reference them.
     pub files: Vec<String>,
 }
 
-/// Runs the whole pipeline — per-file rules, call graph, taint, stream
-/// discipline, shared state — over in-memory `(path, source)` pairs.
+/// Runs the whole pipeline — per-file rules, call graph, stream
+/// discipline — over in-memory `(path, source)` pairs.
 ///
 /// This is the substitution point the sabotage tests use: read the real
 /// workspace, swap one file's source for a doctored version, and assert
-/// the launder is caught.
+/// the defect is caught.
 pub fn analyze_sources(sources: Vec<(String, String)>) -> Analysis {
     let mut timings = PassTimings::default();
     let t = pass_clock();
@@ -96,20 +90,12 @@ pub fn analyze_sources(sources: Vec<(String, String)>) -> Analysis {
     let graph = callgraph::CallGraph::build(&files, &contexts);
     timings.callgraph_ms = millis_between(t, pass_clock());
     let t = pass_clock();
-    let tainted = taint::analyze(&files, &contexts, &graph);
-    timings.taint_ms = millis_between(t, pass_clock());
-    let t = pass_clock();
     let streamed = streams::analyze(&files, &contexts, &graph);
     timings.streams_ms = millis_between(t, pass_clock());
-    let t = pass_clock();
-    let shared_state = shared::analyze(&files, &contexts, &graph);
-    timings.shared_ms = millis_between(t, pass_clock());
 
     // Global (interprocedural) findings, grouped by file so each file's
     // suppressions can waive them alongside the per-file rules.
-    let mut global: Vec<Finding> = tainted.findings;
-    global.extend(streamed.findings);
-    global.extend(shared_state.findings);
+    let global = streamed.findings;
 
     let t = pass_clock();
     let mut findings = Vec::new();
@@ -133,9 +119,7 @@ pub fn analyze_sources(sources: Vec<(String, String)>) -> Analysis {
         functions: graph.defs.len(),
         call_edges: graph.edge_count(),
         unresolved_calls: graph.unresolved_calls().count(),
-        taint_returning: tainted.taint_returning.iter().filter(|&&t| t).count(),
         stream_checked: streamed.checked.iter().filter(|&&c| c).count(),
-        lock_sites: shared_state.lock_sites,
     };
     let mut report = Report::with_details(findings, suppressed, files.len(), analysis);
     report.timings = Some(timings);

@@ -6,7 +6,7 @@
 //! cargo run -p autoscale-lint -- --list-rules    # what the rules check
 //! cargo run -p autoscale-lint -- --check-baseline results/lint_baseline.json
 //! cargo run -p autoscale-lint -- --write-baseline
-//! cargo run -p autoscale-lint -- --explain tainted-digest
+//! cargo run -p autoscale-lint -- --explain divergent-rng-draws
 //! cargo run -p autoscale-lint -- --graph-out target/callgraph.dot
 //! ```
 
@@ -66,9 +66,9 @@ OPTIONS:
                             (for CI artifacts)
     --graph-out PATH        Dump the workspace call graph as Graphviz DOT
     --timings               Keep per-pass wall-clock timings (lex, rules,
-                            callgraph, taint, streams, shared; ms)
-                            in the report, so a blown CI budget names the
-                            slow pass; always stripped from baselines
+                            callgraph, streams; ms) in the report, so a
+                            blown CI budget names the slow pass; always
+                            stripped from baselines
     -h, --help              Show this help
 
 EXIT CODES:
@@ -79,8 +79,7 @@ EXIT CODES:
 Suppress a single finding with `// lint:allow(<rule>): <justification>`
 on the offending line or standing alone directly above it (a standalone
 annotation covers the full statement that starts on the next line).
-`// lint:draws-exempt(<why>)` waives the three RNG stream rules at once;
-`// lint:taint-source(<why>)` marks a statement as a taint source.";
+`// lint:draws-exempt(<why>)` waives the three RNG stream rules at once.";
 
 /// Consumes an optional path value for a flag: the next argument if it
 /// exists and is not itself a flag, the default otherwise.

@@ -20,13 +20,9 @@ pub struct AnalysisStats {
     pub call_edges: usize,
     /// Call sites (non-test lib/bin code) the graph could not resolve.
     pub unresolved_calls: usize,
-    /// Functions the taint pass marks as returning tainted values.
-    pub taint_returning: usize,
     /// Functions whose draw intervals the stream pass checked (reachable
     /// from per-request entry points).
     pub stream_checked: usize,
-    /// Lock acquisition sites the shared-state pass recorded.
-    pub lock_sites: usize,
 }
 
 /// Wall-clock cost of each analyzer pass, in milliseconds. Carried on
@@ -40,23 +36,14 @@ pub struct PassTimings {
     pub rules_ms: f64,
     /// Building the workspace call graph.
     pub callgraph_ms: f64,
-    /// The interprocedural taint pass.
-    pub taint_ms: f64,
     /// The RNG stream-discipline pass.
     pub streams_ms: f64,
-    /// The shared-state / lock-order pass.
-    pub shared_ms: f64,
 }
 
 impl PassTimings {
     /// Total across all passes.
     pub fn total_ms(&self) -> f64 {
-        self.lex_ms
-            + self.rules_ms
-            + self.callgraph_ms
-            + self.taint_ms
-            + self.streams_ms
-            + self.shared_ms
+        self.lex_ms + self.rules_ms + self.callgraph_ms + self.streams_ms
     }
 }
 
@@ -71,7 +58,7 @@ pub struct Report {
     pub suppressed: Vec<Finding>,
     /// Number of files analyzed.
     pub files_scanned: usize,
-    /// Call-graph/taint coverage numbers for this run.
+    /// Call-graph and stream-pass coverage numbers for this run.
     pub analysis: AnalysisStats,
     /// Per-pass wall-clock timings; `None` unless `--timings` asked for
     /// them (and always `None` in baselines).
@@ -173,27 +160,18 @@ impl Report {
         if self.analysis.functions > 0 {
             let a = &self.analysis;
             out.push_str(&format!(
-                "call graph: {} functions, {} edges ({} unresolved), \
-                 {} taint-returning, {} stream-checked, {} lock sites\n",
-                a.functions,
-                a.call_edges,
-                a.unresolved_calls,
-                a.taint_returning,
-                a.stream_checked,
-                a.lock_sites
+                "call graph: {} functions, {} edges ({} unresolved), {} stream-checked\n",
+                a.functions, a.call_edges, a.unresolved_calls, a.stream_checked
             ));
         }
         if let Some(t) = &self.timings {
             out.push_str(&format!(
                 "timings: lex {:.1} ms, rules {:.1} ms, callgraph {:.1} ms, \
-                 taint {:.1} ms, streams {:.1} ms, shared {:.1} ms \
-                 (total {:.1} ms)\n",
+                 streams {:.1} ms (total {:.1} ms)\n",
                 t.lex_ms,
                 t.rules_ms,
                 t.callgraph_ms,
-                t.taint_ms,
                 t.streams_ms,
-                t.shared_ms,
                 t.total_ms()
             ));
         }
@@ -220,26 +198,17 @@ impl Report {
         let a = &self.analysis;
         out.push_str(&format!(
             "\n  }},\n  \"analysis\": {{\"functions\": {}, \"call_edges\": {}, \
-             \"unresolved_calls\": {}, \"taint_returning\": {}, \
-             \"stream_checked\": {}, \"lock_sites\": {}}},",
-            a.functions,
-            a.call_edges,
-            a.unresolved_calls,
-            a.taint_returning,
-            a.stream_checked,
-            a.lock_sites
+             \"unresolved_calls\": {}, \"stream_checked\": {}}},",
+            a.functions, a.call_edges, a.unresolved_calls, a.stream_checked
         ));
         if let Some(t) = &self.timings {
             out.push_str(&format!(
                 "\n  \"timings\": {{\"lex_ms\": {:.2}, \"rules_ms\": {:.2}, \
-                 \"callgraph_ms\": {:.2}, \"taint_ms\": {:.2}, \
-                 \"streams_ms\": {:.2}, \"shared_ms\": {:.2}, \"total_ms\": {:.2}}},",
+                 \"callgraph_ms\": {:.2}, \"streams_ms\": {:.2}, \"total_ms\": {:.2}}},",
                 t.lex_ms,
                 t.rules_ms,
                 t.callgraph_ms,
-                t.taint_ms,
                 t.streams_ms,
-                t.shared_ms,
                 t.total_ms()
             ));
         }
@@ -478,7 +447,7 @@ mod tests {
     fn baselines_round_trip_through_the_json_renderer() {
         let report = Report::new(
             vec![
-                finding("a.rs", 2, Rule::TaintedDigest),
+                finding("a.rs", 2, Rule::DivergentRngDraws),
                 finding("b.rs", 7, Rule::PanicInLib),
             ],
             3,
@@ -487,7 +456,7 @@ mod tests {
         assert_eq!(entries.len(), 2);
         assert_eq!(entries[0].file, "a.rs");
         assert_eq!(entries[0].line, 2);
-        assert_eq!(entries[0].rule, "tainted-digest");
+        assert_eq!(entries[0].rule, "divergent-rng-draws");
         // A full round trip is a no-op diff.
         let diff = report.against_baseline(&entries);
         assert!(diff.new.is_empty());
@@ -498,7 +467,7 @@ mod tests {
     fn baseline_diff_separates_new_from_fixed() {
         let old = Report::new(
             vec![
-                finding("a.rs", 2, Rule::TaintedDigest),
+                finding("a.rs", 2, Rule::DivergentRngDraws),
                 finding("gone.rs", 4, Rule::PrintInLib),
             ],
             3,
@@ -506,8 +475,8 @@ mod tests {
         let baseline = parse_baseline(&old.render_json()).expect("parses");
         let now = Report::new(
             vec![
-                finding("a.rs", 2, Rule::TaintedDigest),
-                finding("fresh.rs", 9, Rule::TaintedReportField),
+                finding("a.rs", 2, Rule::DivergentRngDraws),
+                finding("fresh.rs", 9, Rule::UnderivedRngStream),
             ],
             3,
         );
@@ -533,7 +502,7 @@ mod tests {
     #[test]
     fn suppressed_findings_stay_out_of_the_baseline() {
         let report = Report::with_details(
-            vec![finding("a.rs", 2, Rule::TaintedDigest)],
+            vec![finding("a.rs", 2, Rule::UnderivedRngStream)],
             vec![finding("waived.rs", 9, Rule::DivergentRngDraws)],
             3,
             AnalysisStats::default(),
@@ -569,36 +538,32 @@ mod tests {
             functions: 10,
             call_edges: 20,
             unresolved_calls: 3,
-            taint_returning: 2,
             stream_checked: 6,
-            lock_sites: 1,
         };
         let report = Report::with_details(Vec::new(), Vec::new(), 5, stats);
         let json = report.render_json();
         assert!(json.contains("\"analysis\": {\"functions\": 10, \"call_edges\": 20"));
         assert!(json.contains("\"unresolved_calls\": 3"));
-        assert!(json.contains("\"stream_checked\": 6, \"lock_sites\": 1"));
+        assert!(json.contains("\"unresolved_calls\": 3, \"stream_checked\": 6}"));
         let human = report.render_human();
         assert!(human.contains("call graph: 10 functions, 20 edges (3 unresolved)"));
-        assert!(human.contains("6 stream-checked, 1 lock sites"));
+        assert!(human.contains("(3 unresolved), 6 stream-checked"));
     }
 
     #[test]
     fn timings_render_only_when_requested_and_parse_cleanly() {
-        let mut report = Report::new(vec![finding("a.rs", 2, Rule::TaintedDigest)], 3);
+        let mut report = Report::new(vec![finding("a.rs", 2, Rule::DivergentRngDraws)], 3);
         assert!(!report.render_json().contains("\"timings\""));
         report.timings = Some(PassTimings {
             lex_ms: 1.5,
             rules_ms: 2.0,
             callgraph_ms: 3.0,
-            taint_ms: 4.0,
-            streams_ms: 1.5,
-            shared_ms: 0.25,
+            streams_ms: 1.75,
         });
         let json = report.render_json();
         assert!(json.contains("\"timings\": {\"lex_ms\": 1.50"));
-        assert!(json.contains("\"total_ms\": 12.25"));
-        assert!(report.render_human().contains("total 12.2 ms"));
+        assert!(json.contains("\"total_ms\": 8.25"));
+        assert!(report.render_human().contains("total 8.2 ms"));
         // A timings section must not confuse the baseline parser.
         let entries = parse_baseline(&json).expect("parses with timings present");
         assert_eq!(entries.len(), 1);

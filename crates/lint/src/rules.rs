@@ -19,12 +19,10 @@
 //! Suppressions are deliberate, reviewable diffs — the goal is that a
 //! waiver is visible in the same hunk as the code it excuses.
 //!
-//! Two sibling directives share the same coverage geometry:
-//! `// lint:draws-exempt(<why>)` waives the three RNG stream rules at
-//! once and `// lint:taint-source(<why>)` *marks* (not waives) the
-//! covered statement as a nondeterminism source for the taint pass.
+//! The sibling directive `// lint:draws-exempt(<why>)` shares the same
+//! coverage geometry and waives the three RNG stream rules at once.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use crate::context::{FileClass, FileContext};
 use crate::lexer::{Comment, LexedFile, Token, TokenKind};
@@ -46,12 +44,6 @@ pub enum Rule {
     /// `println!`/`eprintln!`/`print!`/`eprint!`/`dbg!` outside
     /// binaries, examples, and benchmarks.
     PrintInLib,
-    /// A wall-clock/env/entropy-derived value flows (possibly through
-    /// helper functions) into a digest update.
-    TaintedDigest,
-    /// A wall-clock/env/entropy-derived value flows into a field of a
-    /// `*Report` struct or a serde-serialized struct literal.
-    TaintedReportField,
     /// An RNG constructed from a literal or ad-hoc value instead of the
     /// `cell_seed`/`seeded_rng` derivation discipline.
     UnderivedRngStream,
@@ -61,29 +53,19 @@ pub enum Rule {
     /// The RNG draw count on a per-request path depends on policy or
     /// Q-state — schedules stop being policy-independent.
     PolicyDependentDraws,
-    /// Process-global or interior-mutable state reachable from serve
-    /// shard entry points, or a relaxed atomic feeding digested state.
-    SharedMutableHotState,
-    /// A cycle in the lock-acquisition-order graph — opposite orders on
-    /// two shards can deadlock.
-    LockOrderCycle,
 }
 
 impl Rule {
     /// Every rule, in reporting order.
-    pub const ALL: [Rule; 12] = [
+    pub const ALL: [Rule; 8] = [
         Rule::NondeterministicTime,
         Rule::NondeterministicRng,
         Rule::UnorderedIteration,
         Rule::PanicInLib,
         Rule::PrintInLib,
-        Rule::TaintedDigest,
-        Rule::TaintedReportField,
         Rule::UnderivedRngStream,
         Rule::DivergentRngDraws,
         Rule::PolicyDependentDraws,
-        Rule::SharedMutableHotState,
-        Rule::LockOrderCycle,
     ];
 
     /// The rule's kebab-case name — what `lint:allow(…)` takes.
@@ -94,13 +76,9 @@ impl Rule {
             Rule::UnorderedIteration => "unordered-iteration",
             Rule::PanicInLib => "panic-in-lib",
             Rule::PrintInLib => "print-in-lib",
-            Rule::TaintedDigest => "tainted-digest",
-            Rule::TaintedReportField => "tainted-report-field",
             Rule::UnderivedRngStream => "underived-rng-stream",
             Rule::DivergentRngDraws => "divergent-rng-draws",
             Rule::PolicyDependentDraws => "policy-dependent-draws",
-            Rule::SharedMutableHotState => "shared-mutable-hot-state",
-            Rule::LockOrderCycle => "lock-order-cycle",
         }
     }
 
@@ -131,17 +109,6 @@ impl Rule {
                  return a Result or annotate the provably-infallible case"
             }
             Rule::PrintInLib => "println!/eprintln!/dbg! outside binaries, examples and benches",
-            Rule::TaintedDigest => {
-                "a wall-clock / env / entropy-derived value reaches a digest \
-                 update (fnv1a_fold or any *digest* call/assignment), possibly \
-                 laundered through helper functions — the interprocedural taint \
-                 pass tracks values across workspace call edges"
-            }
-            Rule::TaintedReportField => {
-                "a wall-clock / env / entropy-derived value reaches a field of \
-                 a *Report struct or a serde-Serialize struct literal; reports \
-                 must stay pure functions of (trace, seed, index)"
-            }
             Rule::UnderivedRngStream => {
                 "RNG seeded from a literal or ad-hoc expression instead of the \
                  cell_seed/seeded_rng derivation discipline — every stream must \
@@ -158,17 +125,6 @@ impl Rule {
                 "the RNG draw count on a per-request path branches on policy or \
                  Q-state (epsilon, argmax, q_table, …) — fault schedules must \
                  stay policy-independent so traces are comparable across agents"
-            }
-            Rule::SharedMutableHotState => {
-                "static mut / interior-mutable statics, Mutex/RwLock/RefCell/\
-                 atomics reachable from serve shard entry points, or a \
-                 non-SeqCst atomic ordering in a function touching digested \
-                 state — shard determinism requires per-shard isolation"
-            }
-            Rule::LockOrderCycle => {
-                "a cycle in the workspace lock-acquisition-order graph (built \
-                 from .lock()/.read()/.write() order within and across calls); \
-                 two shards interleaving opposite orders can deadlock"
             }
         }
     }
@@ -263,7 +219,7 @@ fn is_doc_comment(text: &str) -> bool {
 /// The lines a directive comment covers: its own line(s), plus — for a
 /// standalone comment — the full span of the statement that starts on
 /// the very next line.
-pub(crate) fn coverage_span(comment: &Comment, tokens: &[Token]) -> std::ops::RangeInclusive<u32> {
+fn coverage_span(comment: &Comment, tokens: &[Token]) -> std::ops::RangeInclusive<u32> {
     if !comment.owns_line {
         return comment.line..=comment.end_line;
     }
@@ -333,22 +289,9 @@ fn statement_end_line(tokens: &[Token], start: usize) -> u32 {
     last
 }
 
-/// Lines covered by a `<marker>…)` directive (e.g. `lint:taint-source(`),
-/// using the same statement-span geometry as suppressions.
-pub(crate) fn marker_lines(comments: &[Comment], tokens: &[Token], marker: &str) -> BTreeSet<u32> {
-    let mut out = BTreeSet::new();
-    for comment in comments {
-        if is_doc_comment(&comment.text) || !comment.text.contains(marker) {
-            continue;
-        }
-        out.extend(coverage_span(comment, tokens));
-    }
-    out
-}
-
 /// Analyzes one file in isolation. The whole interprocedural pipeline
-/// runs on the single file: the call graph, taint, stream and
-/// shared-state passes all see only its own `fn`s.
+/// runs on the single file: the call graph and the stream pass see only
+/// its own `fn`s.
 ///
 /// `rel_path` must be workspace-relative: rule applicability is decided
 /// from it (see [`crate::context::classify`]).
@@ -465,7 +408,7 @@ fn check_rng(path: &str, lexed: &LexedFile, out: &mut Vec<Finding>) {
 
 /// Identifiers that mark a function as feeding deterministic output:
 /// digest arithmetic, serde serialization, or the session report.
-pub(crate) const SENSITIVE_IDENTS: [&str; 7] = [
+const SENSITIVE_IDENTS: [&str; 7] = [
     "digest",
     "trace_digest",
     "fnv1a_fold",
@@ -606,7 +549,6 @@ fn check_print(path: &str, lexed: &LexedFile, ctx: &FileContext, out: &mut Vec<F
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::lex;
 
     const LIB: &str = "crates/demo/src/lib.rs";
 
@@ -748,17 +690,5 @@ mod tests {
                    x.unwrap()\n\
                    }\n";
         assert!(rules_hit(LIB, src).is_empty());
-    }
-
-    #[test]
-    fn marker_lines_use_statement_spans() {
-        let lexed = lex("fn f(seed: u64) -> u64 {\n\
-             // lint:taint-source(fixture)\n\
-             let x = seed\n\
-                 .wrapping_mul(3);\n\
-             x\n}\n");
-        let marked = marker_lines(&lexed.comments, &lexed.tokens, "lint:taint-source(");
-        assert!(marked.contains(&2) && marked.contains(&3) && marked.contains(&4));
-        assert!(!marked.contains(&5));
     }
 }

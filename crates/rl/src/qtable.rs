@@ -221,8 +221,10 @@ pub struct QTable {
     /// The seeded generator of a random table, before its first draw;
     /// unset blocks are drawn from it. `None`: unset blocks are zeros.
     origin: Option<StdRng>,
-    /// One cell per block, set on the block's first read or write.
-    /// Padding slots past `actions` in each row stay `0.0` forever.
+    /// One cell per block, set on the block's first read or write, to a
+    /// pure function of (origin, block index): whichever reader sets a
+    /// cell stores the same values. Padding slots past `actions` in each
+    /// row stay `0.0` forever.
     blocks: Box<[OnceLock<Block>]>,
 }
 
@@ -274,7 +276,6 @@ impl QTable {
             actions,
             stride: actions.div_ceil(LANES),
             origin,
-            // lint:allow(shared-mutable-hot-state): a cell is set once, to a pure function of (origin, block index), so whichever reader sets it stores the same values; tables shared across shards are built before the shards start
             blocks: (0..states.div_ceil(BLOCK_ROWS))
                 .map(|_| OnceLock::new())
                 .collect(),

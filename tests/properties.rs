@@ -3,7 +3,10 @@
 mod common;
 mod dense_fleet;
 
+use autoscale::experiment;
+use autoscale::parallel::{cell_seed, run_cells};
 use autoscale::prelude::*;
+use autoscale::scheduler::{AutoScaleScheduler, FixedScheduler, OracleScheduler, Scheduler};
 use autoscale::state::State;
 use autoscale_net::Rssi;
 use autoscale_rl::{
@@ -465,24 +468,48 @@ proptest! {
     }
 }
 
-/// Serialized results of a small experiment grid run on the parallel
-/// harness with the given worker count.
+/// Serialized results of a Figure 9-shaped grid run on the parallel
+/// harness with the given worker count. Each (phone, workload) cell
+/// trains leave-one-out AutoScale, then runs it with oracle tracking
+/// beside the four fixed baselines, Opt, MOSAIC and NeuroSurgeon on two
+/// static environments. Every stream derives from the cell seed.
 fn harness_grid_bytes(threads: usize, base_seed: u64) -> Vec<u8> {
-    let specs: Vec<(Workload, EnvironmentId)> = [Workload::MobileNetV2, Workload::ResNet50]
-        .iter()
-        .flat_map(|&w| {
-            [EnvironmentId::S1, EnvironmentId::S4, EnvironmentId::D2]
-                .iter()
-                .map(move |&e| (w, e))
-        })
+    let specs: Vec<(DeviceId, Workload)> = [DeviceId::Mi8Pro, DeviceId::MotoXForce]
+        .into_iter()
+        .flat_map(|d| [Workload::MobileNetV2, Workload::ResNet50].map(|w| (d, w)))
         .collect();
+    let envs = [EnvironmentId::S1, EnvironmentId::S4];
     let config = EngineConfig::paper();
-    let reports = autoscale::parallel::run_cells(threads, base_seed, &specs, |cell| {
-        let (w, env) = *cell.spec;
-        let ev = Evaluator::new(Simulator::new(DeviceId::Mi8Pro), config);
-        let mut sched = autoscale::scheduler::FixedScheduler::edge_cpu_fp32(ev.sim());
+    let reward_for = move |w: Workload| config.reward_for(w);
+    let reports = run_cells(threads, base_seed, &specs, |cell| {
+        let (device, w) = *cell.spec;
+        let ev = Evaluator::new(Simulator::new(device), config);
+        let sim = ev.sim();
+        let [train_seed, prior_seed] = [1, 2].map(|k| cell_seed(cell.seed, k));
+        let engine = experiment::train_leave_one_out(sim, w, &envs, 5, config, train_seed);
+        let mut autoscale = AutoScaleScheduler::new(engine, false);
+        let oracle = OracleScheduler::new(sim, reward_for);
+        let mut prior_rng = autoscale::seeded_rng(prior_seed);
+        let qos = config.scenario_for(w).qos_ms();
+        let mut others: Vec<Box<dyn Scheduler>> = vec![
+            Box::new(FixedScheduler::edge_best(sim, reward_for)),
+            Box::new(FixedScheduler::cloud(sim, reward_for)),
+            Box::new(FixedScheduler::connected_edge(sim, reward_for)),
+            Box::new(OracleScheduler::new(sim, reward_for)),
+            Box::new(experiment::build_mosaic(sim, qos, &mut prior_rng)),
+            Box::new(experiment::build_neurosurgeon(sim, &mut prior_rng)),
+        ];
         let mut rng = autoscale::seeded_rng(cell.seed);
-        ev.run(&mut sched, w, env, 0, 20, None, &mut rng)
+        let mut reports = Vec::new();
+        for env in envs {
+            let mut base = FixedScheduler::edge_cpu_fp32(sim);
+            reports.push(ev.run(&mut base, w, env, 0, 20, None, &mut rng));
+            reports.push(ev.run(&mut autoscale, w, env, 10, 20, Some(&oracle), &mut rng));
+            for other in &mut others {
+                reports.push(ev.run(other.as_mut(), w, env, 0, 20, None, &mut rng));
+            }
+        }
+        reports
     });
     serde_json::to_vec(&reports).expect("reports serialize")
 }
