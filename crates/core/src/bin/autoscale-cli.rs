@@ -212,11 +212,16 @@ fn parse_u64(flags: &BTreeMap<String, String>, key: &str, default: u64) -> Resul
     }
 }
 
+/// Parses a float flag, rejecting the `inf` and `NaN` that Rust's
+/// float parser accepts: a non-finite rate or horizon never ends the
+/// open loop.
 fn parse_f64(flags: &BTreeMap<String, String>, key: &str, default: f64) -> Result<f64, String> {
     match flags.get(key) {
         Some(v) => v
             .parse()
-            .map_err(|_| format!("--{key} must be a number, got `{v}`")),
+            .ok()
+            .filter(|x: &f64| x.is_finite())
+            .ok_or_else(|| format!("--{key} must be a finite number, got `{v}`")),
         None => Ok(default),
     }
 }
@@ -707,5 +712,17 @@ mod tests {
             parse_usize(&BTreeMap::new(), "runs", 10).expect("default"),
             10
         );
+        // A non-finite open-loop rate or horizon never ends the loop.
+        for (key, value) in [
+            ("horizon-ms", "inf"),
+            ("rate", "inf"),
+            ("horizon-ms", "nan"),
+        ] {
+            let flags = BTreeMap::from([(key.to_string(), value.to_string())]);
+            let err = parse_f64(&flags, key, 1.0).expect_err("non-finite is rejected");
+            assert!(err.contains(&format!("--{key}")), "{err}");
+        }
+        let flags = BTreeMap::from([("rate".to_string(), "250.5".to_string())]);
+        assert_eq!(parse_f64(&flags, "rate", 1.0), Ok(250.5));
     }
 }

@@ -200,7 +200,8 @@ impl Scheduler for AutoScaleScheduler {
         snapshot: &Snapshot,
         rng: &mut StdRng,
     ) -> Decision {
-        // lint:draws-exempt(eval mode draws nothing by design; training/eval streams are never digest-compared)
+        // Eval mode draws nothing by design; training and eval streams are
+        // never digest-compared.
         let decided = if self.training {
             self.engine.decide(sim, workload, snapshot, rng)
         } else {
@@ -302,7 +303,8 @@ impl Scheduler for LinearFaScheduler {
     ) -> Decision {
         let phi = Self::phi(sim, workload, snapshot);
         let mask = self.space.mask(sim, workload);
-        // lint:draws-exempt(eval mode draws nothing by design; training/eval streams are never digest-compared)
+        // Eval mode draws nothing by design; training and eval streams are
+        // never digest-compared.
         let action = if self.training {
             self.agent.select_action(&phi, &mask, rng)
         } else {
@@ -452,7 +454,8 @@ impl Scheduler for HybridScheduler {
             .engine_states
             .encode_observation(sim.network(workload), snapshot);
         let mask = self.mask(sim, workload);
-        // lint:draws-exempt(eval mode draws nothing by design; training/eval streams are never digest-compared)
+        // Eval mode draws nothing by design; training and eval streams are
+        // never digest-compared.
         let action = if self.training {
             self.agent
                 .select_action(state, &MaskSet::from_bools(&mask), rng)

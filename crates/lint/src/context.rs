@@ -90,7 +90,7 @@ fn mark_cfg_test(tokens: &[Token]) -> Vec<bool> {
     let mut i = 0;
     while i < tokens.len() {
         if tokens[i].is_punct('#') && matches(tokens, i + 1, "[") {
-            let attr_end = match close_bracket(tokens, i + 1) {
+            let attr_end = match matching_close(tokens, i + 1, ('[', ']')) {
                 Some(end) => end,
                 None => break,
             };
@@ -116,13 +116,18 @@ fn attr_is_cfg_test(args: &[Token]) -> bool {
     args.first().is_some_and(|t| t.is_ident("cfg")) && args.iter().any(|t| t.is_ident("test"))
 }
 
-/// Index of the `]` matching the `[` at `open`.
-fn close_bracket(tokens: &[Token], open: usize) -> Option<usize> {
+/// Index of the `close` matching the `open_char` delimiter at `open`
+/// (`[`/`]` or `(`/`)`).
+pub(crate) fn matching_close(
+    tokens: &[Token],
+    open: usize,
+    (open_char, close): (char, char),
+) -> Option<usize> {
     let mut depth = 0usize;
     for (k, t) in tokens.iter().enumerate().skip(open) {
-        if t.is_punct('[') {
+        if t.is_punct(open_char) {
             depth += 1;
-        } else if t.is_punct(']') {
+        } else if t.is_punct(close) {
             depth -= 1;
             if depth == 0 {
                 return Some(k);
@@ -139,7 +144,7 @@ fn item_end(tokens: &[Token], start: usize) -> usize {
     let mut i = start;
     // Skip any further attributes.
     while i < tokens.len() && tokens[i].is_punct('#') && matches(tokens, i + 1, "[") {
-        match close_bracket(tokens, i + 1) {
+        match matching_close(tokens, i + 1, ('[', ']')) {
             Some(end) => i = end + 1,
             None => return tokens.len().saturating_sub(1),
         }

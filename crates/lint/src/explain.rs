@@ -83,43 +83,7 @@ pub fn explain(rule: Rule) -> &'static str {
              \n\
              Fix: derive the seed through `cell_seed`/`seeded_rng`. Waive a\n\
              deliberate fixed stream with\n\
-             `// lint:draws-exempt(<why>)` or\n\
              `// lint:allow(underived-rng-stream): <why>`."
-        }
-        Rule::DivergentRngDraws => {
-            "divergent-rng-draws — branch arms draw unequal RNG counts.\n\
-             \n\
-             The stream pass computes a draw-count interval for every\n\
-             function (summing callee intervals through the call graph) and\n\
-             walks branchy control flow in every function reachable from\n\
-             per-request entry points: FaultInjector, ArrivalSampler and\n\
-             ChurnWindow methods, `decide_*`. It fires when the arms of an\n\
-             `if`/`match` consume provably different counts — the next\n\
-             request's draws then shift depending on data, so fault\n\
-             schedules stop being prefix-stable (see\n\
-             FAULT_DRAWS_PER_REQUEST in crates/sim/src/faults.rs).\n\
-             \n\
-             Fix: equalize arms with a burn draw, or hoist draws above the\n\
-             branch. Waive a deliberately divergent protocol with\n\
-             `// lint:draws-exempt(<why>)`."
-        }
-        Rule::PolicyDependentDraws => {
-            "policy-dependent-draws — draw count branches on policy state.\n\
-             \n\
-             A divergent-draws finding upgrades to this rule when the\n\
-             branch condition mentions policy/Q-state identifiers (epsilon,\n\
-             greedy, argmax, q_table, agent, action, …). Unequal arms that\n\
-             depend on *data* shift schedules between runs; arms that\n\
-             depend on the *policy* make the environment's fault schedule a\n\
-             function of the agent under test — traces stop being\n\
-             comparable across agents, which is the property every A/B\n\
-             energy comparison in the paper rests on.\n\
-             \n\
-             Fix: draw unconditionally and discard on the cheap arm, or\n\
-             move the policy branch below all draws. Waive a pinned,\n\
-             digest-protected protocol (e.g. epsilon-greedy's\n\
-             exploration-only bounded draw) with\n\
-             `// lint:draws-exempt(<why>)`."
         }
     }
 }

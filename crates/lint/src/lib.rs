@@ -24,11 +24,7 @@
 //!    function-body spans.
 //! 3. [`rules`] runs the token-pattern rules (see [`rules::Rule`]) and
 //!    filters findings through `// lint:allow(<rule>)` suppressions.
-//! 4. [`callgraph`] builds a conservative workspace call graph on top
-//!    of the same token streams, and [`streams`] checks RNG stream
-//!    discipline over it (seed derivation, draw-count interval analysis
-//!    over per-request paths).
-//! 5. [`report`] renders the findings as terminal lines or stable JSON
+//! 4. [`report`] renders the findings as terminal lines or stable JSON
 //!    (`results/lint_baseline.json` is one such document).
 //!
 //! The crate is std-only and dependency-free on purpose: the analyzer
@@ -40,40 +36,24 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod callgraph;
 pub mod context;
 pub mod explain;
 pub mod lexer;
 pub mod report;
 pub mod rules;
-pub mod streams;
 pub mod walk;
 
-pub use report::{AnalysisStats, PassTimings, Report};
+pub use report::{PassTimings, Report};
 pub use rules::{analyze_file, Finding, Rule};
 
 use crate::context::{classify, FileContext};
 
-/// A full workspace analysis: the report plus the artifacts behind it,
-/// so callers (the CLI's `--graph-out`, tests) can inspect the graph.
-#[derive(Debug)]
-pub struct Analysis {
-    /// Findings, suppressions, and coverage stats.
-    pub report: Report,
-    /// The workspace call graph the stream pass ran on.
-    pub graph: callgraph::CallGraph,
-    /// Workspace-relative paths, in the order the graph's `file`
-    /// indices reference them.
-    pub files: Vec<String>,
-}
-
-/// Runs the whole pipeline — per-file rules, call graph, stream
-/// discipline — over in-memory `(path, source)` pairs.
+/// Runs the whole pipeline (lexing, file contexts, per-file rules and
+/// suppressions) over in-memory `(path, source)` pairs.
 ///
-/// This is the substitution point the sabotage tests use: read the real
-/// workspace, swap one file's source for a doctored version, and assert
-/// the defect is caught.
-pub fn analyze_sources(sources: Vec<(String, String)>) -> Analysis {
+/// [`analyze_workspace`] feeds it the workspace read from disk, and
+/// [`analyze_file`] a single in-memory file.
+pub fn analyze_sources(sources: Vec<(String, String)>) -> Report {
     let mut timings = PassTimings::default();
     let t = pass_clock();
     let files: Vec<(String, lexer::LexedFile)> = sources
@@ -87,24 +67,11 @@ pub fn analyze_sources(sources: Vec<(String, String)>) -> Analysis {
     timings.lex_ms = millis_between(t, pass_clock());
 
     let t = pass_clock();
-    let graph = callgraph::CallGraph::build(&files, &contexts);
-    timings.callgraph_ms = millis_between(t, pass_clock());
-    let t = pass_clock();
-    let streamed = streams::analyze(&files, &contexts, &graph);
-    timings.streams_ms = millis_between(t, pass_clock());
-
-    // Global (interprocedural) findings, grouped by file so each file's
-    // suppressions can waive them alongside the per-file rules.
-    let global = streamed.findings;
-
-    let t = pass_clock();
     let mut findings = Vec::new();
     let mut suppressed = Vec::new();
     for (i, (rel, lexed)) in files.iter().enumerate() {
         let sup = rules::Suppressions::parse(&lexed.comments, &lexed.tokens);
-        let mut raw = rules::per_file_findings(rel, lexed, &contexts[i]);
-        raw.extend(global.iter().filter(|f| &f.file == rel).cloned());
-        for f in raw {
+        for f in rules::per_file_findings(rel, lexed, &contexts[i]) {
             if sup.allows(f.line, f.rule) {
                 suppressed.push(f);
             } else {
@@ -115,19 +82,9 @@ pub fn analyze_sources(sources: Vec<(String, String)>) -> Analysis {
     }
     timings.rules_ms = millis_between(t, pass_clock());
 
-    let analysis = AnalysisStats {
-        functions: graph.defs.len(),
-        call_edges: graph.edge_count(),
-        unresolved_calls: graph.unresolved_calls().count(),
-        stream_checked: streamed.checked.iter().filter(|&&c| c).count(),
-    };
-    let mut report = Report::with_details(findings, suppressed, files.len(), analysis);
+    let mut report = Report::with_details(findings, suppressed, files.len());
     report.timings = Some(timings);
-    Analysis {
-        report,
-        graph,
-        files: files.into_iter().map(|(rel, _)| rel).collect(),
-    }
+    report
 }
 
 /// Reads the pass timer. Quarantines the analyzer's one wall-clock
@@ -143,32 +100,6 @@ fn millis_between(start: std::time::Instant, end: std::time::Instant) -> f64 {
     end.duration_since(start).as_secs_f64() * 1e3
 }
 
-/// Reads every workspace source file under `root` into memory as
-/// `(workspace-relative path, source)` pairs, in walk order.
-///
-/// # Errors
-///
-/// Returns the first I/O error hit while walking or reading sources.
-pub fn read_workspace_sources(root: &std::path::Path) -> std::io::Result<Vec<(String, String)>> {
-    let files = walk::workspace_sources(root)?;
-    let mut sources = Vec::with_capacity(files.len());
-    for rel in files {
-        let source = std::fs::read_to_string(root.join(&rel))?;
-        sources.push((rel.to_string_lossy().replace('\\', "/"), source));
-    }
-    Ok(sources)
-}
-
-/// Analyzes every workspace source file under `root` and returns the
-/// full [`Analysis`] (report + call graph).
-///
-/// # Errors
-///
-/// Returns the first I/O error hit while walking or reading sources.
-pub fn analyze_workspace_full(root: &std::path::Path) -> std::io::Result<Analysis> {
-    Ok(analyze_sources(read_workspace_sources(root)?))
-}
-
 /// Analyzes every workspace source file under `root` and returns the
 /// aggregated report.
 ///
@@ -176,5 +107,11 @@ pub fn analyze_workspace_full(root: &std::path::Path) -> std::io::Result<Analysi
 ///
 /// Returns the first I/O error hit while walking or reading sources.
 pub fn analyze_workspace(root: &std::path::Path) -> std::io::Result<Report> {
-    Ok(analyze_workspace_full(root)?.report)
+    let files = walk::workspace_sources(root)?;
+    let mut sources = Vec::with_capacity(files.len());
+    for rel in files {
+        let source = std::fs::read_to_string(root.join(&rel))?;
+        sources.push((rel.to_string_lossy().replace('\\', "/"), source));
+    }
+    Ok(analyze_sources(sources))
 }

@@ -6,8 +6,7 @@
 //! cargo run -p autoscale-lint -- --list-rules    # what the rules check
 //! cargo run -p autoscale-lint -- --check-baseline results/lint_baseline.json
 //! cargo run -p autoscale-lint -- --write-baseline
-//! cargo run -p autoscale-lint -- --explain divergent-rng-draws
-//! cargo run -p autoscale-lint -- --graph-out target/callgraph.dot
+//! cargo run -p autoscale-lint -- --explain underived-rng-stream
 //! ```
 
 use std::path::PathBuf;
@@ -35,8 +34,6 @@ struct Args {
     write_baseline: Option<PathBuf>,
     /// Always write the JSON report here too (CI artifact on failure).
     report_out: Option<PathBuf>,
-    /// Dump the workspace call graph as Graphviz DOT to this path.
-    graph_out: Option<PathBuf>,
     /// Keep per-pass wall-clock timings in the report output.
     timings: bool,
 }
@@ -48,7 +45,7 @@ USAGE:
     autoscale-lint [--format human|json] [--root PATH] [--list-rules]
                    [--explain RULE|all] [--check-baseline [PATH]]
                    [--write-baseline [PATH]] [--report-out PATH]
-                   [--graph-out PATH] [--timings]
+                   [--timings]
 
 OPTIONS:
     --format human|json     Output format (default: human)
@@ -64,11 +61,9 @@ OPTIONS:
                             baseline (default path as above) and exit 0
     --report-out PATH       Additionally write the JSON report to PATH
                             (for CI artifacts)
-    --graph-out PATH        Dump the workspace call graph as Graphviz DOT
-    --timings               Keep per-pass wall-clock timings (lex, rules,
-                            callgraph, streams; ms) in the report, so a
-                            blown CI budget names the slow pass; always
-                            stripped from baselines
+    --timings               Keep per-pass wall-clock timings (lex, rules;
+                            ms) in the report, so a blown CI budget names
+                            the slow pass; always stripped from baselines
     -h, --help              Show this help
 
 EXIT CODES:
@@ -78,8 +73,7 @@ EXIT CODES:
 
 Suppress a single finding with `// lint:allow(<rule>): <justification>`
 on the offending line or standing alone directly above it (a standalone
-annotation covers the full statement that starts on the next line).
-`// lint:draws-exempt(<why>)` waives the three RNG stream rules at once.";
+annotation covers the full statement that starts on the next line).";
 
 /// Consumes an optional path value for a flag: the next argument if it
 /// exists and is not itself a flag, the default otherwise.
@@ -100,7 +94,6 @@ fn parse_args(argv: &[String]) -> Result<Option<Args>, String> {
         check_baseline: None,
         write_baseline: None,
         report_out: None,
-        graph_out: None,
         timings: false,
     };
     let mut i = 0;
@@ -156,12 +149,6 @@ fn parse_args(argv: &[String]) -> Result<Option<Args>, String> {
                 }
                 return Ok(None);
             }
-            "--graph-out" => {
-                i += 1;
-                args.graph_out = Some(PathBuf::from(
-                    argv.get(i).ok_or("--graph-out requires a path")?,
-                ));
-            }
             "--timings" => {
                 args.timings = true;
             }
@@ -189,21 +176,13 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let analysis = match autoscale_lint::analyze_workspace_full(&args.root) {
-        Ok(analysis) => analysis,
+    let mut report = match autoscale_lint::analyze_workspace(&args.root) {
+        Ok(report) => report,
         Err(err) => {
             eprintln!("autoscale-lint: I/O error: {err}");
             return ExitCode::from(2);
         }
     };
-    if let Some(path) = &args.graph_out {
-        let dot = analysis.graph.render_dot(&analysis.files);
-        if let Err(err) = write_report(path, &dot) {
-            eprintln!("autoscale-lint: cannot write {}: {err}", path.display());
-            return ExitCode::from(2);
-        }
-    }
-    let mut report = analysis.report;
     if !args.timings {
         report.timings = None;
     }

@@ -9,22 +9,6 @@ use std::collections::BTreeMap;
 
 use crate::rules::{Finding, Rule};
 
-/// Shape of the interprocedural analysis behind a report: how much of
-/// the workspace the call graph could see and resolve. Zero-valued when
-/// the report came from a per-file run without the workspace passes.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct AnalysisStats {
-    /// Function definitions in the call graph.
-    pub functions: usize,
-    /// Resolved fn-to-fn call edges.
-    pub call_edges: usize,
-    /// Call sites (non-test lib/bin code) the graph could not resolve.
-    pub unresolved_calls: usize,
-    /// Functions whose draw intervals the stream pass checked (reachable
-    /// from per-request entry points).
-    pub stream_checked: usize,
-}
-
 /// Wall-clock cost of each analyzer pass, in milliseconds. Carried on
 /// the report only when `--timings` asks for it, and always stripped
 /// before a baseline is written — baselines must stay byte-stable.
@@ -34,16 +18,12 @@ pub struct PassTimings {
     pub lex_ms: f64,
     /// The per-file token rules and suppression filtering.
     pub rules_ms: f64,
-    /// Building the workspace call graph.
-    pub callgraph_ms: f64,
-    /// The RNG stream-discipline pass.
-    pub streams_ms: f64,
 }
 
 impl PassTimings {
     /// Total across all passes.
     pub fn total_ms(&self) -> f64 {
-        self.lex_ms + self.rules_ms + self.callgraph_ms + self.streams_ms
+        self.lex_ms + self.rules_ms
     }
 }
 
@@ -52,14 +32,12 @@ impl PassTimings {
 pub struct Report {
     /// Every unsuppressed finding, ordered by (file, line, rule).
     pub findings: Vec<Finding>,
-    /// Findings waived by `lint:allow`/`lint:draws-exempt`, same order.
+    /// Findings waived by `lint:allow`, same order.
     /// Kept visible so waivers are auditable from the JSON report and
     /// so the baseline diff can tell "fixed" from "silenced".
     pub suppressed: Vec<Finding>,
     /// Number of files analyzed.
     pub files_scanned: usize,
-    /// Call-graph and stream-pass coverage numbers for this run.
-    pub analysis: AnalysisStats,
     /// Per-pass wall-clock timings; `None` unless `--timings` asked for
     /// them (and always `None` in baselines).
     pub timings: Option<PassTimings>,
@@ -68,21 +46,14 @@ pub struct Report {
 impl Report {
     /// Builds a report, normalizing finding order.
     pub fn new(findings: Vec<Finding>, files_scanned: usize) -> Self {
-        Report::with_details(
-            findings,
-            Vec::new(),
-            files_scanned,
-            AnalysisStats::default(),
-        )
+        Report::with_details(findings, Vec::new(), files_scanned)
     }
 
-    /// Builds a report that also carries suppressed findings and the
-    /// interprocedural coverage stats.
+    /// Builds a report that also carries suppressed findings.
     pub fn with_details(
         mut findings: Vec<Finding>,
         mut suppressed: Vec<Finding>,
         files_scanned: usize,
-        analysis: AnalysisStats,
     ) -> Self {
         let order = |list: &mut Vec<Finding>| {
             list.sort_by(|a: &Finding, b: &Finding| {
@@ -96,7 +67,6 @@ impl Report {
             findings,
             suppressed,
             files_scanned,
-            analysis,
             timings: None,
         }
     }
@@ -157,21 +127,11 @@ impl Report {
                 self.files_scanned
             ));
         }
-        if self.analysis.functions > 0 {
-            let a = &self.analysis;
-            out.push_str(&format!(
-                "call graph: {} functions, {} edges ({} unresolved), {} stream-checked\n",
-                a.functions, a.call_edges, a.unresolved_calls, a.stream_checked
-            ));
-        }
         if let Some(t) = &self.timings {
             out.push_str(&format!(
-                "timings: lex {:.1} ms, rules {:.1} ms, callgraph {:.1} ms, \
-                 streams {:.1} ms (total {:.1} ms)\n",
+                "timings: lex {:.1} ms, rules {:.1} ms (total {:.1} ms)\n",
                 t.lex_ms,
                 t.rules_ms,
-                t.callgraph_ms,
-                t.streams_ms,
                 t.total_ms()
             ));
         }
@@ -195,20 +155,12 @@ impl Report {
             }
             out.push_str(&format!("\n    \"{name}\": {n}"));
         }
-        let a = &self.analysis;
-        out.push_str(&format!(
-            "\n  }},\n  \"analysis\": {{\"functions\": {}, \"call_edges\": {}, \
-             \"unresolved_calls\": {}, \"stream_checked\": {}}},",
-            a.functions, a.call_edges, a.unresolved_calls, a.stream_checked
-        ));
+        out.push_str("\n  },");
         if let Some(t) = &self.timings {
             out.push_str(&format!(
-                "\n  \"timings\": {{\"lex_ms\": {:.2}, \"rules_ms\": {:.2}, \
-                 \"callgraph_ms\": {:.2}, \"streams_ms\": {:.2}, \"total_ms\": {:.2}}},",
+                "\n  \"timings\": {{\"lex_ms\": {:.2}, \"rules_ms\": {:.2}, \"total_ms\": {:.2}}},",
                 t.lex_ms,
                 t.rules_ms,
-                t.callgraph_ms,
-                t.streams_ms,
                 t.total_ms()
             ));
         }
@@ -447,7 +399,7 @@ mod tests {
     fn baselines_round_trip_through_the_json_renderer() {
         let report = Report::new(
             vec![
-                finding("a.rs", 2, Rule::DivergentRngDraws),
+                finding("a.rs", 2, Rule::UnorderedIteration),
                 finding("b.rs", 7, Rule::PanicInLib),
             ],
             3,
@@ -456,7 +408,7 @@ mod tests {
         assert_eq!(entries.len(), 2);
         assert_eq!(entries[0].file, "a.rs");
         assert_eq!(entries[0].line, 2);
-        assert_eq!(entries[0].rule, "divergent-rng-draws");
+        assert_eq!(entries[0].rule, "unordered-iteration");
         // A full round trip is a no-op diff.
         let diff = report.against_baseline(&entries);
         assert!(diff.new.is_empty());
@@ -467,7 +419,7 @@ mod tests {
     fn baseline_diff_separates_new_from_fixed() {
         let old = Report::new(
             vec![
-                finding("a.rs", 2, Rule::DivergentRngDraws),
+                finding("a.rs", 2, Rule::UnorderedIteration),
                 finding("gone.rs", 4, Rule::PrintInLib),
             ],
             3,
@@ -475,7 +427,7 @@ mod tests {
         let baseline = parse_baseline(&old.render_json()).expect("parses");
         let now = Report::new(
             vec![
-                finding("a.rs", 2, Rule::DivergentRngDraws),
+                finding("a.rs", 2, Rule::UnorderedIteration),
                 finding("fresh.rs", 9, Rule::UnderivedRngStream),
             ],
             3,
@@ -503,9 +455,8 @@ mod tests {
     fn suppressed_findings_stay_out_of_the_baseline() {
         let report = Report::with_details(
             vec![finding("a.rs", 2, Rule::UnderivedRngStream)],
-            vec![finding("waived.rs", 9, Rule::DivergentRngDraws)],
+            vec![finding("waived.rs", 9, Rule::UnorderedIteration)],
             3,
-            AnalysisStats::default(),
         );
         let entries = parse_baseline(&report.render_json()).expect("parses");
         assert_eq!(entries.len(), 1);
@@ -518,12 +469,7 @@ mod tests {
         // suppressed. That is "silenced", not "fixed".
         let old = Report::new(vec![finding("a.rs", 2, Rule::PanicInLib)], 1);
         let baseline = parse_baseline(&old.render_json()).expect("parses");
-        let now = Report::with_details(
-            Vec::new(),
-            vec![finding("a.rs", 2, Rule::PanicInLib)],
-            1,
-            AnalysisStats::default(),
-        );
+        let now = Report::with_details(Vec::new(), vec![finding("a.rs", 2, Rule::PanicInLib)], 1);
         let diff = now.against_baseline(&baseline);
         assert!(diff.new.is_empty());
         assert!(diff.fixed.is_empty());
@@ -533,37 +479,17 @@ mod tests {
     }
 
     #[test]
-    fn analysis_stats_render_in_json_and_human() {
-        let stats = AnalysisStats {
-            functions: 10,
-            call_edges: 20,
-            unresolved_calls: 3,
-            stream_checked: 6,
-        };
-        let report = Report::with_details(Vec::new(), Vec::new(), 5, stats);
-        let json = report.render_json();
-        assert!(json.contains("\"analysis\": {\"functions\": 10, \"call_edges\": 20"));
-        assert!(json.contains("\"unresolved_calls\": 3"));
-        assert!(json.contains("\"unresolved_calls\": 3, \"stream_checked\": 6}"));
-        let human = report.render_human();
-        assert!(human.contains("call graph: 10 functions, 20 edges (3 unresolved)"));
-        assert!(human.contains("(3 unresolved), 6 stream-checked"));
-    }
-
-    #[test]
     fn timings_render_only_when_requested_and_parse_cleanly() {
-        let mut report = Report::new(vec![finding("a.rs", 2, Rule::DivergentRngDraws)], 3);
+        let mut report = Report::new(vec![finding("a.rs", 2, Rule::UnorderedIteration)], 3);
         assert!(!report.render_json().contains("\"timings\""));
         report.timings = Some(PassTimings {
             lex_ms: 1.5,
-            rules_ms: 2.0,
-            callgraph_ms: 3.0,
-            streams_ms: 1.75,
+            rules_ms: 2.75,
         });
         let json = report.render_json();
         assert!(json.contains("\"timings\": {\"lex_ms\": 1.50"));
-        assert!(json.contains("\"total_ms\": 8.25"));
-        assert!(report.render_human().contains("total 8.2 ms"));
+        assert!(json.contains("\"total_ms\": 4.25"));
+        assert!(report.render_human().contains("total 4.2 ms"));
         // A timings section must not confuse the baseline parser.
         let entries = parse_baseline(&json).expect("parses with timings present");
         assert_eq!(entries.len(), 1);

@@ -18,13 +18,10 @@
 //! justification; several rules may be listed, comma-separated.
 //! Suppressions are deliberate, reviewable diffs — the goal is that a
 //! waiver is visible in the same hunk as the code it excuses.
-//!
-//! The sibling directive `// lint:draws-exempt(<why>)` shares the same
-//! coverage geometry and waives the three RNG stream rules at once.
 
 use std::collections::BTreeMap;
 
-use crate::context::{FileClass, FileContext};
+use crate::context::{matching_close, FileClass, FileContext};
 use crate::lexer::{Comment, LexedFile, Token, TokenKind};
 
 /// The analyzer's rules.
@@ -47,25 +44,17 @@ pub enum Rule {
     /// An RNG constructed from a literal or ad-hoc value instead of the
     /// `cell_seed`/`seeded_rng` derivation discipline.
     UnderivedRngStream,
-    /// Branch arms on a per-request path consume unequal RNG draw
-    /// counts, so downstream draws shift between runs.
-    DivergentRngDraws,
-    /// The RNG draw count on a per-request path depends on policy or
-    /// Q-state — schedules stop being policy-independent.
-    PolicyDependentDraws,
 }
 
 impl Rule {
     /// Every rule, in reporting order.
-    pub const ALL: [Rule; 8] = [
+    pub const ALL: [Rule; 6] = [
         Rule::NondeterministicTime,
         Rule::NondeterministicRng,
         Rule::UnorderedIteration,
         Rule::PanicInLib,
         Rule::PrintInLib,
         Rule::UnderivedRngStream,
-        Rule::DivergentRngDraws,
-        Rule::PolicyDependentDraws,
     ];
 
     /// The rule's kebab-case name — what `lint:allow(…)` takes.
@@ -77,8 +66,6 @@ impl Rule {
             Rule::PanicInLib => "panic-in-lib",
             Rule::PrintInLib => "print-in-lib",
             Rule::UnderivedRngStream => "underived-rng-stream",
-            Rule::DivergentRngDraws => "divergent-rng-draws",
-            Rule::PolicyDependentDraws => "policy-dependent-draws",
         }
     }
 
@@ -114,18 +101,6 @@ impl Rule {
                  cell_seed/seeded_rng derivation discipline — every stream must \
                  trace back to (base_seed, cell index, stream index)"
             }
-            Rule::DivergentRngDraws => {
-                "branch arms in a function reachable from per-request entry \
-                 points (FaultInjector, ArrivalSampler and ChurnWindow methods, \
-                 decide_*) consume unequal RNG draw counts, shifting every later \
-                 draw; equalize with a burn draw or waive with \
-                 lint:draws-exempt(<why>)"
-            }
-            Rule::PolicyDependentDraws => {
-                "the RNG draw count on a per-request path branches on policy or \
-                 Q-state (epsilon, argmax, q_table, …) — fault schedules must \
-                 stay policy-independent so traces are comparable across agents"
-            }
         }
     }
 }
@@ -143,8 +118,7 @@ pub struct Finding {
     pub message: String,
 }
 
-/// Per-line suppressions parsed from `lint:allow(…)` and
-/// `lint:draws-exempt(…)` comments.
+/// Per-line suppressions parsed from `lint:allow(…)` comments.
 #[derive(Debug, Default)]
 pub(crate) struct Suppressions {
     /// line → rules allowed on that line.
@@ -178,15 +152,6 @@ impl Suppressions {
                     }
                 }
                 rest = &rest[close..];
-            }
-            // `lint:draws-exempt(<why>)` is sugar for waiving the three
-            // stream-discipline rules at once: a deliberately divergent
-            // draw protocol (e.g. epsilon-greedy's exploration-only
-            // bounded draw) is one decision, not three waivers.
-            if comment.text.contains("lint:draws-exempt(") {
-                out.cover(comment, tokens, Rule::UnderivedRngStream);
-                out.cover(comment, tokens, Rule::DivergentRngDraws);
-                out.cover(comment, tokens, Rule::PolicyDependentDraws);
             }
         }
         out
@@ -289,20 +254,16 @@ fn statement_end_line(tokens: &[Token], start: usize) -> u32 {
     last
 }
 
-/// Analyzes one file in isolation. The whole interprocedural pipeline
-/// runs on the single file: the call graph and the stream pass see only
-/// its own `fn`s.
+/// Analyzes one file in isolation.
 ///
 /// `rel_path` must be workspace-relative: rule applicability is decided
 /// from it (see [`crate::context::classify`]).
 pub fn analyze_file(rel_path: &str, source: &str) -> Vec<Finding> {
-    crate::analyze_sources(vec![(rel_path.to_string(), source.to_string())])
-        .report
-        .findings
+    crate::analyze_sources(vec![(rel_path.to_string(), source.to_string())]).findings
 }
 
-/// Runs the intraprocedural (single-file) rules and returns their raw,
-/// unsuppressed findings. The caller owns suppression filtering, so the
+/// Runs the per-file rules and returns their raw, unsuppressed
+/// findings. The caller owns suppression filtering, so the
 /// workspace pipeline can report waived findings separately.
 pub(crate) fn per_file_findings(
     rel_path: &str,
@@ -315,6 +276,7 @@ pub(crate) fn per_file_findings(
     check_unordered_iteration(rel_path, lexed, ctx, &mut findings);
     check_panic(rel_path, lexed, ctx, &mut findings);
     check_print(rel_path, lexed, ctx, &mut findings);
+    check_underived(rel_path, lexed, ctx, &mut findings);
     findings
 }
 
@@ -546,6 +508,49 @@ fn check_print(path: &str, lexed: &LexedFile, ctx: &FileContext, out: &mut Vec<F
     }
 }
 
+/// Flags RNG constructions whose seed argument shows no sign of the
+/// workspace derivation discipline (no `*seed*` ident in the argument).
+fn check_underived(path: &str, lexed: &LexedFile, ctx: &FileContext, out: &mut Vec<Finding>) {
+    if !matches!(ctx.class, FileClass::Lib | FileClass::Bin) {
+        return;
+    }
+    let tokens = &lexed.tokens;
+    for (i, t) in tokens.iter().enumerate() {
+        if ctx.in_test[i] || t.kind != TokenKind::Ident {
+            continue;
+        }
+        if t.text != "seed_from_u64" && t.text != "from_seed" {
+            continue;
+        }
+        // `fn seed_from_u64(…)` is a definition, not a construction.
+        if i > 0 && tokens[i - 1].is_ident("fn") {
+            continue;
+        }
+        if !tokens.get(i + 1).is_some_and(|n| n.is_punct('(')) {
+            continue;
+        }
+        let Some(close) = matching_close(tokens, i + 1, ('(', ')')) else {
+            continue;
+        };
+        let derived = tokens[i + 2..close]
+            .iter()
+            .any(|a| a.kind == TokenKind::Ident && a.text.to_lowercase().contains("seed"));
+        if !derived {
+            out.push(Finding {
+                file: path.to_string(),
+                line: t.line,
+                rule: Rule::UnderivedRngStream,
+                message: format!(
+                    "`{}(…)` constructs an RNG stream outside the seed-derivation discipline; \
+                     derive the seed via `cell_seed`/`seeded_rng` (or pass a `*seed*`-named \
+                     value) or waive with lint:allow(underived-rng-stream): <why>",
+                    t.text
+                ),
+            });
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -643,6 +648,16 @@ mod tests {
         assert_eq!(rules_hit(LIB, src), vec![(1, "print-in-lib")]);
         assert!(rules_hit("crates/bench/src/lib.rs", src).is_empty());
         assert!(rules_hit("examples/quickstart.rs", src).is_empty());
+    }
+
+    #[test]
+    fn literal_seeds_are_underived_and_named_seeds_are_fine() {
+        let src = "fn fresh() -> StdRng { StdRng::seed_from_u64(42) }\n\
+                   fn derived(cell_seed: u64) -> StdRng { StdRng::seed_from_u64(cell_seed) }\n";
+        assert_eq!(rules_hit(LIB, src), vec![(1, "underived-rng-stream")]);
+        // Tests may pin literal seeds freely.
+        let test_src = "#[cfg(test)]\nmod t { fn f() -> StdRng { StdRng::seed_from_u64(7) } }\n";
+        assert!(rules_hit(LIB, test_src).is_empty());
     }
 
     #[test]

@@ -25,12 +25,12 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 
-use crate::policy::{EpsilonGreedy, MaskSet};
+use crate::policy::{unit_field, EpsilonGreedy, MaskSet};
 use crate::qstore::QStore;
 use crate::qtable::{QTable, ShapeMismatchError};
 
 /// Q-learning hyperparameters (Algorithm 1's γ, µ and ε).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Hyperparameters {
     /// Learning rate γ: how much new information overrides old.
     pub learning_rate: f64,
@@ -72,6 +72,24 @@ impl Hyperparameters {
 impl Default for Hyperparameters {
     fn default() -> Self {
         Hyperparameters::paper()
+    }
+}
+
+// Hand-written rather than derived so persisted hyperparameters (a
+// `--qtable` warm start) are held to `validate`'s range at parse time:
+// a non-finite learning rate would write ±inf or NaN into the table on
+// the first update.
+impl Deserialize for Hyperparameters {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        let obj = value
+            .as_object()
+            .ok_or_else(|| serde::Error::expected("struct Hyperparameters", value))?;
+        let field = |name| unit_field(obj, name, "Hyperparameters");
+        Ok(Hyperparameters {
+            learning_rate: field("learning_rate")?,
+            discount: field("discount")?,
+            epsilon: field("epsilon")?,
+        })
     }
 }
 
@@ -355,6 +373,37 @@ mod tests {
         let err = agent.overlay_variant(&wrong).unwrap_err();
         assert_eq!(err.expected, (2, 2));
         assert_eq!(err.found, (3, 2));
+    }
+
+    #[test]
+    fn deserialize_rejects_out_of_range_hyperparameters() {
+        // A `--qtable` warm start is a trust boundary: `1e999` parses as
+        // inf, and a learning rate of inf writes ±inf or NaN into the
+        // table on the first update.
+        let json = serde_json::to_string(&QLearningAgent::new(1, 2, Hyperparameters::paper(), 0))
+            .expect("serializes");
+        let params = r#""params":{"learning_rate":0.9,"discount":0.1,"epsilon":0.1}"#;
+        let policy = r#""policy":{"epsilon":0.1}"#;
+        assert!(json.contains(params) && json.contains(policy), "{json}");
+        assert!(serde_json::from_str::<QLearningAgent>(&json).is_ok());
+        for bad in ["1e999", "2.5"] {
+            for (section, field, good) in [
+                (params, "learning_rate", "0.9"),
+                (params, "discount", "0.1"),
+                (params, "epsilon", "0.1"),
+                (policy, "epsilon", "0.1"),
+            ] {
+                let from = format!("\"{field}\":{good}");
+                let tampered = section.replacen(&from, &format!("\"{field}\":{bad}"), 1);
+                let err = serde_json::from_str::<QLearningAgent>(&json.replace(section, &tampered))
+                    .expect_err("out-of-range value is rejected");
+                assert!(
+                    err.to_string().contains(&format!("field `{field}`"))
+                        && err.to_string().contains("must be in [0, 1]"),
+                    "{field} = {bad}: {err}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -121,7 +121,8 @@ impl LinearQAgent {
         if allowed.is_empty() {
             return None;
         }
-        // lint:draws-exempt(the pinned epsilon-greedy protocol: one uniform draw per decision, one bounded draw on the exploration arm only; digest tests freeze it)
+        // The pinned epsilon-greedy protocol: one uniform draw per decision,
+        // one bounded draw on the exploration arm only; digest tests freeze it.
         if rng.gen::<f64>() < self.epsilon {
             Some(allowed[rng.gen_range(0..allowed.len())])
         } else {

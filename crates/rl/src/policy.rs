@@ -77,9 +77,40 @@ impl MaskSet {
 }
 
 /// An epsilon-greedy action-selection policy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct EpsilonGreedy {
     epsilon: f64,
+}
+
+/// Reads field `name` of `ty` from a serde object as a value in
+/// [0, 1], with an error naming the field when it is non-finite or out
+/// of range.
+pub(crate) fn unit_field(
+    obj: &[(String, serde::Value)],
+    name: &str,
+    ty: &str,
+) -> Result<f64, serde::Error> {
+    let v: f64 = serde::__field(obj, name, ty)?;
+    if (0.0..=1.0).contains(&v) {
+        Ok(v)
+    } else {
+        Err(serde::Error::custom(format!(
+            "field `{name}` of `{ty}` must be in [0, 1], found {v}"
+        )))
+    }
+}
+
+// Hand-written rather than derived so a persisted policy is held to
+// `EpsilonGreedy::new`'s range at parse time.
+impl Deserialize for EpsilonGreedy {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        let obj = value
+            .as_object()
+            .ok_or_else(|| serde::Error::expected("struct EpsilonGreedy", value))?;
+        Ok(EpsilonGreedy {
+            epsilon: unit_field(obj, "epsilon", "EpsilonGreedy")?,
+        })
+    }
 }
 
 impl EpsilonGreedy {
@@ -149,7 +180,8 @@ impl EpsilonGreedy {
         if allowed == 0 {
             return None;
         }
-        // lint:draws-exempt(the pinned epsilon-greedy protocol: one uniform draw per decision, one bounded draw on the exploration arm only; digest tests freeze it)
+        // The pinned epsilon-greedy protocol: one uniform draw per decision,
+        // one bounded draw on the exploration arm only; digest tests freeze it.
         if rng.gen::<f64>() < self.epsilon {
             let k = rng.gen_range(0..allowed);
             Some(mask.nth_allowed(k))

@@ -37,10 +37,11 @@ use serde::{Deserialize, Serialize};
 /// Exactly how many RNG values [`ArrivalSampler::next_arrival`]
 /// consumes per generated arrival: one inter-arrival gap draw and one
 /// burst-trigger draw (consumed by every process kind, so switching
-/// kinds never re-times the other draws). The stream-discipline lint
-/// pass (`autoscale-lint`, rule `divergent-rng-draws`) keeps this count
-/// branch-independent; change it only together with the pinned
-/// `draws_exactly_the_documented_count_per_arrival` test.
+/// kinds never re-times the other draws). The shadow-RNG test
+/// `draws_exactly_the_documented_count_per_arrival` steps a copy of the
+/// stream by this count per arrival, for every process kind, and the
+/// golden trace (`tests/openloop_trace.rs`) pins the schedule's values.
+/// Change the count only together with them.
 pub const ARRIVAL_DRAWS_PER_EVENT: usize = 2;
 
 /// Exactly how many RNG values [`ChurnWindow::draw`] consumes per

@@ -202,6 +202,14 @@ impl Environment {
 
     /// Draws the runtime-variance snapshot for the next inference and
     /// advances the environment's internal step counter.
+    ///
+    /// The number of values drawn from `rng` is fixed per environment
+    /// and step, one per uniform and two per Box–Muller normal: S1–S5
+    /// draw none, D1 (music player) 4, D2 (web browser) 3, D3 (Gaussian
+    /// Wi-Fi signal) 2, and D4 4 then 3 as it alternates between the
+    /// two apps every 25 samples. The reference model
+    /// (`tests/reference_model.rs`) checks these counts on every request
+    /// it interprets.
     pub fn sample(&mut self, rng: &mut StdRng) -> Snapshot {
         let (co_cpu, co_mem) = self.interference.sample(self.step, rng);
         let wlan = self.wlan.sample(rng);

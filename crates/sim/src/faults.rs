@@ -42,10 +42,13 @@ pub const MAX_ATTEMPTS: usize = 4;
 /// Exactly how many RNG values [`FaultInjector::next_faults`] consumes
 /// per request, one per possible fault site: two disconnection-window
 /// draws, [`MAX_ATTEMPTS`] per-attempt draws for each of the two links,
-/// one straggler draw, one thermal draw. The stream-discipline lint
-/// pass (`autoscale-lint`, rule `divergent-rng-draws`) exists to keep
-/// this count branch-independent; change it only together with the
-/// pinned `draws_exactly_the_documented_count_per_request` test.
+/// one straggler draw, one thermal draw. Two shadow-RNG tests pin it:
+/// `draws_exactly_the_documented_count_per_request` steps a copy of the
+/// stream by this count per chaos request, and
+/// `draw_count_is_fixed_so_sites_are_independent` checks that the sites
+/// that fire never shift the others. The golden trace
+/// (`tests/fault_trace.rs`) pins the schedule's values. Change the
+/// count only together with them.
 pub const FAULT_DRAWS_PER_REQUEST: usize = 2 + 2 * MAX_ATTEMPTS + 2;
 
 /// Ambient die temperature the burst model decays toward, in °C.

@@ -18,6 +18,14 @@
 //! `reward`; its independence lies in the four pieces above. The
 //! executor's lookups are held to first principles by
 //! `autoscale_sim`'s `feasibility_matches_the_layer_walk_on_every_testbed`.
+//!
+//! A stray draw in the code both sides share (`Environment::sample`
+//! and the executor) would move both alike, so every interpreted
+//! request also counts its draws from stream 1: the
+//! environment's (fixed per environment and step), one ε uniform plus
+//! one more when it explores, and two Box–Muller normals of measurement
+//! noise. A copy of the stream, stepped by that count, must equal the
+//! stream once the request has executed.
 
 mod common;
 
@@ -167,12 +175,15 @@ impl Interpreter<'_> {
     /// is drawn.
     fn interpret_request(&mut self, greedy: bool) -> Outcome {
         let (sim, workload) = (self.sim, self.workload);
+        let (env, step) = (self.env.id(), self.env.step());
+        let mut shadow = self.rng.clone();
         let snapshot = self.env.sample(&mut self.rng);
         let state = self
             .states
             .encode_observation(sim.network(workload), &snapshot);
         let epsilon = if greedy { 0.0 } else { self.epsilon };
-        let action = if self.rng.gen::<f64>() < epsilon {
+        let explored = self.rng.gen::<f64>() < epsilon;
+        let action = if explored {
             self.allowed[self.rng.gen_range(0..self.allowed.len())]
         } else {
             self.masked_row_argmax(state).expect("a feasible action").0
@@ -194,6 +205,17 @@ impl Interpreter<'_> {
             }
         }
         .expect("the engine proposes only feasible requests");
+        // Stream 1's draws: the environment's, one ε uniform plus one
+        // more to explore, and two Box–Muller normals of noise on every
+        // execute path.
+        let drawn = env_draws(env, step) + 1 + usize::from(explored) + 4;
+        for _ in 0..drawn {
+            let _: u64 = shadow.gen();
+        }
+        assert!(
+            shadow == self.rng,
+            "stream 1 drew other than {drawn} values at env step {step} in {env}"
+        );
         report.qos_violations += usize::from(outcome.latency_ms > self.qos_ms);
         report.total_energy_mj += outcome.energy_mj;
         // "Measure R_latency, estimate R_energy": the phone has no meter.
@@ -342,6 +364,25 @@ impl Interpreter<'_> {
         report.peak_queue_depth = traffic.peak_queue_depth;
         report.arrival_digest = arrival_digest;
         traffic
+    }
+}
+
+/// Values `Environment::sample` draws at `step`: one per uniform, two
+/// per normal.
+fn env_draws(env: EnvironmentId, step: u64) -> usize {
+    // The music player draws two normals (CPU, memory); the web browser
+    // a burst trigger, a CPU level and a memory level.
+    let (music, browser) = (4, 3);
+    match env {
+        EnvironmentId::D1 => music,
+        EnvironmentId::D2 => browser,
+        // One normal: the Wi-Fi signal.
+        EnvironmentId::D3 => 2,
+        // The two apps alternate every 25 samples.
+        EnvironmentId::D4 if (step / 25).is_multiple_of(2) => music,
+        EnvironmentId::D4 => browser,
+        // S1–S5: constant co-runners and signals.
+        _ => 0,
     }
 }
 
