@@ -165,10 +165,13 @@ impl ActionSpace {
     /// Panics if `index` is out of range.
     pub fn coarse_of(&self, index: usize) -> usize {
         let r = self.request(index);
+        #[expect(
+            clippy::expect_used,
+            reason = "requests are enumerated from coarse_targets, so position always finds one"
+        )]
         self.coarse_targets()
             .iter()
             .position(|&(p, prec)| p == r.placement && prec == r.precision)
-            // lint:allow(panic-in-lib): requests are enumerated from coarse_targets, so position always finds one
             .expect("every action belongs to a coarse target")
     }
 

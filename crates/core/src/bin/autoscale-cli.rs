@@ -492,8 +492,16 @@ fn parse_openloop(
         }
         return Ok(None);
     };
+    // A zero rate is a silent process; a negative one, or a horizon that
+    // is not positive, would serve an empty fleet and exit as if it ran.
     let rate_hz = parse_f64(flags, "rate", 100.0)?;
+    if rate_hz < 0.0 {
+        return Err(format!("--rate must not be negative, got `{rate_hz}`"));
+    }
     let horizon_ms = parse_f64(flags, "horizon-ms", 2_000.0)?;
+    if horizon_ms <= 0.0 {
+        return Err(format!("--horizon-ms must be positive, got `{horizon_ms}`"));
+    }
     let arrivals = ArrivalProcess::parse(arrivals_name, rate_hz).ok_or_else(|| {
         format!(
             "--arrivals must be one of {}, got `{arrivals_name}`",
@@ -568,6 +576,10 @@ fn cmd_serve(flags: &BTreeMap<String, String>) -> Result<(), String> {
         openloop,
         ..ServeConfig::fleet()
     };
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the fleet line reports wall-clock throughput beside the digest"
+    )]
     let start = Instant::now();
     let report = serve(&sim, &mix, &config, warm.as_ref())
         .map_err(|e| format!("{e} — was the Q-table trained on a different device or testbed?"))?;
@@ -724,5 +736,20 @@ mod tests {
         }
         let flags = BTreeMap::from([("rate".to_string(), "250.5".to_string())]);
         assert_eq!(parse_f64(&flags, "rate", 1.0), Ok(250.5));
+        // A negative rate, or a horizon that is not positive, would serve
+        // an empty fleet; a zero rate is the documented silent process.
+        let open_loop = |key: &str, value: &str| {
+            let flags = BTreeMap::from([
+                ("arrivals".to_string(), "poisson".to_string()),
+                (key.to_string(), value.to_string()),
+            ]);
+            parse_openloop(&flags)
+        };
+        for (key, value) in [("rate", "-5"), ("horizon-ms", "-1"), ("horizon-ms", "0")] {
+            let err = open_loop(key, value).expect_err("rejected");
+            assert!(err.contains(&format!("--{key}")), "{err}");
+        }
+        let silent = open_loop("rate", "0").expect("a zero rate is valid");
+        assert!(silent.is_some_and(|open| open.horizon_ms > 0.0));
     }
 }

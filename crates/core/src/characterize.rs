@@ -191,12 +191,15 @@ impl Dataset {
         for (_, (state, workload, outcomes)) in groups {
             let cfg = reward_for(workload);
             let accuracy_ok = |o: &Outcome| cfg.accuracy_target.is_none_or(|t| o.accuracy >= t);
+            #[expect(
+                clippy::expect_used,
+                reason = "cost-model energies are finite, so partial_cmp cannot return None"
+            )]
             let best = outcomes
                 .iter()
                 .filter(|(_, o)| accuracy_ok(o) && o.latency_ms < cfg.qos_ms)
                 .chain(outcomes.iter().filter(|(_, o)| accuracy_ok(o)))
                 .chain(outcomes.iter())
-                // lint:allow(panic-in-lib): cost-model energies are finite, so partial_cmp cannot return None
                 .min_by(|a, b| a.1.energy_mj.partial_cmp(&b.1.energy_mj).expect("finite"));
             if let Some(&(action, _)) = best {
                 xs.push(state);
@@ -216,11 +219,17 @@ pub fn train_lr_scheduler(
     let xs = dataset.xs();
     let scaler = StandardScaler::fit(&xs);
     let xs = scaler.transform_all(&xs);
+    #[expect(
+        clippy::expect_used,
+        reason = "the characterization dataset is non-empty and well-formed by construction"
+    )]
     let energy =
-        // lint:allow(panic-in-lib): the characterization dataset is non-empty and well-formed by construction
         LinearRegression::fit(&xs, &dataset.log_energies(), 1e-6).expect("dataset is valid");
+    #[expect(
+        clippy::expect_used,
+        reason = "the characterization dataset is non-empty and well-formed by construction"
+    )]
     let latency =
-        // lint:allow(panic-in-lib): the characterization dataset is non-empty and well-formed by construction
         LinearRegression::fit(&xs, &dataset.log_latencies(), 1e-6).expect("dataset is valid");
     RegressionScheduler::new(
         sim,
@@ -245,11 +254,17 @@ pub fn train_svr_scheduler(
         lambda: 1e-5,
         epochs: 400,
     };
+    #[expect(
+        clippy::expect_used,
+        reason = "the characterization dataset is non-empty and well-formed by construction"
+    )]
     let energy = SupportVectorRegression::fit(&xs, &dataset.log_energies(), config)
-        // lint:allow(panic-in-lib): the characterization dataset is non-empty and well-formed by construction
         .expect("dataset is valid");
+    #[expect(
+        clippy::expect_used,
+        reason = "the characterization dataset is non-empty and well-formed by construction"
+    )]
     let latency = SupportVectorRegression::fit(&xs, &dataset.log_latencies(), config)
-        // lint:allow(panic-in-lib): the characterization dataset is non-empty and well-formed by construction
         .expect("dataset is valid");
     RegressionScheduler::new(
         sim,
@@ -269,7 +284,10 @@ pub fn train_svm_scheduler(
     let (xs, labels) = dataset.classification_set(sim, reward_for);
     let scaler = StandardScaler::fit(&xs);
     let xs = scaler.transform_all(&xs);
-    // lint:allow(panic-in-lib): the characterization dataset is non-empty and well-formed by construction
+    #[expect(
+        clippy::expect_used,
+        reason = "the characterization dataset is non-empty and well-formed by construction"
+    )]
     let model = SvmClassifier::fit_default(&xs, &labels).expect("dataset is valid");
     ClassificationScheduler::new(sim, SchedulerKind::Svm, ClassifierModel::Svm(model), scaler)
 }
@@ -283,7 +301,10 @@ pub fn train_knn_scheduler(
     let (xs, labels) = dataset.classification_set(sim, reward_for);
     let scaler = StandardScaler::fit(&xs);
     let xs = scaler.transform_all(&xs);
-    // lint:allow(panic-in-lib): the characterization dataset is non-empty and well-formed by construction
+    #[expect(
+        clippy::expect_used,
+        reason = "the characterization dataset is non-empty and well-formed by construction"
+    )]
     let model = KnnClassifier::fit(&xs, &labels, 5).expect("dataset is valid");
     ClassificationScheduler::new(sim, SchedulerKind::Knn, ClassifierModel::Knn(model), scaler)
 }
@@ -292,15 +313,21 @@ pub fn train_knn_scheduler(
 /// each layer of every workload measured on a local processor and on the
 /// cloud GPU, with small multiplicative profiling noise.
 pub fn layer_profile(sim: &Simulator, local: ProcessorKind, rng: &mut StdRng) -> Vec<LayerSample> {
+    #[expect(
+        clippy::expect_used,
+        reason = "layer_profile is only called for processors the host exposes"
+    )]
     let local_proc = sim
         .host()
         .processor(local)
-        // lint:allow(panic-in-lib): layer_profile is only called for processors the host exposes
         .expect("profiled local processor exists");
+    #[expect(
+        clippy::expect_used,
+        reason = "every testbed cloud is provisioned with a GPU"
+    )]
     let remote_proc = sim
         .cloud()
         .processor(ProcessorKind::Gpu)
-        // lint:allow(panic-in-lib): every testbed cloud is provisioned with a GPU
         .expect("the cloud has a GPU");
     let local_cond = ExecutionConditions::max_frequency(local_proc, Precision::Fp32);
     let remote_cond = ExecutionConditions::max_frequency(remote_proc, Precision::Fp32);

@@ -258,6 +258,12 @@ impl AutoScaleEngine {
         Ok(Self::assemble(self.context.clone(), config, agent))
     }
 
+    /// Checks that `agent`'s Q-table is shaped for this engine's state
+    /// and action spaces, as [`Self::with_agent`] and [`Self::spawn`] do.
+    pub(crate) fn fits(&self, agent: &QLearningAgent) -> Result<(), ShapeMismatchError> {
+        self.context.fits(agent)
+    }
+
     /// The one constructor body: `agent` (shape-checked by the caller),
     /// or a fresh random Q-table drawn from `config.seed`, and a fresh
     /// detector, over `context`.

@@ -37,9 +37,12 @@ pub fn estimate_energy_mj(
     snapshot: &Snapshot,
     measured_latency_ms: f64,
 ) -> f64 {
+    #[expect(
+        clippy::expect_used,
+        reason = "the request already executed, so its placement resolved to a processor"
+    )]
     let processor = sim
         .processor_for(request.placement)
-        // lint:allow(panic-in-lib): the request already executed, so its placement resolved to a processor
         .expect("the executed request's processor exists");
     match request.placement {
         Placement::OnDevice(_) => {

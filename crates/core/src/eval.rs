@@ -85,17 +85,23 @@ impl Evaluator {
         rng: &mut StdRng,
     ) -> Outcome {
         match decision {
+            #[expect(
+                clippy::expect_used,
+                reason = "the harness only drives schedulers that emit device-feasible requests"
+            )]
             Decision::Whole(request) => self
                 .sim
                 .execute_measured(workload, request, snapshot, rng)
-                // lint:allow(panic-in-lib): the harness only drives schedulers that emit device-feasible requests
                 .expect("schedulers must produce feasible requests"),
             Decision::Partitioned { local, split } => {
                 let network = self.sim.network(workload);
                 let host = self.sim.host();
+                #[expect(
+                    clippy::expect_used,
+                    reason = "partitioned baselines only name processors the device exposes"
+                )]
                 let local_proc = host
                     .processor(*local)
-                    // lint:allow(panic-in-lib): partitioned baselines only name processors the device exposes
                     .expect("partitioned decisions use an existing local processor");
                 let cond = ExecutionConditions {
                     freq_index: local_proc.dvfs().max_index(),
@@ -104,11 +110,14 @@ impl Evaluator {
                     mem_availability: snapshot.mem_availability(),
                     thermal_cap: host.thermal().cap_for(snapshot.co_cpu),
                 };
+                #[expect(
+                    clippy::expect_used,
+                    reason = "every testbed cloud is provisioned with a GPU"
+                )]
                 let remote = self
                     .sim
                     .cloud()
                     .processor(ProcessorKind::Gpu)
-                    // lint:allow(panic-in-lib): every testbed cloud is provisioned with a GPU
                     .expect("the cloud has a GPU");
                 let link = autoscale_net::LinkModel::for_kind(LinkKind::Wlan);
                 let cost = partition_cost_at(
@@ -197,10 +206,13 @@ impl Evaluator {
 
             if let Some(oracle) = oracle {
                 let opt_request = oracle.optimal_request(&self.sim, workload, &snapshot);
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the oracle enumerates only feasible requests"
+                )]
                 let opt_energy = self
                     .sim
                     .execute_expected(workload, &opt_request, &snapshot)
-                    // lint:allow(panic-in-lib): the oracle enumerates only feasible requests
                     .expect("oracle requests are feasible")
                     .energy_mj;
                 let matched = match &decision {

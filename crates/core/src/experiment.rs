@@ -36,13 +36,19 @@ pub fn train_engine(
             let mut env = Environment::for_id(env_id);
             for _ in 0..runs_per_pair {
                 let snapshot = env.sample(&mut rng);
+                #[expect(
+                    clippy::expect_used,
+                    reason = "training sweeps run on the paper testbeds, whose CPUs serve every workload"
+                )]
                 let step = engine
                     .decide(sim, workload, &snapshot, &mut rng)
-                    // lint:allow(panic-in-lib): training sweeps run on the paper testbeds, whose CPUs serve every workload
                     .expect("the paper testbeds always expose a feasible CPU action");
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the engine only proposes mask-feasible requests"
+                )]
                 let outcome = sim
                     .execute_measured(workload, &step.request, &snapshot, &mut rng)
-                    // lint:allow(panic-in-lib): the engine only proposes mask-feasible requests
                     .expect("engine decisions are feasible");
                 engine.learn(sim, workload, step, &outcome, &snapshot);
             }
@@ -99,13 +105,19 @@ pub fn training_curve(
     let mut rewards = Vec::with_capacity(runs);
     for _ in 0..runs {
         let snapshot = env.sample(&mut rng);
+        #[expect(
+            clippy::expect_used,
+            reason = "training sweeps run on the paper testbeds, whose CPUs serve every workload"
+        )]
         let step = engine
             .decide(sim, workload, &snapshot, &mut rng)
-            // lint:allow(panic-in-lib): training sweeps run on the paper testbeds, whose CPUs serve every workload
             .expect("the paper testbeds always expose a feasible CPU action");
+        #[expect(
+            clippy::expect_used,
+            reason = "the engine only proposes mask-feasible requests"
+        )]
         let outcome = sim
             .execute_measured(workload, &step.request, &snapshot, &mut rng)
-            // lint:allow(panic-in-lib): the engine only proposes mask-feasible requests
             .expect("engine decisions are feasible");
         rewards.push(engine.learn(sim, workload, step, &outcome, &snapshot));
     }
@@ -119,8 +131,11 @@ pub fn training_curve(
 /// CPU vs the cloud GPU, energy-objective split selection.
 pub fn build_neurosurgeon(sim: &Simulator, rng: &mut StdRng) -> NeuroSurgeonScheduler {
     let samples = characterize::layer_profile(sim, ProcessorKind::Cpu, rng);
+    #[expect(
+        clippy::expect_used,
+        reason = "the simulator's CPU layer profile is never degenerate"
+    )]
     let planner = NeuroSurgeon::train(&samples, StaticLinkProfile::default())
-        // lint:allow(panic-in-lib): the simulator's CPU layer profile is never degenerate
         .expect("layer profile is non-degenerate");
     NeuroSurgeonScheduler::new(planner, SplitObjective::Energy)
 }
@@ -130,29 +145,32 @@ pub fn build_neurosurgeon(sim: &Simulator, rng: &mut StdRng) -> NeuroSurgeonSche
 pub fn build_mosaic(sim: &Simulator, qos_ms: f64, rng: &mut StdRng) -> MosaicScheduler {
     let cpu = characterize::layer_profile(sim, ProcessorKind::Cpu, rng);
     let gpu = characterize::layer_profile(sim, ProcessorKind::Gpu, rng);
+    #[expect(clippy::expect_used, reason = "every Table II phone exposes a CPU")]
     let cpu_power = sim
         .host()
         .processor(ProcessorKind::Cpu)
-        // lint:allow(panic-in-lib): every Table II phone exposes a CPU
         .expect("phones have CPUs")
         .dvfs()
         .max_step()
         .busy_power_w;
+    #[expect(clippy::expect_used, reason = "every Table II phone exposes a GPU")]
     let gpu_power = sim
         .host()
         .processor(ProcessorKind::Gpu)
-        // lint:allow(panic-in-lib): every Table II phone exposes a GPU
         .expect("phones have GPUs")
         .dvfs()
         .max_step()
         .busy_power_w;
+    #[expect(
+        clippy::expect_used,
+        reason = "the simulator's layer profiles are never degenerate"
+    )]
     let planner = Mosaic::train(
         &[cpu, gpu],
         &[cpu_power, gpu_power],
         StaticLinkProfile::default(),
         qos_ms,
     )
-    // lint:allow(panic-in-lib): the simulator's layer profiles are never degenerate
     .expect("layer profiles are non-degenerate");
     MosaicScheduler::new(planner, SplitObjective::Energy)
 }
@@ -210,9 +228,16 @@ pub fn predictor_errors(
     let scaler = StandardScaler::fit(&train.xs());
     let train_xs = scaler.transform_all(&train.xs());
     let test_xs = scaler.transform_all(&test.xs());
+    #[expect(
+        clippy::expect_used,
+        reason = "the characterization dataset is non-empty and well-formed by construction"
+    )]
     let lr = autoscale_predictors::LinearRegression::fit(&train_xs, &train.log_energies(), 1e-6)
-        // lint:allow(panic-in-lib): the characterization dataset is non-empty and well-formed by construction
         .expect("dataset is valid");
+    #[expect(
+        clippy::expect_used,
+        reason = "the characterization dataset is non-empty and well-formed by construction"
+    )]
     let svr = autoscale_predictors::SupportVectorRegression::fit(
         &train_xs,
         &train.log_energies(),
@@ -222,7 +247,6 @@ pub fn predictor_errors(
             epochs: 400,
         },
     )
-    // lint:allow(panic-in-lib): the characterization dataset is non-empty and well-formed by construction
     .expect("dataset is valid");
     let actual = test.energies();
     let lr_pred: Vec<f64> = test_xs.iter().map(|x| lr.predict(x).exp()).collect();
@@ -237,6 +261,10 @@ pub fn predictor_errors(
         .step_by(stride)
         .copied()
         .collect();
+    #[expect(
+        clippy::expect_used,
+        reason = "the subsampled dataset inherits the full dataset's validity"
+    )]
     let gp = GaussianProcess::fit(
         &gp_xs,
         &gp_ys,
@@ -246,7 +274,6 @@ pub fn predictor_errors(
             noise_variance: 1e-2,
         },
     )
-    // lint:allow(panic-in-lib): the subsampled dataset inherits the full dataset's validity
     .expect("subsampled dataset is valid");
     let gp_pred: Vec<f64> = test_xs.iter().map(|x| gp.predict_mean(x).exp()).collect();
 
@@ -257,11 +284,17 @@ pub fn predictor_errors(
     let cscaler = StandardScaler::fit(&train_cx);
     let train_cx = cscaler.transform_all(&train_cx);
     let test_cx = cscaler.transform_all(&test_cx);
+    #[expect(
+        clippy::expect_used,
+        reason = "classification labels come from the dataset builder and are valid"
+    )]
     let svm = autoscale_predictors::SvmClassifier::fit_default(&train_cx, &train_cy)
-        // lint:allow(panic-in-lib): classification labels come from the dataset builder and are valid
         .expect("labels are valid");
+    #[expect(
+        clippy::expect_used,
+        reason = "classification labels come from the dataset builder and are valid"
+    )]
     let knn = autoscale_predictors::KnnClassifier::fit(&train_cx, &train_cy, 5)
-        // lint:allow(panic-in-lib): classification labels come from the dataset builder and are valid
         .expect("labels are valid");
     let misclass = |preds: Vec<usize>| {
         preds.iter().zip(&test_cy).filter(|(p, a)| p != a).count() as f64 / test_cy.len() as f64

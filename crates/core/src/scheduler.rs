@@ -210,7 +210,10 @@ impl Scheduler for AutoScaleScheduler {
         // The Scheduler trait is the evaluation harness's common surface
         // and stays infallible; the harness only drives the paper's
         // testbeds, whose CPUs serve every workload.
-        // lint:allow(panic-in-lib): evaluation-only wrapper over the fallible engine API
+        #[expect(
+            clippy::expect_used,
+            reason = "evaluation-only wrapper over the fallible engine API"
+        )]
         let step = decided.expect("the paper testbeds always expose a feasible CPU action");
         self.last_step = Some(step);
         Decision::Whole(step.request)
@@ -305,12 +308,15 @@ impl Scheduler for LinearFaScheduler {
         let mask = self.space.mask(sim, workload);
         // Eval mode draws nothing by design; training and eval streams are
         // never digest-compared.
+        #[expect(
+            clippy::expect_used,
+            reason = "the paper testbeds always expose a feasible CPU action"
+        )]
         let action = if self.training {
             self.agent.select_action(&phi, &mask, rng)
         } else {
             self.agent.best_action(&phi, &mask).map(|(a, _)| a)
         }
-        // lint:allow(panic-in-lib): the paper testbeds always expose a feasible CPU action
         .expect("the CPU can always run the model");
         self.last = Some((phi, action));
         Decision::Whole(self.space.request(action))
@@ -456,13 +462,16 @@ impl Scheduler for HybridScheduler {
         let mask = self.mask(sim, workload);
         // Eval mode draws nothing by design; training and eval streams are
         // never digest-compared.
+        #[expect(
+            clippy::expect_used,
+            reason = "the paper testbeds always expose a feasible CPU action"
+        )]
         let action = if self.training {
             self.agent
                 .select_action(state, &MaskSet::from_bools(&mask), rng)
         } else {
             self.agent.select_greedy(state, &mask)
         }
-        // lint:allow(panic-in-lib): the paper testbeds always expose a feasible CPU action
         .expect("the CPU can always run the model");
         self.last = Some((state, action));
         self.decision_of(sim, workload, action)
@@ -659,10 +668,13 @@ fn select_best(
         &|_| true,
     ];
     for tier in tiers {
+        #[expect(
+            clippy::expect_used,
+            reason = "cost-model energies are finite, so partial_cmp cannot return None"
+        )]
         let best = outcomes.iter().filter(|(_, o)| tier(o)).min_by(|a, b| {
             a.1.energy_mj
                 .partial_cmp(&b.1.energy_mj)
-                // lint:allow(panic-in-lib): cost-model energies are finite, so partial_cmp cannot return None
                 .expect("finite energy")
         });
         if let Some((r, _)) = best {
@@ -712,8 +724,11 @@ impl OracleScheduler {
             .copied()
             .filter(|r| sim.is_feasible(workload, r))
             .collect();
+        #[expect(
+            clippy::expect_used,
+            reason = "the paper testbeds always expose a feasible CPU action"
+        )]
         select_best(sim, workload, &cfg, snapshot, &candidates)
-            // lint:allow(panic-in-lib): the paper testbeds always expose a feasible CPU action
             .expect("the CPU can always run the model")
     }
 }
@@ -838,10 +853,13 @@ impl Scheduler for RegressionScheduler {
                 best = Some((a, energy));
             }
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "the paper testbeds always expose a feasible CPU action"
+        )]
         let action = best
             .or(fastest)
             .map(|(a, _)| a)
-            // lint:allow(panic-in-lib): the paper testbeds always expose a feasible CPU action
             .expect("mask is never empty");
         Decision::Whole(self.space.request(action))
     }
@@ -996,10 +1014,16 @@ impl Scheduler for BoScheduler {
         let (indices, feats) = self.candidates(sim, workload);
         let bo = &self.optimizers[workload as usize];
         let pick = if bo.observations() < self.budget {
-            // lint:allow(panic-in-lib): candidates() yields at least the CPU actions for every workload
+            #[expect(
+                clippy::expect_used,
+                reason = "candidates() yields at least the CPU actions for every workload"
+            )]
             bo.suggest(&feats).expect("candidates are non-empty")
         } else {
-            // lint:allow(panic-in-lib): candidates() yields at least the CPU actions for every workload
+            #[expect(
+                clippy::expect_used,
+                reason = "candidates() yields at least the CPU actions for every workload"
+            )]
             bo.best_by_mean(&feats).expect("candidates are non-empty")
         };
         let action = indices[pick];

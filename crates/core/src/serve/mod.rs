@@ -41,18 +41,24 @@ use autoscale_rl::{QLearningAgent, QStoreKind, QTable};
 use autoscale_sim::{ExecutionError, FaultProfile, Simulator};
 use serde::{Deserialize, Serialize};
 
-use crate::action::ActionSpace;
 use crate::engine::{AutoScaleEngine, EngineConfig, NoFeasibleActionError};
 use crate::parallel::{cell_seed, resolve_threads, run_cells};
-use crate::state::StateSpace;
 
 /// Everything that can stop a serving run.
 ///
-/// The fleet validates its warm start once up front, so the per-session
-/// variants are unreachable on the paper's testbeds — they exist so the
-/// serving hot path aborts nothing and reports which session tripped.
+/// The fleet validates its configuration and warm start once up front,
+/// so the per-session variants are unreachable on the paper's testbeds —
+/// they exist so the serving hot path aborts nothing and reports which
+/// session tripped.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServeError {
+    /// A hyperparameter of `config.engine` lies outside [0, 1] (NaN and
+    /// the infinities included) — rejected before any session is built.
+    HyperparameterOutOfRange {
+        /// The first such field: `learning_rate`, `discount` or
+        /// `epsilon`.
+        field: &'static str,
+    },
     /// The warm-start agent's Q-table was trained for a different
     /// device — rejected before any session is built.
     WarmStart(ShapeMismatchError),
@@ -84,6 +90,9 @@ pub enum ServeError {
 impl std::fmt::Display for ServeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            ServeError::HyperparameterOutOfRange { field } => {
+                write!(f, "engine hyperparameter `{field}` must be in [0, 1]")
+            }
             ServeError::WarmStart(e) => write!(f, "warm-start agent rejected: {e}"),
             ServeError::NonFiniteWarmStart { state, action } => write!(
                 f,
@@ -106,7 +115,9 @@ impl std::error::Error for ServeError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ServeError::WarmStart(e) => Some(e),
-            ServeError::NonFiniteWarmStart { .. } => None,
+            ServeError::HyperparameterOutOfRange { .. } | ServeError::NonFiniteWarmStart { .. } => {
+                None
+            }
             ServeError::NoFeasibleAction { source, .. } => Some(source),
             ServeError::Execution { source, .. } => Some(source),
         }
@@ -282,27 +293,6 @@ impl ServeReport {
     }
 }
 
-/// Checks that a warm-start agent's Q-table matches the state and action
-/// spaces of this simulator's host device.
-///
-/// # Errors
-///
-/// Returns the shape mismatch when it does not.
-pub fn validate_warm_start(
-    sim: &Simulator,
-    agent: &QLearningAgent,
-) -> Result<(), ShapeMismatchError> {
-    let states = StateSpace::paper().len();
-    let actions = ActionSpace::for_simulator(sim).len();
-    if agent.store().states() != states || agent.store().actions() != actions {
-        return Err(ShapeMismatchError {
-            expected: (states, actions),
-            found: (agent.store().states(), agent.store().actions()),
-        });
-    }
-    Ok(())
-}
-
 /// Builds the fleet's session specs: `config.sessions` sessions assigned
 /// round-robin over the mix.
 pub fn session_specs(mix: &ScenarioMix, config: &ServeConfig) -> Vec<SessionSpec> {
@@ -345,17 +335,26 @@ pub fn session_specs(mix: &ScenarioMix, config: &ServeConfig) -> Vec<SessionSpec
 ///
 /// # Errors
 ///
-/// Returns [`ServeError::WarmStart`] if `warm_start` was trained for a
-/// different device, and [`ServeError::NonFiniteWarmStart`] if it holds
-/// a NaN or infinite value — both checked once, before any session is
-/// built. The per-session variants propagate decision or execution
-/// failures from a session without aborting the process.
+/// Returns [`ServeError::HyperparameterOutOfRange`] if
+/// `config.engine.hyperparameters` holds a value outside [0, 1],
+/// [`ServeError::WarmStart`] if `warm_start` was trained for a different
+/// device, and [`ServeError::NonFiniteWarmStart`] if it holds a NaN or
+/// infinite value — all checked once, before any session is built. The
+/// per-session variants propagate decision or execution failures from a
+/// session without aborting the process.
 pub fn serve(
     sim: &Simulator,
     mix: &ScenarioMix,
     config: &ServeConfig,
     warm_start: Option<&QLearningAgent>,
 ) -> Result<ServeReport, ServeError> {
+    if let Some(field) = config.engine.hyperparameters.out_of_range() {
+        return Err(ServeError::HyperparameterOutOfRange { field });
+    }
+    // The decision context depends only on the device and the engine
+    // config: built once here, shared by every session, and the shape a
+    // warm start must fit.
+    let template = AutoScaleEngine::new(sim, config.engine);
     // The shared base of a warm fleet is a copy of the agent's values,
     // every block built here, before the shards start, so they never
     // race to build a shared block. The copy is what gets scanned, so
@@ -363,7 +362,7 @@ pub fn serve(
     let warm: Option<(&QLearningAgent, Arc<QTable>)> = match warm_start {
         None => None,
         Some(agent) => {
-            validate_warm_start(sim, agent)?;
+            template.fits(agent)?;
             let base = agent.shared_base();
             base.materialize();
             if let Some((state, action)) = first_non_finite(&base) {
@@ -372,9 +371,6 @@ pub fn serve(
             Some((agent, base))
         }
     };
-    // The decision context depends only on the device and the engine
-    // config: built once here, shared by every session.
-    let template = AutoScaleEngine::new(sim, config.engine);
     let specs = session_specs(mix, config);
     let shards = resolve_threads(config.shards);
     let results = run_cells(shards, config.base_seed, &specs, |cell| {
@@ -443,6 +439,8 @@ pub fn session_seed(base_seed: u64, index: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::action::ActionSpace;
+    use crate::state::StateSpace;
     use autoscale_nn::Workload;
     use autoscale_platform::DeviceId;
     use autoscale_sim::EnvironmentId;
@@ -672,6 +670,28 @@ mod tests {
             assert!(err.to_string().contains("(state 1234, action 5)"), "{err}");
             // The scan read the fleet's copy, so the agent built nothing.
             assert_eq!(warm.store().memory_bytes(), built);
+        }
+    }
+
+    #[test]
+    fn out_of_range_hyperparameters_are_rejected() {
+        let sim = Simulator::new(DeviceId::Mi8Pro);
+        let mix = ScenarioMix::static_envs();
+        let warm = paper_shaped_warm_agent(&sim);
+        for field in ["learning_rate", "epsilon"] {
+            let mut config = small_config(Some(2));
+            let params = &mut config.engine.hyperparameters;
+            match field {
+                "learning_rate" => params.learning_rate = 2.0,
+                _ => params.epsilon = f64::NAN,
+            }
+            let expected = ServeError::HyperparameterOutOfRange { field };
+            let err = serve(&sim, &mix, &config, None).unwrap_err();
+            assert_eq!(err, expected);
+            assert!(err.to_string().contains(field), "{err}");
+            // A warm fleet's template is built from the same config.
+            let err = serve(&sim, &mix, &config, Some(&warm)).unwrap_err();
+            assert_eq!(err, expected);
         }
     }
 

@@ -218,9 +218,9 @@ impl<'a> DeviceSession<'a> {
     /// # Errors
     ///
     /// Returns the shape mismatch if `agent` has a Q-table shaped for a
-    /// different device. [`super::serve`] validates the fleet's warm
-    /// start once via [`super::validate_warm_start`], so this only trips
-    /// for callers that build sessions by hand.
+    /// different device. [`super::serve`] checks the fleet's warm start
+    /// once against its template engine, before any session is built, so
+    /// this only trips for callers that build sessions by hand.
     pub fn spawn(
         sim: &'a Simulator,
         spec: SessionSpec,

@@ -29,7 +29,7 @@ impl DecisionTimer {
         // the serving stack; it is kept beside, never inside, the
         // digested SessionReport.
         DecisionTimer {
-            // lint:allow(nondeterministic-time): the quarantined wall-clock read
+            #[expect(clippy::disallowed_methods, reason = "the quarantined wall-clock read")]
             start: Instant::now(),
         }
     }

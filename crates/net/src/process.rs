@@ -60,8 +60,11 @@ impl SignalProcess {
         match *self {
             SignalProcess::Fixed { dbm } => Rssi::new(dbm),
             SignalProcess::Gaussian { mean_dbm, std_db } => {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the environment tables only use finite, non-negative std_db"
+                )]
                 let normal = Normal::new(mean_dbm, std_db)
-                    // lint:allow(panic-in-lib): the environment tables only use finite, non-negative std_db
                     .expect("standard deviation is finite and non-negative");
                 Rssi::new(normal.sample(rng))
             }

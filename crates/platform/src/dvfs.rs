@@ -115,7 +115,10 @@ impl DvfsLadder {
 
     /// The highest-frequency step.
     pub fn max_step(&self) -> FreqStep {
-        // lint:allow(panic-in-lib): ladder constructors reject empty step lists
+        #[expect(
+            clippy::expect_used,
+            reason = "ladder constructors reject empty step lists"
+        )]
         *self.steps.last().expect("ladders are never empty")
     }
 

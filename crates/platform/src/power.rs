@@ -82,9 +82,9 @@ pub fn on_device_energy_mj(
 /// paper's figures: for a fixed amount of work, performance/watt reduces
 /// to 1/energy.
 ///
-/// Saturating guard instead of a panic (`panic-in-lib`): a non-positive
-/// energy is physically impossible for a completed inference, so it maps
-/// to an efficiency of `0.0` — the worst possible score — rather than
+/// Saturating guard instead of a panic: a non-positive energy is
+/// physically impossible for a completed inference, so it maps to an
+/// efficiency of `0.0` — the worst possible score — rather than
 /// aborting a sweep. `NaN` input also yields `0.0`, keeping downstream
 /// argmax/averaging code NaN-free.
 pub fn efficiency_ipj(energy_mj: f64) -> f64 {

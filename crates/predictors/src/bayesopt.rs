@@ -99,14 +99,22 @@ impl BayesianOptimizer {
             Ok(gp) => gp,
             Err(_) => return Ok(0),
         };
+        #[expect(
+            clippy::expect_used,
+            reason = "candidates were validated non-empty at entry"
+        )]
         let best = candidates
             .iter()
             .enumerate()
             .map(|(i, c)| (i, self.expected_improvement(&gp, c)))
-            // lint:allow(panic-in-lib): GP outputs over validated inputs are finite
-            .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite EI"))
+            .max_by(
+                #[expect(
+                    clippy::expect_used,
+                    reason = "GP outputs over validated inputs are finite"
+                )]
+                |a, b| a.1.partial_cmp(&b.1).expect("finite EI"),
+            )
             .map(|(i, _)| i)
-            // lint:allow(panic-in-lib): candidates were validated non-empty at entry
             .expect("non-empty candidates");
         Ok(best)
     }
@@ -125,14 +133,22 @@ impl BayesianOptimizer {
             Ok(gp) => gp,
             Err(_) => return Ok(0),
         };
+        #[expect(
+            clippy::expect_used,
+            reason = "candidates were validated non-empty at entry"
+        )]
         let best = candidates
             .iter()
             .enumerate()
             .map(|(i, c)| (i, gp.predict_mean(c)))
-            // lint:allow(panic-in-lib): GP outputs over validated inputs are finite
-            .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite means"))
+            .max_by(
+                #[expect(
+                    clippy::expect_used,
+                    reason = "GP outputs over validated inputs are finite"
+                )]
+                |a, b| a.1.partial_cmp(&b.1).expect("finite means"),
+            )
             .map(|(i, _)| i)
-            // lint:allow(panic-in-lib): candidates were validated non-empty at entry
             .expect("non-empty candidates");
         Ok(best)
     }

@@ -63,7 +63,10 @@ impl KnnClassifier {
             .zip(&self.labels)
             .map(|(xi, &l)| (squared_distance(xi, x), l))
             .collect();
-        // lint:allow(panic-in-lib): squared distances of finite features are finite
+        #[expect(
+            clippy::expect_used,
+            reason = "squared distances of finite features are finite"
+        )]
         neighbours.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite distances"));
         let k = self.k.min(neighbours.len());
         let top = &neighbours[..k];
@@ -72,13 +75,19 @@ impl KnnClassifier {
         for &(_, l) in top {
             votes[l] += 1;
         }
-        // lint:allow(panic-in-lib): fit rejects empty training sets, so votes is non-empty
+        #[expect(
+            clippy::expect_used,
+            reason = "fit rejects empty training sets, so votes is non-empty"
+        )]
         let best_count = *votes.iter().max().expect("non-empty votes");
         // Tie break: first (nearest) neighbour whose label has the best count.
+        #[expect(
+            clippy::expect_used,
+            reason = "top holds at least one neighbour (k >= 1, training set non-empty)"
+        )]
         top.iter()
             .find(|&&(_, l)| votes[l] == best_count)
             .map(|&(_, l)| l)
-            // lint:allow(panic-in-lib): top holds at least one neighbour (k >= 1, training set non-empty)
             .expect("at least one neighbour")
     }
 }

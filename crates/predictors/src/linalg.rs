@@ -151,15 +151,23 @@ pub fn solve(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, SingularMatrixError> {
     let mut x = b.to_vec();
     for col in 0..n {
         // Partial pivot.
+        #[expect(
+            clippy::expect_used,
+            reason = "the pivot search range col..rows is non-empty"
+        )]
         let pivot_row = (col..n)
-            .max_by(|&r1, &r2| {
-                m.get(r1, col)
-                    .abs()
-                    .partial_cmp(&m.get(r2, col).abs())
-                    // lint:allow(panic-in-lib): matrix entries are finite by construction
-                    .expect("finite values")
-            })
-            // lint:allow(panic-in-lib): the pivot search range col..rows is non-empty
+            .max_by(
+                #[expect(
+                    clippy::expect_used,
+                    reason = "matrix entries are finite by construction"
+                )]
+                |&r1, &r2| {
+                    m.get(r1, col)
+                        .abs()
+                        .partial_cmp(&m.get(r2, col).abs())
+                        .expect("finite values")
+                },
+            )
             .expect("non-empty range");
         if m.get(pivot_row, col).abs() < 1e-12 {
             return Err(SingularMatrixError);

@@ -150,9 +150,12 @@ impl Mosaic {
                 }
             }
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "the plan enumeration always contains the fully-local fallback"
+        )]
         best.or(fastest)
             .map(|(plan, _)| plan)
-            // lint:allow(panic-in-lib): the plan enumeration always contains the fully-local fallback
             .expect("at least one plan exists")
     }
 }

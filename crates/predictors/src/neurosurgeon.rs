@@ -153,6 +153,10 @@ impl NeuroSurgeon {
 
     /// The split point NeuroSurgeon selects for a network.
     pub fn choose_split(&self, network: &Network, objective: SplitObjective) -> usize {
+        #[expect(
+            clippy::expect_used,
+            reason = "a network always has at least one split point"
+        )]
         (0..=network.layers().len())
             .map(|s| {
                 let (lat, en) = self.predict_split(network, s);
@@ -162,10 +166,11 @@ impl NeuroSurgeon {
                 };
                 (s, score)
             })
-            // lint:allow(panic-in-lib): predicted layer costs are finite
-            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite predictions"))
+            .min_by(
+                #[expect(clippy::expect_used, reason = "predicted layer costs are finite")]
+                |a, b| a.1.partial_cmp(&b.1).expect("finite predictions"),
+            )
             .map(|(s, _)| s)
-            // lint:allow(panic-in-lib): a network always has at least one split point
             .expect("at least one split point")
     }
 }

@@ -47,7 +47,10 @@ impl SvmClassifier {
     pub fn fit(xs: &[Vec<f64>], labels: &[usize], config: SvmConfig) -> Result<Self, FitError> {
         let ys: Vec<f64> = labels.iter().map(|&l| l as f64).collect();
         validate(xs, &ys)?;
-        // lint:allow(panic-in-lib): validate() rejected empty inputs on the line above
+        #[expect(
+            clippy::expect_used,
+            reason = "validate() rejected empty inputs on the line above"
+        )]
         let classes = labels.iter().copied().max().expect("non-empty") + 1;
         let dim = xs[0].len();
         let n = xs.len();
@@ -107,13 +110,21 @@ impl SvmClassifier {
 
     /// The predicted class label for `x`.
     pub fn predict(&self, x: &[f64]) -> usize {
+        #[expect(
+            clippy::expect_used,
+            reason = "a fitted classifier has at least one class"
+        )]
         self.decision_values(x)
             .iter()
             .enumerate()
-            // lint:allow(panic-in-lib): decision values are finite dot products
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite decision values"))
+            .max_by(
+                #[expect(
+                    clippy::expect_used,
+                    reason = "decision values are finite dot products"
+                )]
+                |a, b| a.1.partial_cmp(b.1).expect("finite decision values"),
+            )
             .map(|(i, _)| i)
-            // lint:allow(panic-in-lib): a fitted classifier has at least one class
             .expect("at least one class")
     }
 }

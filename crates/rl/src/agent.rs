@@ -25,7 +25,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 
-use crate::policy::{unit_field, EpsilonGreedy, MaskSet};
+use crate::policy::{in_unit_interval, unit_field, EpsilonGreedy, MaskSet};
 use crate::qstore::QStore;
 use crate::qtable::{QTable, ShapeMismatchError};
 
@@ -50,22 +50,17 @@ impl Hyperparameters {
         }
     }
 
-    /// Validates the hyperparameters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any value lies outside [0, 1].
-    fn validate(&self) {
-        for (name, v) in [
+    /// The name of the first field that lies outside [0, 1] (NaN and
+    /// the infinities included), or `None` when all three lie inside.
+    pub fn out_of_range(&self) -> Option<&'static str> {
+        [
             ("learning_rate", self.learning_rate),
             ("discount", self.discount),
             ("epsilon", self.epsilon),
-        ] {
-            assert!(
-                v.is_finite() && (0.0..=1.0).contains(&v),
-                "{name} must be in [0, 1]"
-            );
-        }
+        ]
+        .into_iter()
+        .find(|&(_, v)| !in_unit_interval(v))
+        .map(|(name, _)| name)
     }
 }
 
@@ -76,7 +71,7 @@ impl Default for Hyperparameters {
 }
 
 // Hand-written rather than derived so persisted hyperparameters (a
-// `--qtable` warm start) are held to `validate`'s range at parse time:
+// `--qtable` warm start) are held to `out_of_range`'s range at parse time:
 // a non-finite learning rate would write ±inf or NaN into the table on
 // the first update.
 impl Deserialize for Hyperparameters {
@@ -118,8 +113,18 @@ impl QLearningAgent {
 
     /// Creates an agent around any Q-value store — dense, or a
     /// copy-on-write overlay over a shared base.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any hyperparameter lies outside [0, 1]
+    /// ([`Hyperparameters::out_of_range`]).
     pub fn with_store(q: QStore, params: Hyperparameters) -> Self {
-        params.validate();
+        let invalid = params.out_of_range();
+        assert!(
+            invalid.is_none(),
+            "{} must be in [0, 1]",
+            invalid.unwrap_or_default()
+        );
         QLearningAgent {
             policy: EpsilonGreedy::new(params.epsilon),
             q,

@@ -136,7 +136,7 @@ impl ConvergenceDetector {
 
 /// Median of a non-empty slice, sorting it in place.
 fn median(values: &mut [f64]) -> f64 {
-    // lint:allow(panic-in-lib): eq. (5) rewards are finite
+    #[expect(clippy::expect_used, reason = "eq. (5) rewards are finite")]
     values.sort_by(|a, b| a.partial_cmp(b).expect("finite rewards"));
     let n = values.len();
     if n % 2 == 1 {

@@ -40,7 +40,10 @@ impl Dbscan {
     /// runs shorter than `min_points` are noise and are omitted.
     pub fn cluster(&self, samples: &[f64]) -> Vec<Vec<f64>> {
         let mut sorted: Vec<f64> = samples.iter().copied().filter(|v| v.is_finite()).collect();
-        // lint:allow(panic-in-lib): values were filtered with is_finite on the line above
+        #[expect(
+            clippy::expect_used,
+            reason = "values were filtered with is_finite on the line above"
+        )]
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("values are finite"));
         let mut clusters = Vec::new();
         let mut current: Vec<f64> = Vec::new();
@@ -75,7 +78,10 @@ impl Dbscan {
         let clusters = self.cluster(samples);
         let mut boundaries = Vec::new();
         for pair in clusters.windows(2) {
-            // lint:allow(panic-in-lib): cluster() only emits runs of at least min_points samples
+            #[expect(
+                clippy::expect_used,
+                reason = "cluster() only emits runs of at least min_points samples"
+            )]
             let left_max = *pair[0].last().expect("clusters are non-empty");
             let right_min = pair[1][0];
             boundaries.push((left_max + right_min) / 2.0);

@@ -19,6 +19,8 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
+use crate::policy::in_unit_interval;
+
 /// A Q-learning agent with per-action linear value functions over a
 /// continuous feature vector.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -53,10 +55,7 @@ impl LinearQAgent {
             ("discount", discount),
             ("epsilon", epsilon),
         ] {
-            assert!(
-                v.is_finite() && (0.0..=1.0).contains(&v),
-                "{name} must be in [0, 1]"
-            );
+            assert!(in_unit_interval(v), "{name} must be in [0, 1]");
         }
         LinearQAgent {
             weights: vec![vec![0.0; features + 1]; actions],

@@ -82,6 +82,13 @@ pub struct EpsilonGreedy {
     epsilon: f64,
 }
 
+/// Whether `value` lies in [0, 1], the range of every Algorithm 1
+/// hyperparameter (γ, µ and ε). NaN and the infinities lie outside it.
+#[inline]
+pub(crate) fn in_unit_interval(value: f64) -> bool {
+    (0.0..=1.0).contains(&value)
+}
+
 /// Reads field `name` of `ty` from a serde object as a value in
 /// [0, 1], with an error naming the field when it is non-finite or out
 /// of range.
@@ -91,7 +98,7 @@ pub(crate) fn unit_field(
     ty: &str,
 ) -> Result<f64, serde::Error> {
     let v: f64 = serde::__field(obj, name, ty)?;
-    if (0.0..=1.0).contains(&v) {
+    if in_unit_interval(v) {
         Ok(v)
     } else {
         Err(serde::Error::custom(format!(
@@ -120,10 +127,7 @@ impl EpsilonGreedy {
     ///
     /// Panics if `epsilon` is outside [0, 1] or not finite.
     pub fn new(epsilon: f64) -> Self {
-        assert!(
-            epsilon.is_finite() && (0.0..=1.0).contains(&epsilon),
-            "epsilon must be in [0, 1]"
-        );
+        assert!(in_unit_interval(epsilon), "epsilon must be in [0, 1]");
         EpsilonGreedy { epsilon }
     }
 

@@ -315,7 +315,10 @@ impl QTable {
     #[inline]
     fn block_at_mut(&mut self, b: usize) -> &mut Block {
         self.block_at(b);
-        // lint:allow(panic-in-lib): `block_at` set this cell on the line above
+        #[expect(
+            clippy::expect_used,
+            reason = "`block_at` set this cell on the line above"
+        )]
         self.blocks[b].get_mut().expect("the block was just set")
     }
 

@@ -220,9 +220,15 @@ impl Simulator {
             }
         }
         let recurrent = Workload::ALL.map(|w| networks[w.index()].has_recurrent_layers());
-        // lint:allow(panic-in-lib): the noise std constants are valid Normal parameters
+        #[expect(
+            clippy::expect_used,
+            reason = "the noise std constants are valid Normal parameters"
+        )]
         let lat_noise = Normal::new(1.0, LATENCY_NOISE_STD).expect("valid normal");
-        // lint:allow(panic-in-lib): the noise std constants are valid Normal parameters
+        #[expect(
+            clippy::expect_used,
+            reason = "the noise std constants are valid Normal parameters"
+        )]
         let en_noise = Normal::new(1.0, ENERGY_NOISE_STD).expect("valid normal");
         Simulator {
             host,

@@ -68,9 +68,15 @@ impl InterferenceProcess {
             InterferenceProcess::None => (0.0, 0.0),
             InterferenceProcess::Constant { cpu, mem } => (*cpu, *mem),
             InterferenceProcess::MusicPlayer => {
-                // lint:allow(panic-in-lib): literal (mean, std) pairs are valid Normal parameters
+                #[expect(
+                    clippy::expect_used,
+                    reason = "literal (mean, std) pairs are valid Normal parameters"
+                )]
                 let cpu = Normal::new(0.15, 0.05).expect("valid normal").sample(rng);
-                // lint:allow(panic-in-lib): literal (mean, std) pairs are valid Normal parameters
+                #[expect(
+                    clippy::expect_used,
+                    reason = "literal (mean, std) pairs are valid Normal parameters"
+                )]
                 let mem = Normal::new(0.10, 0.03).expect("valid normal").sample(rng);
                 (cpu, mem)
             }
