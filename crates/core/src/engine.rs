@@ -18,6 +18,7 @@ use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 
 use crate::action::ActionSpace;
+use crate::estimator::estimate_energy_mj;
 use crate::reward::{reward, RewardConfig};
 use crate::state::StateSpace;
 
@@ -351,6 +352,7 @@ impl AutoScaleEngine {
             "factored state must match the direct encoding"
         );
         self.decide_with(self.agent.policy(), workload, snapshot, rng)
+            .map(|(step, _)| step)
     }
 
     /// [`AutoScaleEngine::decide`] without the simulator argument, which
@@ -372,15 +374,21 @@ impl AutoScaleEngine {
         rng: &mut StdRng,
     ) -> Result<DecisionStep, NoFeasibleActionError> {
         self.decide_with(self.agent.policy(), workload, snapshot, rng)
+            .map(|(step, _)| step)
     }
 
     /// The one decision body: state encode, one
-    /// [`EpsilonGreedy::choose`] under `policy`, request build.
-    /// [`AutoScaleEngine::decide`] passes the agent's own policy, as
-    /// serving does; the open loop's degrade admission passes
+    /// [`EpsilonGreedy::choose_reporting_max`] under `policy`, request
+    /// build. [`AutoScaleEngine::decide`] passes the agent's own policy,
+    /// as serving does; the open loop's degrade admission passes
     /// [`EpsilonGreedy::greedy`], which draws the same one uniform value
     /// and never explores, so degrading a request never re-times the
     /// session's decision stream.
+    ///
+    /// Beside the step it returns the row maximum the choice read when it
+    /// exploited — `max_a' Q(S, a')` over the workload's mask — and
+    /// `None` when it explored. [`Self::learn_rewarded`] takes it as the
+    /// bootstrap of a transition back into the same state.
     #[inline]
     pub(crate) fn decide_with(
         &self,
@@ -388,17 +396,18 @@ impl AutoScaleEngine {
         workload: Workload,
         snapshot: &Snapshot,
         rng: &mut StdRng,
-    ) -> Result<DecisionStep, NoFeasibleActionError> {
+    ) -> Result<(DecisionStep, Option<f64>), NoFeasibleActionError> {
         let ctx = &self.context.workloads[workload.index()];
         let state_index = ctx.state_base + self.context.states.runtime_index(snapshot);
-        let action_index = policy
-            .choose(self.agent.store(), state_index, &ctx.mask, rng)
+        let choice = policy
+            .choose_reporting_max(self.agent.store(), state_index, &ctx.mask, rng)
             .ok_or(NoFeasibleActionError { workload })?;
-        Ok(DecisionStep {
+        let step = DecisionStep {
             state_index,
-            action_index,
-            request: self.context.actions.request(action_index),
-        })
+            action_index: choice.action,
+            request: self.context.actions.request(choice.action),
+        };
+        Ok((step, choice.row_max))
     }
 
     /// Selects the greedy (exploitation-only) action — serving mode, once
@@ -446,32 +455,66 @@ impl AutoScaleEngine {
         outcome: &Outcome,
         next_snapshot: &Snapshot,
     ) -> f64 {
-        // The paper's engine measures latency but *estimates* energy from
-        // it (eqs. (1)–(4)) — a phone has no per-inference power meter.
-        let rewarded = if self.config.estimate_energy {
+        let rewarded = self.rewarded(outcome, || {
+            estimate_energy_mj(
+                sim,
+                workload,
+                &step.request,
+                next_snapshot,
+                outcome.latency_ms,
+            )
+        });
+        self.learn_rewarded(workload, step, &rewarded, next_snapshot, None)
+    }
+
+    /// The outcome the reward reads. The paper's engine measures latency
+    /// but *estimates* energy from it (eqs. (1)–(4)) — a phone has no
+    /// per-inference power meter — so with `estimate_energy` on, the
+    /// measured energy is replaced by `estimate()`, the estimator at the
+    /// measured latency; off, the outcome is rewarded as measured.
+    #[inline]
+    pub(crate) fn rewarded(&self, outcome: &Outcome, estimate: impl FnOnce() -> f64) -> Outcome {
+        if self.config.estimate_energy {
             Outcome {
-                energy_mj: crate::estimator::estimate_energy_mj(
-                    sim,
-                    workload,
-                    &step.request,
-                    next_snapshot,
-                    outcome.latency_ms,
-                ),
+                energy_mj: estimate(),
                 ..*outcome
             }
         } else {
             *outcome
-        };
+        }
+    }
+
+    /// The one learning body: reward `rewarded`, back it up into
+    /// Q(S, A), observe it for convergence, and return it.
+    ///
+    /// `row_max` is `max_a' Q(S', a')` when the caller already read it —
+    /// the row maximum [`Self::decide_with`] returned, valid when S' = S
+    /// and nothing wrote the row since. `None` reads it from the table.
+    pub(crate) fn learn_rewarded(
+        &mut self,
+        workload: Workload,
+        step: DecisionStep,
+        rewarded: &Outcome,
+        next_snapshot: &Snapshot,
+        row_max: Option<f64>,
+    ) -> f64 {
         let ctx = &self.context.workloads[workload.index()];
-        let r = reward(&ctx.reward, &rewarded);
+        let r = reward(&ctx.reward, rewarded);
         let next_state = ctx.state_base + self.context.states.runtime_index(next_snapshot);
-        self.agent.update(
-            step.state_index,
-            step.action_index,
-            r,
-            next_state,
-            ctx.mask.bools(),
-        );
+        let mask = ctx.mask.bools();
+        let bootstrap = match row_max {
+            Some(known) => {
+                debug_assert_eq!(
+                    known.to_bits(),
+                    self.agent.store().max_value(next_state, mask).to_bits(),
+                    "a known bootstrap must be the next state's row maximum"
+                );
+                known
+            }
+            None => self.agent.store().max_value(next_state, mask),
+        };
+        self.agent
+            .update_toward(step.state_index, step.action_index, r, bootstrap);
         self.detector.observe(r);
         r
     }
@@ -855,7 +898,7 @@ mod tests {
             let snapshot = env.sample(&mut env_rng);
             for w in [Workload::InceptionV1, Workload::MobileBert] {
                 let mut rng = seeded_rng(seed);
-                let degraded = engine
+                let (degraded, row_max) = engine
                     .decide_with(EpsilonGreedy::greedy(), w, &snapshot, &mut rng)
                     .expect("feasible");
                 let mut shadow = seeded_rng(seed);
@@ -863,6 +906,10 @@ mod tests {
                 assert_eq!(rng, shadow, "exactly one uniform draw");
                 let greedy = engine.decide_greedy(&sim, w, &snapshot).expect("feasible");
                 assert_eq!(degraded, greedy);
+                let state = degraded.state_index;
+                let q = engine.agent().store();
+                assert_eq!(row_max, Some(q.get(state, degraded.action_index)));
+                assert_eq!(row_max, Some(q.max_value(state, engine.mask_for(w))));
             }
         }
     }

@@ -24,7 +24,9 @@ use autoscale_platform::{power, ExecutionConditions};
 use autoscale_sim::{Placement, Request, Simulator, Snapshot};
 
 /// Estimates the phone-side energy of one executed inference, in
-/// millijoules, from its measured latency (the paper's eqs. (1)–(4)).
+/// millijoules, from its measured latency (the paper's eqs. (1)–(4)):
+/// the request's latency-independent terms, evaluated at the measured
+/// latency.
 ///
 /// # Panics
 ///
@@ -37,46 +39,110 @@ pub fn estimate_energy_mj(
     snapshot: &Snapshot,
     measured_latency_ms: f64,
 ) -> f64 {
-    #[expect(
-        clippy::expect_used,
-        reason = "the request already executed, so its placement resolved to a processor"
-    )]
-    let processor = sim
-        .processor_for(request.placement)
-        .expect("the executed request's processor exists");
-    match request.placement {
-        Placement::OnDevice(_) => {
-            // Eqs. (1)–(3): busy power at the requested step times the
-            // measured busy time, plus the device base draw. The phone
-            // knows its own thermal state, so the capped step is used.
-            let cond = ExecutionConditions {
-                freq_index: request.freq_index.min(processor.dvfs().max_index()),
-                precision: request.precision,
-                compute_availability: 1.0,
-                mem_availability: 1.0,
-                thermal_cap: sim.host().thermal().cap_for(snapshot.co_cpu),
-            };
-            power::on_device_energy_mj(
-                processor,
-                &cond,
-                measured_latency_ms,
-                sim.host().base_power_w(),
-            )
-            .total_mj()
+    EnergyTerms::new(sim, workload, request, snapshot).at(measured_latency_ms)
+}
+
+/// The latency-independent terms of one request's energy estimate: what
+/// the estimator reads from the power tables and the link model before
+/// it sees a measured latency. They depend on the testbed, the workload,
+/// the request and the snapshot only, so a session that serves the same
+/// request under the same snapshot again prices it once.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum EnergyTerms {
+    /// Eqs. (1)–(3): power drawn for the whole measured latency.
+    Local {
+        /// Busy power at the requested (thermally capped) step, in W.
+        busy_power_w: f64,
+        /// The device's base draw, in W.
+        base_power_w: f64,
+    },
+    /// Eq. (4): transmission bursts, then idle-wait power for the rest
+    /// of the measured round trip.
+    Remote {
+        /// Radio energy of the wake ramp and both bursts, in mJ.
+        radio_energy_mj: f64,
+        /// Uplink time, in ms.
+        tx_ms: f64,
+        /// Downlink time, in ms.
+        rx_ms: f64,
+        /// Base plus radio-wait power, in W.
+        wait_power_w: f64,
+    },
+}
+
+impl EnergyTerms {
+    /// Reads the terms of `request` under `snapshot`.
+    ///
+    /// # Panics
+    ///
+    /// As [`estimate_energy_mj`].
+    pub(crate) fn new(
+        sim: &Simulator,
+        workload: Workload,
+        request: &Request,
+        snapshot: &Snapshot,
+    ) -> Self {
+        #[expect(
+            clippy::expect_used,
+            reason = "the request already executed, so its placement resolved to a processor"
+        )]
+        let processor = sim
+            .processor_for(request.placement)
+            .expect("the executed request's processor exists");
+        match request.placement {
+            Placement::OnDevice(_) => {
+                // The phone knows its own thermal state, so the capped
+                // step is used.
+                let cond = ExecutionConditions {
+                    freq_index: request.freq_index.min(processor.dvfs().max_index()),
+                    precision: request.precision,
+                    compute_availability: 1.0,
+                    mem_availability: 1.0,
+                    thermal_cap: sim.host().thermal().cap_for(snapshot.co_cpu),
+                };
+                EnergyTerms::Local {
+                    busy_power_w: power::busy_power_w(processor, &cond),
+                    base_power_w: sim.host().base_power_w(),
+                }
+            }
+            Placement::ConnectedEdge(_) | Placement::Cloud(_) => {
+                let (link, rssi) = match request.placement {
+                    Placement::ConnectedEdge(_) => (sim.p2p(), snapshot.p2p),
+                    _ => (sim.wlan(), snapshot.wlan),
+                };
+                let network = sim.network(workload);
+                let transfer =
+                    Transfer::compute(link, network.input_bytes(), network.output_bytes(), rssi);
+                EnergyTerms::Remote {
+                    radio_energy_mj: transfer.radio_energy_mj(),
+                    tx_ms: transfer.tx_ms,
+                    rx_ms: transfer.rx_ms,
+                    wait_power_w: sim.host().base_power_w() + transfer.wait_power_w,
+                }
+            }
         }
-        Placement::ConnectedEdge(_) | Placement::Cloud(_) => {
-            // Eq. (4): transmission bursts at the sampled RSSI, idle-wait
-            // power for the remainder of the measured round trip.
-            let (link, rssi) = match request.placement {
-                Placement::ConnectedEdge(_) => (sim.p2p(), snapshot.p2p),
-                _ => (sim.wlan(), snapshot.wlan),
-            };
-            let network = sim.network(workload);
-            let transfer =
-                Transfer::compute(link, network.input_bytes(), network.output_bytes(), rssi);
-            let wait_ms = (measured_latency_ms - transfer.tx_ms - transfer.rx_ms).max(0.0);
-            transfer.radio_energy_mj()
-                + (sim.host().base_power_w() + transfer.wait_power_w) * wait_ms
+    }
+
+    /// The estimate at a measured latency, in millijoules. Local: busy
+    /// plus base power times the measured busy time, as
+    /// `power::on_device_energy_mj` sums them. Remote: the radio energy
+    /// plus wait power over the measured round trip less both bursts.
+    #[inline]
+    pub(crate) fn at(&self, measured_latency_ms: f64) -> f64 {
+        match *self {
+            EnergyTerms::Local {
+                busy_power_w,
+                base_power_w,
+            } => busy_power_w * measured_latency_ms + base_power_w * measured_latency_ms,
+            EnergyTerms::Remote {
+                radio_energy_mj,
+                tx_ms,
+                rx_ms,
+                wait_power_w,
+            } => {
+                let wait_ms = (measured_latency_ms - tx_ms - rx_ms).max(0.0);
+                radio_energy_mj + wait_power_w * wait_ms
+            }
         }
     }
 }
@@ -124,6 +190,83 @@ mod tests {
             mape > 0.5,
             "estimator suspiciously exact ({mape:.2}%) — is it peeking?"
         );
+    }
+
+    /// The estimate as one body, before its split into terms: the
+    /// on-device energy model and the transfer, read at the latency.
+    fn unsplit_estimate_mj(
+        sim: &Simulator,
+        workload: Workload,
+        request: &Request,
+        snapshot: &Snapshot,
+        measured_latency_ms: f64,
+    ) -> f64 {
+        let processor = sim.processor_for(request.placement).expect("feasible");
+        let base_power_w = sim.host().base_power_w();
+        let (link, rssi) = match request.placement {
+            Placement::OnDevice(_) => {
+                let cond = ExecutionConditions {
+                    freq_index: request.freq_index.min(processor.dvfs().max_index()),
+                    precision: request.precision,
+                    compute_availability: 1.0,
+                    mem_availability: 1.0,
+                    thermal_cap: sim.host().thermal().cap_for(snapshot.co_cpu),
+                };
+                return power::on_device_energy_mj(
+                    processor,
+                    &cond,
+                    measured_latency_ms,
+                    base_power_w,
+                )
+                .total_mj();
+            }
+            Placement::ConnectedEdge(_) => (sim.p2p(), snapshot.p2p),
+            Placement::Cloud(_) => (sim.wlan(), snapshot.wlan),
+        };
+        let network = sim.network(workload);
+        let transfer = Transfer::compute(link, network.input_bytes(), network.output_bytes(), rssi);
+        let wait_ms = (measured_latency_ms - transfer.tx_ms - transfer.rx_ms).max(0.0);
+        transfer.radio_energy_mj() + (base_power_w + transfer.wait_power_w) * wait_ms
+    }
+
+    #[test]
+    fn terms_at_a_latency_equal_the_unsplit_estimate_bit_for_bit() {
+        // A session prices a request's terms once and evaluates them at
+        // every measured latency: that must be the one-body estimate,
+        // bit for bit. Latencies below a transfer's wire time exercise
+        // the remote wait clamp.
+        let sim = Simulator::new(DeviceId::Mi8Pro);
+        let space = crate::action::ActionSpace::for_simulator(&sim);
+        let mut rng = seeded_rng(34);
+        let mut checked = 0;
+        for env_id in EnvironmentId::ALL {
+            // Past D4's first app switch, so both of its apps are seen
+            // across the dynamic environments.
+            let mut env = Environment::for_id(env_id);
+            let snapshot = (0..30).map(|_| env.sample(&mut rng)).last().expect("30");
+            for w in Workload::ALL {
+                for a in 0..space.len() {
+                    let request = space.request(a);
+                    if !sim.is_feasible(w, &request) {
+                        continue;
+                    }
+                    let terms = EnergyTerms::new(&sim, w, &request, &snapshot);
+                    for latency_ms in [0.0, 0.25, 3.7, 18.0, 49.9, 240.5] {
+                        let want = unsplit_estimate_mj(&sim, w, &request, &snapshot, latency_ms);
+                        let got = terms.at(latency_ms);
+                        assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "{env_id} {w} {request} at {latency_ms} ms"
+                        );
+                        let public = estimate_energy_mj(&sim, w, &request, &snapshot, latency_ms);
+                        assert_eq!(public.to_bits(), want.to_bits());
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert!(checked > 10_000, "{checked} estimates checked");
     }
 
     #[test]

@@ -14,7 +14,8 @@ use autoscale_nn::Workload;
 use autoscale_rl::qtable::ShapeMismatchError;
 use autoscale_rl::{EpsilonGreedy, QLearningAgent, QStoreStats};
 use autoscale_sim::{
-    Environment, EnvironmentId, FaultInjector, FaultProfile, Outcome, ResiliencePolicy, Simulator,
+    Environment, EnvironmentId, ExecutionError, FaultInjector, FaultProfile, Outcome,
+    ResiliencePolicy, Simulator, Snapshot,
 };
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
@@ -22,7 +23,8 @@ use serde::{Deserialize, Serialize};
 use super::openloop::{OpenLoopConfig, SessionTraffic};
 use super::timing::DecisionTimer;
 use super::ServeError;
-use crate::engine::AutoScaleEngine;
+use crate::engine::{AutoScaleEngine, DecisionStep};
+use crate::estimator::EnergyTerms;
 use crate::parallel::cell_seed;
 use crate::seeded_rng;
 
@@ -142,6 +144,59 @@ pub(super) struct Tally {
     frozen_at: Option<usize>,
 }
 
+/// The price of one fault-free request: its noise-free outcome and the
+/// latency-independent terms of its energy estimate, keyed by what they
+/// depend on within a session.
+///
+/// Both are pure functions of the simulator, the workload, the request
+/// and the snapshot. A session fixes the first two, and the action index
+/// names the request, so the key is the action plus the snapshot's four
+/// fields as bits: equal bits are equal inputs, and the reused price is
+/// the one a fresh call would compute, bit for bit.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct Priced {
+    key: (usize, [u64; 4]),
+    /// [`Simulator::execute_expected`] of the request.
+    expected: Outcome,
+    /// The estimator's terms, evaluated at each measured latency.
+    terms: EnergyTerms,
+}
+
+impl Priced {
+    /// The memo key of `action` under `snapshot`.
+    fn key(action: usize, snapshot: &Snapshot) -> (usize, [u64; 4]) {
+        let fields = [
+            snapshot.co_cpu,
+            snapshot.co_mem,
+            snapshot.wlan.dbm(),
+            snapshot.p2p.dbm(),
+        ];
+        (action, fields.map(f64::to_bits))
+    }
+
+    /// The price of the decided request under `snapshot`: `last` when it
+    /// priced the same key, otherwise a fresh one, stored in its place.
+    fn lookup(
+        last: &mut Option<Priced>,
+        sim: &Simulator,
+        workload: Workload,
+        step: &DecisionStep,
+        snapshot: &Snapshot,
+    ) -> Result<Priced, ExecutionError> {
+        let key = Priced::key(step.action_index, snapshot);
+        if let Some(hit) = last.filter(|priced| priced.key == key) {
+            return Ok(hit);
+        }
+        let priced = Priced {
+            key,
+            expected: sim.execute_expected(workload, &step.request, snapshot)?,
+            terms: EnergyTerms::new(sim, workload, &step.request, snapshot),
+        };
+        *last = Some(priced);
+        Ok(priced)
+    }
+}
+
 /// Everything one session run returns: the deterministic report, and
 /// beside it what is measured or merely observed.
 #[derive(Debug, Clone, PartialEq)]
@@ -182,6 +237,10 @@ pub struct DeviceSession<'a> {
     /// fault injection.
     pub(super) injector: Option<FaultInjector>,
     pub(super) resilience: ResiliencePolicy,
+    /// The last fault-free request's price. In a static environment the
+    /// snapshot never changes, so once the policy settles every request
+    /// reuses it.
+    pub(super) priced: Option<Priced>,
     pub(super) tally: Tally,
     /// The session's private seed, which every stream is split from.
     pub(super) seed: u64,
@@ -242,6 +301,7 @@ impl<'a> DeviceSession<'a> {
             latencies_ns: Vec::new(),
             injector,
             resilience: ResiliencePolicy::for_qos(qos_ms),
+            priced: None,
             tally: Tally {
                 digest: fnv1a_start(),
                 reward_sum: 0.0,
@@ -314,6 +374,14 @@ impl<'a> DeviceSession<'a> {
     /// `greedy` decides with exploration off — the open loop's degrade
     /// admission. It draws exactly what an exploring decision draws, so
     /// degrading a request never re-times the session's streams.
+    ///
+    /// Each request is priced once per (action, snapshot): a fault-free
+    /// request reuses the session's [`Priced`] memo when the key matches,
+    /// then draws its two noise values ([`Simulator::measure`]) and
+    /// evaluates the energy estimate at the measured latency — exactly
+    /// `execute_measured` and `estimate_energy_mj`. And since S′ = S,
+    /// learning bootstraps from the row maximum an exploiting decision
+    /// already read.
     pub(super) fn serve_request(
         &mut self,
         greedy: bool,
@@ -346,7 +414,7 @@ impl<'a> DeviceSession<'a> {
             // grows amortized.
             self.latencies_ns.push(timer.elapsed_ns());
         }
-        let step = decided.map_err(|source| ServeError::NoFeasibleAction {
+        let (step, row_max) = decided.map_err(|source| ServeError::NoFeasibleAction {
             session: self.spec.session,
             source,
         })?;
@@ -357,11 +425,10 @@ impl<'a> DeviceSession<'a> {
         // faults, the resilient path draws the same two noise values per
         // request from the session stream; all fault draws come from the
         // injector's private stream.
-        let workload = self.spec.workload;
-        let outcome = match &mut self.injector {
-            None => self
-                .sim
-                .execute_measured(workload, &step.request, &snapshot, &mut self.rng),
+        let (sim, workload) = (self.sim, self.spec.workload);
+        let (outcome, terms) = match &mut self.injector {
+            None => Priced::lookup(&mut self.priced, sim, workload, &step, &snapshot)
+                .map(|priced| (sim.measure(priced.expected, &mut self.rng), priced.terms)),
             Some(injector) => {
                 let plan = injector.next_faults();
                 self.sim
@@ -381,7 +448,8 @@ impl<'a> DeviceSession<'a> {
                         if resilient.fell_back {
                             tally.fallbacks += 1;
                         }
-                        resilient.outcome
+                        let terms = EnergyTerms::new(sim, workload, &step.request, &snapshot);
+                        (resilient.outcome, terms)
                     })
             }
         }
@@ -393,9 +461,14 @@ impl<'a> DeviceSession<'a> {
             tally.qos_violations += 1;
         }
         tally.total_energy_mj += outcome.energy_mj;
+        // S′ = S: the estimate reads the decision's snapshot, and the
+        // bootstrap is the row the decision read.
+        let rewarded = self
+            .engine
+            .rewarded(&outcome, || terms.at(outcome.latency_ms));
         tally.reward_sum += self
             .engine
-            .learn(self.sim, workload, step, &outcome, &snapshot);
+            .learn_rewarded(workload, step, &rewarded, &snapshot, row_max);
         if tally.frozen_at.is_none() && self.engine.is_converged() {
             self.engine.freeze();
             tally.frozen_at = Some(tally.served);

@@ -173,9 +173,16 @@ impl LinkModel {
     /// Time to move `bytes` over the link at the given signal strength,
     /// in milliseconds.
     pub fn transfer_ms(&self, bytes: u64, rssi: Rssi) -> f64 {
-        let bits = bytes as f64 * 8.0;
-        bits / (self.data_rate_mbps(rssi) * 1e6) * 1e3
+        transfer_ms_at(bytes, self.data_rate_mbps(rssi))
     }
+}
+
+/// Time to move `bytes` at `rate_mbps`, in milliseconds: the one body of
+/// [`LinkModel::transfer_ms`], for callers that move two payloads at one
+/// signal strength and read the rate once.
+pub(crate) fn transfer_ms_at(bytes: u64, rate_mbps: f64) -> f64 {
+    let bits = bytes as f64 * 8.0;
+    bits / (rate_mbps * 1e6) * 1e3
 }
 
 #[cfg(test)]

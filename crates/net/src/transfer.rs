@@ -3,7 +3,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::link::LinkModel;
+use crate::link::{transfer_ms_at, LinkModel};
 use crate::rssi::Rssi;
 
 /// The cost of moving one inference's input out and its output back over a
@@ -41,8 +41,10 @@ impl Transfer {
     /// assert!(t.tx_ms > t.rx_ms); // uplink carries the big payload
     /// ```
     pub fn compute(link: &LinkModel, input_bytes: u64, output_bytes: u64, rssi: Rssi) -> Self {
-        let tx_ms = link.transfer_ms(input_bytes, rssi);
-        let rx_ms = link.transfer_ms(output_bytes, rssi);
+        // Both directions move at one rate: read it (two `powf`s) once.
+        let rate_mbps = link.data_rate_mbps(rssi);
+        let tx_ms = transfer_ms_at(input_bytes, rate_mbps);
+        let rx_ms = transfer_ms_at(output_bytes, rate_mbps);
         Transfer {
             tx_ms,
             rx_ms,
@@ -103,6 +105,25 @@ mod tests {
             text.radio_energy_mj() - text.wake_energy_mj
                 < (image.radio_energy_mj() - image.wake_energy_mj) / 5.0
         );
+    }
+
+    #[test]
+    fn wire_times_equal_the_links_transfer_times_bit_for_bit() {
+        // One rate read per transfer must not move a bit of either
+        // direction's time, at any signal strength, on either link.
+        let (input, output) = (150_528, 4_004);
+        for kind in LinkKind::ALL {
+            let link = LinkModel::for_kind(kind);
+            for tenth_db in -950..=-300 {
+                let rssi = Rssi::new(f64::from(tenth_db) / 10.0);
+                let t = Transfer::compute(&link, input, output, rssi);
+                let at = format!("{kind} at {} dBm", rssi.dbm());
+                let tx_ms = link.transfer_ms(input, rssi);
+                let rx_ms = link.transfer_ms(output, rssi);
+                assert_eq!(t.tx_ms.to_bits(), tx_ms.to_bits(), "{at}");
+                assert_eq!(t.rx_ms.to_bits(), rx_ms.to_bits(), "{at}");
+            }
+        }
     }
 
     #[test]

@@ -226,6 +226,14 @@ impl QLearningAgent {
         next_mask: &[bool],
     ) {
         let bootstrap = self.q.max_value(next_state, next_mask);
+        self.update_toward(state, action, reward, bootstrap);
+    }
+
+    /// [`Self::update`] with `max_a' Q(S', a')` already known: the caller
+    /// passes the bootstrap it read, e.g. the row maximum an exploiting
+    /// [`EpsilonGreedy::choose_reporting_max`] returned for S' = S
+    /// before anything wrote the row.
+    pub fn update_toward(&mut self, state: usize, action: usize, reward: f64, bootstrap: f64) {
         let current = self.q.get(state, action);
         let target = reward + self.params.discount * bootstrap;
         let updated = current + self.params.learning_rate * (target - current);

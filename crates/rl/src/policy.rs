@@ -175,6 +175,27 @@ impl EpsilonGreedy {
         mask: &MaskSet,
         rng: &mut StdRng,
     ) -> Option<usize> {
+        self.choose_reporting_max(q, state, mask, rng)
+            .map(|choice| choice.action)
+    }
+
+    /// [`Self::choose`], reporting what the exploitation arm read: the
+    /// row's largest allowed Q value, which is `max_a' Q(state, a')` —
+    /// the bootstrap of an update whose next state is `state`, as long
+    /// as nothing writes the row in between. The exploration arm reads no
+    /// Q value and reports none. Same draws, same action.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::choose`].
+    #[inline]
+    pub fn choose_reporting_max(
+        &self,
+        q: &QStore,
+        state: usize,
+        mask: &MaskSet,
+        rng: &mut StdRng,
+    ) -> Option<Choice> {
         debug_assert_eq!(
             mask.len(),
             q.actions(),
@@ -188,11 +209,29 @@ impl EpsilonGreedy {
         // one bounded draw on the exploration arm only; digest tests freeze it.
         if rng.gen::<f64>() < self.epsilon {
             let k = rng.gen_range(0..allowed);
-            Some(mask.nth_allowed(k))
+            Some(Choice {
+                action: mask.nth_allowed(k),
+                row_max: None,
+            })
         } else {
-            q.best_action(state, mask.bools()).map(|(a, _)| a)
+            q.best_action(state, mask.bools())
+                .map(|(action, value)| Choice {
+                    action,
+                    row_max: Some(value),
+                })
         }
     }
+}
+
+/// One epsilon-greedy choice: the action, and the row maximum when the
+/// choice exploited.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Choice {
+    /// The chosen action.
+    pub action: usize,
+    /// The largest allowed Q value of the state's row, which the
+    /// exploitation arm read to choose; `None` after exploring.
+    pub row_max: Option<f64>,
 }
 
 impl Default for EpsilonGreedy {
@@ -274,6 +313,49 @@ mod tests {
         let mask = MaskSet::from_bools(&[false; 4]);
         assert_eq!(policy.choose(&q, 0, &mask, &mut rng), None);
         assert_eq!(rng, StdRng::seed_from_u64(3));
+    }
+
+    #[test]
+    fn an_exploiting_choice_reports_the_masked_row_maximum() {
+        // The reported maximum is what a learner bootstraps from when the
+        // next state is the decided one: the largest allowed value of the
+        // row, on both stores, and nothing after exploring. The choice
+        // itself and the draws are `choose`'s.
+        use crate::qstore::QStore;
+        let mut init = StdRng::seed_from_u64(4);
+        let dense = QTable::new_random(3, 11, 9);
+        let cow = QStore::cow(std::sync::Arc::new(dense.clone()));
+        for q in [QStore::Dense(dense), cow] {
+            for policy in [EpsilonGreedy::greedy(), EpsilonGreedy::new(0.5)] {
+                for _ in 0..200 {
+                    let bools: Vec<bool> = (0..11).map(|_| init.gen_bool(0.6)).collect();
+                    let mask = MaskSet::from_bools(&bools);
+                    let state = init.gen_range(0..3);
+                    let seed = init.gen();
+                    let (mut rng, mut twin) =
+                        (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+                    let choice = policy.choose_reporting_max(&q, state, &mask, &mut rng);
+                    let plain = policy.choose(&q, state, &mask, &mut twin);
+                    assert_eq!(choice.map(|c| c.action), plain);
+                    assert_eq!(rng, twin);
+                    let Some(Choice { action, row_max }) = choice else {
+                        assert_eq!(mask.allowed_count(), 0);
+                        continue;
+                    };
+                    let brute = (0..11)
+                        .filter(|&a| bools[a])
+                        .map(|a| q.get(state, a))
+                        .fold(f64::NEG_INFINITY, f64::max);
+                    match row_max {
+                        Some(max) => {
+                            assert_eq!(max.to_bits(), brute.to_bits());
+                            assert_eq!(max.to_bits(), q.get(state, action).to_bits());
+                        }
+                        None => assert!(policy.epsilon() > 0.0, "greedy always exploits"),
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -393,7 +393,8 @@ impl Simulator {
     }
 
     /// Executes a request with measurement noise applied to latency and
-    /// energy — what the paper's Monsoon meter and timestamps report.
+    /// energy — what the paper's Monsoon meter and timestamps report:
+    /// [`Self::execute_expected`], then [`Self::measure`].
     ///
     /// # Errors
     ///
@@ -406,13 +407,17 @@ impl Simulator {
         rng: &mut StdRng,
     ) -> Result<Outcome, ExecutionError> {
         let expected = self.execute_expected(workload, request, snapshot)?;
-        Ok(self.apply_noise(expected, rng))
+        Ok(self.measure(expected, rng))
     }
 
-    /// Applies measurement noise to an expected outcome. Always draws
-    /// exactly two values from `rng`, so callers consume the stream at a
-    /// fixed rate per execution.
-    fn apply_noise(&self, expected: Outcome, rng: &mut StdRng) -> Outcome {
+    /// Applies measurement noise to an expected outcome: the one noise
+    /// path of every execute call. Always draws exactly two normal
+    /// values (four uniforms) from `rng`, so callers consume the stream
+    /// at a fixed rate per execution. A caller that already holds a
+    /// request's [`Self::execute_expected`] outcome gets
+    /// [`Self::execute_measured`]'s result, draw for draw, by measuring
+    /// it.
+    pub fn measure(&self, expected: Outcome, rng: &mut StdRng) -> Outcome {
         Outcome {
             latency_ms: expected.latency_ms * self.lat_noise.sample(rng).max(0.7),
             energy_mj: expected.energy_mj * self.en_noise.sample(rng).max(0.7),
@@ -467,7 +472,7 @@ impl Simulator {
                     1.0,
                 )?;
                 return Ok(ResilientOutcome::clean(
-                    self.apply_noise(expected, rng),
+                    self.measure(expected, rng),
                     *request,
                 ));
             }
@@ -533,7 +538,7 @@ impl Simulator {
                 self.expected_with_faults(workload, &fallback, snapshot, faults.thermal_cap, 1.0)?;
             (expected, fallback, true)
         };
-        let measured = self.apply_noise(expected, rng);
+        let measured = self.measure(expected, rng);
         Ok(ResilientOutcome {
             outcome: Outcome {
                 latency_ms: measured.latency_ms + penalty_ms,
@@ -876,6 +881,57 @@ mod tests {
             "mean ratio {}",
             mean / expected.latency_ms
         );
+    }
+
+    #[test]
+    fn measuring_the_expected_outcome_is_execute_measured_draw_for_draw() {
+        // A caller holding a request's noise-free outcome measures it
+        // instead of executing again: same outcome bits, and exactly the
+        // four draws (two Box–Muller normals) a shadow stream steps.
+        use rand::Rng;
+        let sim = sim();
+        let busy = Snapshot::new(
+            0.6,
+            0.3,
+            autoscale_net::Rssi::WEAK,
+            autoscale_net::Rssi::new(-65.0),
+        );
+        let mut rng = StdRng::seed_from_u64(23);
+        let mut measured = 0;
+        for w in Workload::ALL {
+            for site in [
+                Placement::OnDevice as fn(ProcessorKind) -> Placement,
+                Placement::ConnectedEdge,
+                Placement::Cloud,
+            ] {
+                for kind in ProcessorKind::ALL {
+                    for precision in Precision::ALL {
+                        let req = max_req(&sim, site(kind), precision);
+                        for snapshot in [&Snapshot::calm(), &busy] {
+                            let Ok(expected) = sim.execute_expected(w, &req, snapshot) else {
+                                continue;
+                            };
+                            let mut twin = rng.clone();
+                            let mut shadow = rng.clone();
+                            let got = sim.measure(expected, &mut rng);
+                            let want = sim
+                                .execute_measured(w, &req, snapshot, &mut twin)
+                                .expect("feasible");
+                            for _ in 0..4 {
+                                let _: u64 = shadow.gen();
+                            }
+                            let at = format!("{w} {} {precision:?}", req.placement);
+                            assert_eq!(got.latency_ms.to_bits(), want.latency_ms.to_bits(), "{at}");
+                            assert_eq!(got.energy_mj.to_bits(), want.energy_mj.to_bits(), "{at}");
+                            assert_eq!(got.accuracy.to_bits(), want.accuracy.to_bits(), "{at}");
+                            assert!(rng == twin && rng == shadow, "{at}: four draws");
+                            measured += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(measured > 100, "{measured} requests measured");
     }
 
     #[test]

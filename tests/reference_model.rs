@@ -492,6 +492,17 @@ fn chaos_fleets_match_the_reference() {
 }
 
 #[test]
+fn dynamic_fault_free_fleets_match_the_reference() {
+    // The D1–D4 snapshots change from request to request, so a session
+    // may reuse a request's price only while its action and snapshot
+    // hold; the chaos fleets above price every request afresh.
+    let mix = ScenarioMix::all_envs();
+    let (sessions, _) = check_fleet(DeviceId::Mi8Pro, &mix, &fleet(18, 250), None);
+    let dynamic = |s: &&SessionReport| !EnvironmentId::STATIC.contains(&s.environment);
+    assert!(sessions.iter().filter(dynamic).count() >= 8);
+}
+
+#[test]
 fn overloaded_degrade_fleets_match_the_reference() {
     let config = ServeConfig {
         openloop: Some(OpenLoopConfig {
