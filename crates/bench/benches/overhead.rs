@@ -73,8 +73,7 @@ fn bench_overhead(c: &mut Criterion) {
         // The function-approximation alternative: one dot product per
         // action per decision instead of a table read.
         use autoscale::scheduler::{LinearFaScheduler, Scheduler};
-        let config = EngineConfig::paper();
-        let mut fa = LinearFaScheduler::new(&sim, false, move |w| config.reward_for(w));
+        let mut fa = LinearFaScheduler::new(&sim, false, EngineConfig::paper());
         let mut rng = autoscale::seeded_rng(5);
         b.iter(|| fa.decide(&sim, black_box(Workload::MobileNetV3), &snapshot, &mut rng))
     });
@@ -82,9 +81,7 @@ fn bench_overhead(c: &mut Criterion) {
     c.bench_function("oracle_decision", |b| {
         // The exhaustive alternative AutoScale avoids: evaluate all ~66
         // actions through the full cost model.
-        let config = EngineConfig::paper();
-        let oracle =
-            autoscale::scheduler::OracleScheduler::new(&sim, move |w| config.reward_for(w));
+        let oracle = autoscale::scheduler::OracleScheduler::new(&sim, EngineConfig::paper());
         b.iter(|| oracle.optimal_request(&sim, black_box(Workload::MobileNetV3), &snapshot))
     });
 }

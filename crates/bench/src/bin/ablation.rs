@@ -13,10 +13,8 @@
 use autoscale::experiment;
 use autoscale::parallel::run_cells;
 use autoscale::prelude::*;
-use autoscale::scheduler::AutoScaleScheduler;
-use autoscale_bench::{
-    build_baseline, mean, reward_fn, section, threads_from_args, RUNS, TRAIN_RUNS, WARMUP,
-};
+use autoscale::scheduler::{AutoScaleScheduler, FixedScheduler, OracleScheduler};
+use autoscale_bench::{mean, section, threads_from_args, RUNS, TRAIN_RUNS, WARMUP};
 use autoscale_net::Rssi;
 use autoscale_rl::Hyperparameters;
 
@@ -49,13 +47,9 @@ fn score(sim: &Simulator, config: EngineConfig) -> (f64, f64) {
             91,
         );
         for env in [EnvironmentId::S1, EnvironmentId::S2, EnvironmentId::S4] {
-            let mut base = build_baseline(
-                autoscale::scheduler::SchedulerKind::EdgeCpuFp32,
-                ev.sim(),
-                config,
-            );
-            let baseline = ev.run(base.as_mut(), w, env, 0, RUNS, None, &mut rng);
-            let mut sched = AutoScaleScheduler::new(engine.clone(), false);
+            let mut base = FixedScheduler::edge_cpu_fp32(ev.sim());
+            let baseline = ev.run(&mut base, w, env, 0, RUNS, None, &mut rng);
+            let mut sched = AutoScaleScheduler::new(engine.clone());
             let rep = ev.run(&mut sched, w, env, WARMUP, RUNS, None, &mut rng);
             ppws.push(rep.normalized_ppw(&baseline));
             qos.push(rep.qos_violation_ratio);
@@ -125,7 +119,7 @@ fn state_feature_ablation(threads: usize) {
     let rows = run_cells(threads, 9100, &variants, |cell| {
         let (_, blind) = *cell.spec;
         let ev = Evaluator::new(Simulator::new(DeviceId::Mi8Pro), config);
-        let oracle = autoscale::scheduler::OracleScheduler::new(ev.sim(), reward_fn(config));
+        let oracle = OracleScheduler::new(ev.sim(), config);
         let mut matches = Vec::new();
         let mut ppws = Vec::new();
         // Train the variant under its own censored view: a feature the
@@ -149,15 +143,11 @@ fn state_feature_ablation(threads: usize) {
                 // A blinded scheduler decides on a censored snapshot but is
                 // executed (and judged) under the true one.
                 let mut sched = BlindedAutoScale {
-                    inner: AutoScaleScheduler::new(engine.clone(), false),
+                    inner: AutoScaleScheduler::new(engine.clone()),
                     blind,
                 };
-                let mut base = build_baseline(
-                    autoscale::scheduler::SchedulerKind::EdgeCpuFp32,
-                    ev.sim(),
-                    config,
-                );
-                let baseline = ev.run(base.as_mut(), w, env, 0, RUNS, None, &mut rng);
+                let mut base = FixedScheduler::edge_cpu_fp32(ev.sim());
+                let baseline = ev.run(&mut base, w, env, 0, RUNS, None, &mut rng);
                 let rep = ev.run(&mut sched, w, env, WARMUP, RUNS, Some(&oracle), &mut rng);
                 matches.push(rep.oracle_match_ratio.expect("oracle enabled"));
                 ppws.push(rep.normalized_ppw(&baseline));
@@ -191,7 +181,7 @@ fn tabular_vs_linear_fa() {
     let mut tab_qos = Vec::new();
     let mut rng = autoscale::seeded_rng(99);
     // Linear FA: one shared agent trained over the same schedule.
-    let mut fa = autoscale::scheduler::LinearFaScheduler::new(ev.sim(), true, reward_fn(config));
+    let mut fa = autoscale::scheduler::LinearFaScheduler::new(ev.sim(), true, config);
     for w in Workload::ALL {
         for env in envs {
             let _ = ev.run(&mut fa, w, env, 0, TRAIN_RUNS, None, &mut rng);
@@ -201,13 +191,9 @@ fn tabular_vs_linear_fa() {
     let mut fa_qos = Vec::new();
     for w in Workload::ALL {
         for env in envs {
-            let mut base = build_baseline(
-                autoscale::scheduler::SchedulerKind::EdgeCpuFp32,
-                ev.sim(),
-                config,
-            );
-            let baseline = ev.run(base.as_mut(), w, env, 0, RUNS, None, &mut rng);
-            let mut tab = AutoScaleScheduler::new(engine.clone(), false);
+            let mut base = FixedScheduler::edge_cpu_fp32(ev.sim());
+            let baseline = ev.run(&mut base, w, env, 0, RUNS, None, &mut rng);
+            let mut tab = AutoScaleScheduler::new(engine.clone());
             let rep = ev.run(&mut tab, w, env, WARMUP, RUNS, None, &mut rng);
             tab_ppws.push(rep.normalized_ppw(&baseline));
             tab_qos.push(rep.qos_violation_ratio);

@@ -10,8 +10,8 @@
 
 use autoscale::experiment;
 use autoscale::prelude::*;
-use autoscale::scheduler::AutoScaleScheduler;
-use autoscale_bench::{build_baseline, mean, section, RUNS, TRAIN_RUNS, WARMUP};
+use autoscale::scheduler::{AutoScaleScheduler, FixedScheduler};
+use autoscale_bench::{mean, section, RUNS, TRAIN_RUNS, WARMUP};
 use autoscale_platform::Device;
 
 fn main() {
@@ -74,13 +74,9 @@ fn main() {
         let mut npu_share = Vec::new();
         for w in Workload::ALL {
             for env in envs {
-                let mut base = build_baseline(
-                    autoscale::scheduler::SchedulerKind::EdgeCpuFp32,
-                    ev.sim(),
-                    config,
-                );
-                let baseline = ev.run(base.as_mut(), w, env, 0, RUNS, None, &mut rng);
-                let mut sched = AutoScaleScheduler::new(engine.clone(), false);
+                let mut base = FixedScheduler::edge_cpu_fp32(ev.sim());
+                let baseline = ev.run(&mut base, w, env, 0, RUNS, None, &mut rng);
+                let mut sched = AutoScaleScheduler::new(engine.clone());
                 let rep = ev.run(&mut sched, w, env, WARMUP, RUNS, None, &mut rng);
                 ppws.push(rep.normalized_ppw(&baseline));
                 // Count how often the greedy decision lands on an NPU/TPU.

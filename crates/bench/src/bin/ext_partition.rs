@@ -12,8 +12,8 @@
 
 use autoscale::experiment;
 use autoscale::prelude::*;
-use autoscale::scheduler::{AutoScaleScheduler, HybridScheduler};
-use autoscale_bench::{build_baseline, mean, reward_fn, section, RUNS, TRAIN_RUNS, WARMUP};
+use autoscale::scheduler::{AutoScaleScheduler, FixedScheduler, HybridScheduler};
+use autoscale_bench::{mean, section, RUNS, TRAIN_RUNS, WARMUP};
 
 fn main() {
     let config = EngineConfig::paper();
@@ -28,7 +28,7 @@ fn main() {
         experiment::train_engine(ev.sim(), &Workload::ALL, &envs, TRAIN_RUNS * 4, config, 7);
 
     // Hybrid: same training schedule over the augmented action space.
-    let mut hybrid = HybridScheduler::new(ev.sim(), 3, true, 7, reward_fn(config));
+    let mut hybrid = HybridScheduler::new(ev.sim(), 3, 7, config);
     let mut rng = autoscale::seeded_rng(9);
     for w in Workload::ALL {
         for env in envs {
@@ -42,13 +42,9 @@ fn main() {
     let mut hybrid_qos = Vec::new();
     for w in Workload::ALL {
         for env in envs {
-            let mut base = build_baseline(
-                autoscale::scheduler::SchedulerKind::EdgeCpuFp32,
-                ev.sim(),
-                config,
-            );
-            let baseline = ev.run(base.as_mut(), w, env, 0, RUNS, None, &mut rng);
-            let mut pure = AutoScaleScheduler::new(engine.clone(), false);
+            let mut base = FixedScheduler::edge_cpu_fp32(ev.sim());
+            let baseline = ev.run(&mut base, w, env, 0, RUNS, None, &mut rng);
+            let mut pure = AutoScaleScheduler::new(engine.clone());
             let rep = ev.run(&mut pure, w, env, WARMUP, RUNS, None, &mut rng);
             pure_ppws.push(rep.normalized_ppw(&baseline));
             pure_qos.push(rep.qos_violation_ratio);

@@ -9,16 +9,12 @@
 //! (streaming regime, vision workload); output is bit-identical for any
 //! `--threads` value.
 
+use autoscale::experiment::{self, Comparison};
 use autoscale::parallel::{run_cells, Cell};
 use autoscale::prelude::*;
-use autoscale::scheduler::{Scheduler, SchedulerKind};
-use autoscale_bench::{
-    autoscale_for, build_baseline, reward_fn, threads_from_args, SuiteAccumulator, RUNS, WARMUP,
-};
+use autoscale_bench::{autoscale_for, threads_from_args, SuiteAccumulator, RUNS, WARMUP};
 
-type CellReports = Vec<(EpisodeReport, EpisodeReport)>;
-
-fn run_cell(cell: &Cell<'_, (bool, Workload)>) -> CellReports {
+fn run_cell(cell: &Cell<'_, (bool, Workload)>) -> Vec<Comparison> {
     let (streaming, w) = *cell.spec;
     let config = EngineConfig {
         streaming,
@@ -26,37 +22,16 @@ fn run_cell(cell: &Cell<'_, (bool, Workload)>) -> CellReports {
     };
     let envs = EnvironmentId::STATIC;
     let ev = Evaluator::new(Simulator::new(DeviceId::Mi8Pro), config);
-    let oracle = autoscale::scheduler::OracleScheduler::new(ev.sim(), reward_fn(config));
-    let mut rng = autoscale::seeded_rng(cell.seed);
-
-    let mut autoscale_sched = autoscale_for(ev.sim(), w, &envs, config, 52);
-    let mut others: Vec<Box<dyn Scheduler>> = vec![
-        build_baseline(SchedulerKind::EdgeBest, ev.sim(), config),
-        build_baseline(SchedulerKind::Cloud, ev.sim(), config),
-        build_baseline(SchedulerKind::ConnectedEdge, ev.sim(), config),
-        build_baseline(SchedulerKind::Oracle, ev.sim(), config),
-    ];
-    let mut reports = Vec::new();
-    for env in envs {
-        let mut base = build_baseline(SchedulerKind::EdgeCpuFp32, ev.sim(), config);
-        let baseline = ev.run(base.as_mut(), w, env, 0, RUNS, None, &mut rng);
-        reports.push((baseline.clone(), baseline.clone()));
-        let rep = ev.run(
-            &mut autoscale_sched,
-            w,
-            env,
-            WARMUP,
-            RUNS,
-            Some(&oracle),
-            &mut rng,
-        );
-        reports.push((rep, baseline.clone()));
-        for s in others.iter_mut() {
-            let rep = ev.run(s.as_mut(), w, env, 0, RUNS, None, &mut rng);
-            reports.push((rep, baseline.clone()));
-        }
-    }
-    reports
+    experiment::compare(
+        &ev,
+        w,
+        &envs,
+        autoscale_for(ev.sim(), w, &envs, config, 52),
+        experiment::fixed_baselines(ev.sim(), config),
+        WARMUP,
+        RUNS,
+        &mut autoscale::seeded_rng(cell.seed),
+    )
 }
 
 fn main() {
@@ -76,10 +51,11 @@ fn main() {
     for (regime_idx, streaming) in [false, true].into_iter().enumerate() {
         let mut acc = SuiteAccumulator::new();
         let per_regime = vision.len();
-        for reports in &results[regime_idx * per_regime..(regime_idx + 1) * per_regime] {
-            for (rep, baseline) in reports {
-                acc.record(rep, baseline);
-            }
+        for c in results[regime_idx * per_regime..(regime_idx + 1) * per_regime]
+            .iter()
+            .flatten()
+        {
+            acc.record_comparison(c);
         }
         let label = if streaming {
             "streaming (33.3 ms QoS)"

@@ -9,18 +9,14 @@
 //! (accuracy target, workload); output is bit-identical for any
 //! `--threads` value.
 
+use autoscale::experiment::{self, Comparison};
 use autoscale::parallel::{run_cells, Cell};
 use autoscale::prelude::*;
-use autoscale::scheduler::SchedulerKind;
-use autoscale_bench::{
-    autoscale_for, build_baseline, reward_fn, threads_from_args, SuiteAccumulator, RUNS, WARMUP,
-};
+use autoscale_bench::{autoscale_for, threads_from_args, SuiteAccumulator, RUNS, WARMUP};
 
 const TARGETS: [Option<f64>; 4] = [None, Some(50.0), Some(65.0), Some(70.0)];
 
-type CellReports = Vec<(EpisodeReport, EpisodeReport)>;
-
-fn run_cell(cell: &Cell<'_, (Option<f64>, Workload)>) -> CellReports {
+fn run_cell(cell: &Cell<'_, (Option<f64>, Workload)>) -> Vec<Comparison> {
     let (target, w) = *cell.spec;
     let config = EngineConfig {
         accuracy_target: target,
@@ -28,18 +24,16 @@ fn run_cell(cell: &Cell<'_, (Option<f64>, Workload)>) -> CellReports {
     };
     let envs = EnvironmentId::STATIC;
     let ev = Evaluator::new(Simulator::new(DeviceId::Mi8Pro), config);
-    let oracle = autoscale::scheduler::OracleScheduler::new(ev.sim(), reward_fn(config));
-    let mut rng = autoscale::seeded_rng(cell.seed);
-
-    let mut sched = autoscale_for(ev.sim(), w, &envs, config, 72);
-    let mut reports = Vec::new();
-    for env in envs {
-        let mut base = build_baseline(SchedulerKind::EdgeCpuFp32, ev.sim(), config);
-        let baseline = ev.run(base.as_mut(), w, env, 0, RUNS, None, &mut rng);
-        let rep = ev.run(&mut sched, w, env, WARMUP, RUNS, Some(&oracle), &mut rng);
-        reports.push((rep, baseline));
-    }
-    reports
+    experiment::compare(
+        &ev,
+        w,
+        &envs,
+        autoscale_for(ev.sim(), w, &envs, config, 72),
+        Vec::new(),
+        WARMUP,
+        RUNS,
+        &mut autoscale::seeded_rng(cell.seed),
+    )
 }
 
 fn main() {
@@ -54,10 +48,11 @@ fn main() {
     let per_target = Workload::ALL.len();
     for (target_idx, target) in TARGETS.into_iter().enumerate() {
         let mut acc = SuiteAccumulator::new();
-        for reports in &results[target_idx * per_target..(target_idx + 1) * per_target] {
-            for (rep, baseline) in reports {
-                acc.record(rep, baseline);
-            }
+        for c in results[target_idx * per_target..(target_idx + 1) * per_target]
+            .iter()
+            .flatten()
+        {
+            acc.record(&c.autoscale, &c.baseline);
         }
         let label = match target {
             None => "no accuracy target".to_string(),

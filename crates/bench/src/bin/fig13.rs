@@ -16,10 +16,8 @@
 use autoscale::experiment;
 use autoscale::parallel::{run_cells, Cell};
 use autoscale::prelude::*;
-use autoscale::scheduler::{AutoScaleScheduler, OracleScheduler, SchedulerKind};
-use autoscale_bench::{
-    build_baseline, reward_fn, section, threads_from_args, RUNS, TRAIN_RUNS, WARMUP,
-};
+use autoscale::scheduler::{AutoScaleScheduler, OracleScheduler};
+use autoscale_bench::{section, threads_from_args, RUNS, TRAIN_RUNS, WARMUP};
 
 const ANALYSIS_ENVS: [EnvironmentId; 3] = [EnvironmentId::S1, EnvironmentId::S4, EnvironmentId::D2];
 const SPOT_CHECKS: [(EnvironmentId, &str); 2] = [
@@ -66,12 +64,11 @@ fn main() {
     let analysis = run_cells(threads, 1310, &analysis_specs, |cell| {
         let (device_idx, w, env) = *cell.spec;
         let ev = Evaluator::new(Simulator::new(devices[device_idx]), config);
-        let oracle = OracleScheduler::new(ev.sim(), reward_fn(config));
+        let mut oracle = OracleScheduler::new(ev.sim(), config);
         let mut rng = autoscale::seeded_rng(cell.seed);
-        let mut sched = AutoScaleScheduler::new(engines[device_idx].clone(), false);
+        let mut sched = AutoScaleScheduler::new(engines[device_idx].clone());
         let rep = ev.run(&mut sched, w, env, WARMUP, RUNS, Some(&oracle), &mut rng);
-        let mut opt = build_baseline(SchedulerKind::Oracle, ev.sim(), config);
-        let opt_rep = ev.run(opt.as_mut(), w, env, 0, RUNS, None, &mut rng);
+        let opt_rep = ev.run(&mut oracle, w, env, 0, RUNS, None, &mut rng);
         AnalysisCell {
             shares_as: rep.placement_shares,
             shares_opt: opt_rep.placement_shares,
@@ -91,9 +88,9 @@ fn main() {
         |cell: &Cell<'_, (usize, EnvironmentId)>| {
             let (device_idx, env) = *cell.spec;
             let ev = Evaluator::new(Simulator::new(devices[device_idx]), config);
-            let oracle = OracleScheduler::new(ev.sim(), reward_fn(config));
+            let oracle = OracleScheduler::new(ev.sim(), config);
             let mut rng = autoscale::seeded_rng(cell.seed);
-            let mut sched = AutoScaleScheduler::new(engines[device_idx].clone(), false);
+            let mut sched = AutoScaleScheduler::new(engines[device_idx].clone());
             let mut shares = [0.0; 3];
             let mut matches = 0.0;
             for w in Workload::ALL {

@@ -7,7 +7,6 @@
 //! requirement.
 
 use autoscale::prelude::*;
-use autoscale::reward::RewardConfig;
 use autoscale::scheduler::OracleScheduler;
 use autoscale_bench::section;
 
@@ -40,10 +39,13 @@ fn main() {
             }
         }
         for target in [50.0, 65.0] {
-            let oracle = OracleScheduler::new(&sim, move |w: Workload| RewardConfig {
-                accuracy_target: Some(target),
-                ..EngineConfig::paper().reward_for(w)
-            });
+            let oracle = OracleScheduler::new(
+                &sim,
+                EngineConfig {
+                    accuracy_target: Some(target),
+                    ..EngineConfig::paper()
+                },
+            );
             let opt = oracle.optimal_request(&sim, w, &calm);
             println!("  optimal @ {target:.0}% accuracy target: {opt}");
         }

@@ -10,8 +10,10 @@
 use autoscale::characterize::{self, VarianceMode};
 use autoscale::experiment;
 use autoscale::prelude::*;
-use autoscale::scheduler::{OracleScheduler, Scheduler};
-use autoscale_bench::{build_baseline, reward_fn, section, SuiteAccumulator, RUNS};
+use autoscale::scheduler::{
+    BoScheduler, FixedScheduler, OracleScheduler, Scheduler, SchedulerKind,
+};
+use autoscale_bench::{section, SuiteAccumulator, RUNS};
 
 fn main() {
     let config = EngineConfig::paper();
@@ -34,45 +36,18 @@ fn main() {
     section("scheduler comparison under stochastic variance");
     let dataset = experiment::characterization_dataset(&sim, VarianceMode::Stochastic, 21);
     let ev = Evaluator::new(sim, config);
-    let oracle = OracleScheduler::new(ev.sim(), reward_fn(config));
+    let oracle = OracleScheduler::new(ev.sim(), config);
     let mut rng = autoscale::seeded_rng(77);
 
+    let sim = ev.sim();
     let mut schedulers: Vec<Box<dyn Scheduler>> = vec![
-        build_baseline(
-            autoscale::scheduler::SchedulerKind::EdgeCpuFp32,
-            ev.sim(),
-            config,
-        ),
-        Box::new(characterize::train_lr_scheduler(
-            ev.sim(),
-            &dataset,
-            reward_fn(config),
-        )),
-        Box::new(characterize::train_svr_scheduler(
-            ev.sim(),
-            &dataset,
-            reward_fn(config),
-        )),
-        Box::new(characterize::train_svm_scheduler(
-            ev.sim(),
-            &dataset,
-            reward_fn(config),
-        )),
-        Box::new(characterize::train_knn_scheduler(
-            ev.sim(),
-            &dataset,
-            reward_fn(config),
-        )),
-        Box::new(autoscale::scheduler::BoScheduler::new(
-            ev.sim(),
-            40,
-            reward_fn(config),
-        )),
-        build_baseline(
-            autoscale::scheduler::SchedulerKind::Oracle,
-            ev.sim(),
-            config,
-        ),
+        Box::new(FixedScheduler::edge_cpu_fp32(sim)),
+        Box::new(characterize::train_lr_scheduler(sim, &dataset, config)),
+        Box::new(characterize::train_svr_scheduler(sim, &dataset, config)),
+        Box::new(characterize::train_svm_scheduler(sim, &dataset, config)),
+        Box::new(characterize::train_knn_scheduler(sim, &dataset, config)),
+        Box::new(BoScheduler::new(sim, 40, config)),
+        Box::new(OracleScheduler::new(sim, config)),
     ];
 
     // The variance-heavy mix: interference plus weak/random signal.
@@ -85,16 +60,12 @@ fn main() {
     let mut acc = SuiteAccumulator::new();
     for w in Workload::ALL {
         for env in envs {
-            let mut base = build_baseline(
-                autoscale::scheduler::SchedulerKind::EdgeCpuFp32,
-                ev.sim(),
-                config,
-            );
-            let baseline = ev.run(base.as_mut(), w, env, 0, RUNS, None, &mut rng);
+            let mut base = FixedScheduler::edge_cpu_fp32(sim);
+            let baseline = ev.run(&mut base, w, env, 0, RUNS, None, &mut rng);
             for s in schedulers.iter_mut() {
                 // BO gets its exploration budget as warm-up, like the paper's
                 // BO baseline which optimizes before being measured.
-                let warmup = if s.kind() == autoscale::scheduler::SchedulerKind::BayesOpt {
+                let warmup = if s.kind() == SchedulerKind::BayesOpt {
                     50
                 } else {
                     0

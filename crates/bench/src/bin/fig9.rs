@@ -9,17 +9,10 @@
 //! (device, workload), each with its own derived RNG seed, so the output
 //! is bit-identical for any `--threads` value.
 
-use autoscale::experiment;
+use autoscale::experiment::{self, Comparison};
 use autoscale::parallel::{run_cells, Cell};
 use autoscale::prelude::*;
-use autoscale::scheduler::{OracleScheduler, Scheduler, SchedulerKind};
-use autoscale_bench::{
-    autoscale_for, build_baseline, reward_fn, section, threads_from_args, SuiteAccumulator, RUNS,
-    WARMUP,
-};
-
-/// (report, baseline-of-the-same-cell) pairs in recording order.
-type CellReports = Vec<(EpisodeReport, EpisodeReport)>;
+use autoscale_bench::{autoscale_for, section, threads_from_args, SuiteAccumulator, RUNS, WARMUP};
 
 /// The sweep grid: one cell per (phone, workload), device-major.
 fn fig9_specs() -> Vec<(DeviceId, Workload)> {
@@ -29,51 +22,30 @@ fn fig9_specs() -> Vec<(DeviceId, Workload)> {
         .collect()
 }
 
-/// Runs one cell: leave-one-out-trained AutoScale plus the four fixed
+/// Runs one cell: leave-one-out-trained AutoScale against the four fixed
 /// baselines, Opt, MOSAIC and NeuroSurgeon across the five static
 /// environments.
-fn fig9_cell(cell: &Cell<'_, (DeviceId, Workload)>) -> CellReports {
+fn fig9_cell(cell: &Cell<'_, (DeviceId, Workload)>) -> Vec<Comparison> {
     let (device, w) = *cell.spec;
     let config = EngineConfig::paper();
     let envs = EnvironmentId::STATIC;
     let ev = Evaluator::new(Simulator::new(device), config);
-    let oracle = OracleScheduler::new(ev.sim(), reward_fn(config));
-    let mut rng = autoscale::seeded_rng(cell.seed);
 
     // Leave-one-out: AutoScale's Q-table is trained on the other nine
     // workloads (Section V-C), then keeps learning online.
-    let mut autoscale_sched = autoscale_for(ev.sim(), w, &envs, config, 42);
+    let autoscale = autoscale_for(ev.sim(), w, &envs, config, 42);
     let mut prior_rng = autoscale::seeded_rng(43);
-    let qos = config.scenario_for(w).qos_ms();
-    let mut others: Vec<Box<dyn Scheduler>> = vec![
-        build_baseline(SchedulerKind::EdgeBest, ev.sim(), config),
-        build_baseline(SchedulerKind::Cloud, ev.sim(), config),
-        build_baseline(SchedulerKind::ConnectedEdge, ev.sim(), config),
-        build_baseline(SchedulerKind::Oracle, ev.sim(), config),
-        Box::new(experiment::build_mosaic(ev.sim(), qos, &mut prior_rng)),
-        Box::new(experiment::build_neurosurgeon(ev.sim(), &mut prior_rng)),
-    ];
-    let mut reports = Vec::new();
-    for env in envs {
-        let mut base = build_baseline(SchedulerKind::EdgeCpuFp32, ev.sim(), config);
-        let baseline = ev.run(base.as_mut(), w, env, 0, RUNS, None, &mut rng);
-        reports.push((baseline.clone(), baseline.clone()));
-        let rep = ev.run(
-            &mut autoscale_sched,
-            w,
-            env,
-            WARMUP,
-            RUNS,
-            Some(&oracle),
-            &mut rng,
-        );
-        reports.push((rep, baseline.clone()));
-        for s in others.iter_mut() {
-            let rep = ev.run(s.as_mut(), w, env, 0, RUNS, None, &mut rng);
-            reports.push((rep, baseline.clone()));
-        }
-    }
-    reports
+    let comparators = experiment::baselines_and_prior_work(ev.sim(), config, w, &mut prior_rng);
+    experiment::compare(
+        &ev,
+        w,
+        &envs,
+        autoscale,
+        comparators,
+        WARMUP,
+        RUNS,
+        &mut autoscale::seeded_rng(cell.seed),
+    )
 }
 
 fn main() {
@@ -86,10 +58,11 @@ fn main() {
         section(&device.to_string());
         let mut acc = SuiteAccumulator::new();
         let per_device = Workload::ALL.len();
-        for reports in &results[device_idx * per_device..(device_idx + 1) * per_device] {
-            for (rep, baseline) in reports {
-                acc.record(rep, baseline);
-            }
+        for c in results[device_idx * per_device..(device_idx + 1) * per_device]
+            .iter()
+            .flatten()
+        {
+            acc.record_comparison(c);
         }
         acc.print(&format!(
             "Fig. 9 ({device}): static environments, all workloads"
@@ -99,7 +72,8 @@ fn main() {
     grand.print("Fig. 9: average across the three devices");
 }
 
-/// Merges per-device means into the cross-device accumulator.
+/// Records each scheduler's per-device means in the cross-device
+/// accumulator.
 fn merge(grand: &mut SuiteAccumulator, device: &SuiteAccumulator) {
     for name in [
         "AutoScale",
@@ -112,24 +86,7 @@ fn merge(grand: &mut SuiteAccumulator, device: &SuiteAccumulator) {
         "NeuroSurgeon",
     ] {
         if let (Some(ppw), Some(qos)) = (device.mean_ppw(name), device.mean_qos(name)) {
-            let rep = EpisodeReport {
-                scheduler: name.to_string(),
-                workload: Workload::MobileNetV1,
-                environment: EnvironmentId::S1,
-                runs: 1,
-                mean_energy_mj: 1.0,
-                mean_efficiency_ipj: ppw,
-                mean_latency_ms: 0.0,
-                qos_violation_ratio: qos,
-                accuracy_violation_ratio: 0.0,
-                placement_shares: [0.0; 3],
-                oracle_match_ratio: device.mean_opt_match(name),
-            };
-            let base = EpisodeReport {
-                mean_efficiency_ipj: 1.0,
-                ..rep.clone()
-            };
-            grand.record(&rep, &base);
+            grand.record_means(name, ppw, qos, device.mean_opt_match(name));
         }
     }
 }

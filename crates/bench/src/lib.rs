@@ -9,11 +9,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use autoscale::experiment;
+use autoscale::experiment::{self, Comparison};
 use autoscale::parallel::resolve_threads;
 use autoscale::prelude::*;
-use autoscale::reward::RewardConfig;
-use autoscale::scheduler::{AutoScaleScheduler, FixedScheduler, OracleScheduler, SchedulerKind};
+use autoscale::scheduler::AutoScaleScheduler;
 
 /// Default per-episode measurement length (inference runs).
 pub const RUNS: usize = 100;
@@ -22,32 +21,6 @@ pub const WARMUP: usize = 100;
 /// Default per-(workload, environment) training runs, mirroring the
 /// paper's "100 times for each NN in each runtime variance-related state".
 pub const TRAIN_RUNS: usize = 30;
-
-/// A closure mapping workloads to their reward configuration under an
-/// engine configuration (needed in many constructor signatures).
-pub fn reward_fn(
-    config: EngineConfig,
-) -> impl Fn(Workload) -> RewardConfig + Send + Clone + 'static {
-    move |w| config.reward_for(w)
-}
-
-/// Builds one of the non-learning comparison schedulers.
-pub fn build_baseline(
-    kind: SchedulerKind,
-    sim: &Simulator,
-    config: EngineConfig,
-) -> Box<dyn autoscale::scheduler::Scheduler> {
-    match kind {
-        SchedulerKind::EdgeCpuFp32 => Box::new(FixedScheduler::edge_cpu_fp32(sim)),
-        SchedulerKind::EdgeBest => Box::new(FixedScheduler::edge_best(sim, reward_fn(config))),
-        SchedulerKind::Cloud => Box::new(FixedScheduler::cloud(sim, reward_fn(config))),
-        SchedulerKind::ConnectedEdge => {
-            Box::new(FixedScheduler::connected_edge(sim, reward_fn(config)))
-        }
-        SchedulerKind::Oracle => Box::new(OracleScheduler::new(sim, reward_fn(config))),
-        other => panic!("{other} is not a fixed baseline"),
-    }
-}
 
 /// Trains an AutoScale engine with leave-one-out cross-validation and
 /// wraps it as an evaluation scheduler (greedy serving + online learning,
@@ -61,7 +34,7 @@ pub fn autoscale_for(
 ) -> AutoScaleScheduler {
     let engine =
         experiment::train_leave_one_out(sim, held_out, environments, TRAIN_RUNS, config, seed);
-    AutoScaleScheduler::new(engine, false)
+    AutoScaleScheduler::new(engine)
 }
 
 /// Extracts `--threads N` from command-line arguments and resolves it
@@ -127,19 +100,40 @@ impl SuiteAccumulator {
     /// Records one cell: a scheduler's report plus the baseline report of
     /// the same cell.
     pub fn record(&mut self, report: &EpisodeReport, baseline: &EpisodeReport) {
-        let entry = match self.rows.iter_mut().find(|r| r.0 == report.scheduler) {
+        self.record_means(
+            &report.scheduler,
+            report.normalized_ppw(baseline),
+            report.qos_violation_ratio,
+            report.oracle_match_ratio,
+        );
+    }
+
+    /// Records one environment of a comparison: the baseline against
+    /// itself, then AutoScale and every comparator against it.
+    pub fn record_comparison(&mut self, comparison: &Comparison) {
+        let baseline = &comparison.baseline;
+        for report in [baseline, &comparison.autoscale]
+            .into_iter()
+            .chain(&comparison.comparators)
+        {
+            self.record(report, baseline);
+        }
+    }
+
+    /// Records one cell from values already normalized: a scheduler's
+    /// PPW, QoS-violation ratio and oracle-match ratio (when tracked).
+    pub fn record_means(&mut self, name: &str, ppw: f64, qos: f64, opt_match: Option<f64>) {
+        let entry = match self.rows.iter_mut().find(|r| r.0 == name) {
             Some(e) => e,
             None => {
                 self.rows
-                    .push((report.scheduler.clone(), Vec::new(), Vec::new(), Vec::new()));
+                    .push((name.to_string(), Vec::new(), Vec::new(), Vec::new()));
                 self.rows.last_mut().expect("just pushed")
             }
         };
-        entry.1.push(report.normalized_ppw(baseline));
-        entry.2.push(report.qos_violation_ratio);
-        if let Some(m) = report.oracle_match_ratio {
-            entry.3.push(m);
-        }
+        entry.1.push(ppw);
+        entry.2.push(qos);
+        entry.3.extend(opt_match);
     }
 
     /// Prints the aggregate table: normalized PPW (mean across cells),

@@ -203,6 +203,15 @@ fn parse_usize(
     }
 }
 
+/// Parses `--runs`, rejecting zero: an episode or a trace of no
+/// inferences has no mean to report.
+fn parse_runs(flags: &BTreeMap<String, String>, default: usize) -> Result<usize, String> {
+    match parse_usize(flags, "runs", default)? {
+        0 => Err("--runs must be positive, got `0`".to_string()),
+        runs => Ok(runs),
+    }
+}
+
 fn parse_u64(flags: &BTreeMap<String, String>, key: &str, default: u64) -> Result<u64, String> {
     match flags.get(key) {
         Some(v) => v
@@ -385,7 +394,7 @@ fn cmd_evaluate(flags: &BTreeMap<String, String>) -> Result<(), String> {
     } else {
         vec![parse_env(env_arg)?]
     };
-    let runs = parse_usize(flags, "runs", 100)?;
+    let runs = parse_runs(flags, 100)?;
     let threads = autoscale::parallel::resolve_threads(match flags.get("threads") {
         Some(_) => Some(parse_usize(flags, "threads", 0)?),
         None => None,
@@ -398,7 +407,7 @@ fn cmd_evaluate(flags: &BTreeMap<String, String>) -> Result<(), String> {
     // (online learning stays per-cell) and derived seed: the sweep is
     // bit-identical for any --threads value.
     let reports = autoscale::parallel::run_cells(threads, base_seed, &envs, |cell| {
-        let mut sched = AutoScaleScheduler::new(engine.clone(), false);
+        let mut sched = AutoScaleScheduler::new(engine.clone());
         let mut rng = autoscale::seeded_rng(cell.seed);
         ev.run(
             &mut sched,
@@ -442,7 +451,7 @@ fn cmd_trace(flags: &BTreeMap<String, String>) -> Result<(), String> {
     let sim = parse_device(required(flags, "device")?)?;
     let workload = parse_workload(required(flags, "workload")?)?;
     let env = parse_env(required(flags, "env")?)?;
-    let runs = parse_usize(flags, "runs", 50)?;
+    let runs = parse_runs(flags, 50)?;
     let out = required(flags, "out")?;
     let mut engine = load_engine(&sim, required(flags, "qtable")?)?;
     let mut environment = Environment::for_id(env);
@@ -751,5 +760,25 @@ mod tests {
         }
         let silent = open_loop("rate", "0").expect("a zero rate is valid");
         assert!(silent.is_some_and(|open| open.horizon_ms > 0.0));
+        // An episode or a trace of zero inferences has nothing to report;
+        // both commands reject `--runs 0` before reading the Q-table.
+        let zero_runs = |command: fn(&BTreeMap<String, String>) -> Result<(), String>| {
+            let flags = BTreeMap::from(
+                [
+                    ("device", "mi8pro"),
+                    ("workload", "resnet-50"),
+                    ("env", "S1"),
+                    ("qtable", "no-such-qtable.json"),
+                    ("out", "no-such-trace.json"),
+                    ("runs", "0"),
+                ]
+                .map(|(key, value)| (key.to_string(), value.to_string())),
+            );
+            command(&flags).expect_err("zero runs are rejected")
+        };
+        for command in [cmd_evaluate, cmd_trace] {
+            let err = zero_runs(command);
+            assert!(err.contains("--runs"), "{err}");
+        }
     }
 }

@@ -23,7 +23,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::action::ActionSpace;
-use crate::reward::RewardConfig;
+use crate::engine::EngineConfig;
 use crate::scheduler::{
     ClassificationScheduler, ClassifierModel, RegressionModel, RegressionScheduler, SchedulerKind,
 };
@@ -166,11 +166,11 @@ impl Dataset {
     /// classification baselines: the *coarse* execution target (placement
     /// and precision, ignoring DVFS) of the measured most-efficient
     /// feasible action meeting the constraints, paired with the state
-    /// features it was observed under.
+    /// features it was observed under. `config` sets the constraints.
     pub fn classification_set(
         &self,
         sim: &Simulator,
-        reward_for: impl Fn(Workload) -> RewardConfig,
+        config: EngineConfig,
     ) -> (Vec<Vec<f64>>, Vec<usize>) {
         use std::collections::BTreeMap;
         // Group samples by (workload, snapshot) via their state features:
@@ -189,7 +189,7 @@ impl Dataset {
         let mut xs = Vec::new();
         let mut labels = Vec::new();
         for (_, (state, workload, outcomes)) in groups {
-            let cfg = reward_for(workload);
+            let cfg = config.reward_for(workload);
             let accuracy_ok = |o: &Outcome| cfg.accuracy_target.is_none_or(|t| o.accuracy >= t);
             #[expect(
                 clippy::expect_used,
@@ -214,7 +214,7 @@ impl Dataset {
 pub fn train_lr_scheduler(
     sim: &Simulator,
     dataset: &Dataset,
-    reward_for: impl Fn(Workload) -> RewardConfig + Send + 'static,
+    config: EngineConfig,
 ) -> RegressionScheduler {
     let xs = dataset.xs();
     let scaler = StandardScaler::fit(&xs);
@@ -236,7 +236,7 @@ pub fn train_lr_scheduler(
         SchedulerKind::LinearRegression,
         RegressionModel::Linear { energy, latency },
         scaler,
-        reward_for,
+        config,
     )
 }
 
@@ -244,12 +244,12 @@ pub fn train_lr_scheduler(
 pub fn train_svr_scheduler(
     sim: &Simulator,
     dataset: &Dataset,
-    reward_for: impl Fn(Workload) -> RewardConfig + Send + 'static,
+    config: EngineConfig,
 ) -> RegressionScheduler {
     let xs = dataset.xs();
     let scaler = StandardScaler::fit(&xs);
     let xs = scaler.transform_all(&xs);
-    let config = SvrConfig {
+    let svr = SvrConfig {
         epsilon: 0.05,
         lambda: 1e-5,
         epochs: 400,
@@ -258,20 +258,20 @@ pub fn train_svr_scheduler(
         clippy::expect_used,
         reason = "the characterization dataset is non-empty and well-formed by construction"
     )]
-    let energy = SupportVectorRegression::fit(&xs, &dataset.log_energies(), config)
-        .expect("dataset is valid");
+    let energy =
+        SupportVectorRegression::fit(&xs, &dataset.log_energies(), svr).expect("dataset is valid");
     #[expect(
         clippy::expect_used,
         reason = "the characterization dataset is non-empty and well-formed by construction"
     )]
-    let latency = SupportVectorRegression::fit(&xs, &dataset.log_latencies(), config)
-        .expect("dataset is valid");
+    let latency =
+        SupportVectorRegression::fit(&xs, &dataset.log_latencies(), svr).expect("dataset is valid");
     RegressionScheduler::new(
         sim,
         SchedulerKind::Svr,
         RegressionModel::Svr { energy, latency },
         scaler,
-        reward_for,
+        config,
     )
 }
 
@@ -279,9 +279,9 @@ pub fn train_svr_scheduler(
 pub fn train_svm_scheduler(
     sim: &Simulator,
     dataset: &Dataset,
-    reward_for: impl Fn(Workload) -> RewardConfig,
+    config: EngineConfig,
 ) -> ClassificationScheduler {
-    let (xs, labels) = dataset.classification_set(sim, reward_for);
+    let (xs, labels) = dataset.classification_set(sim, config);
     let scaler = StandardScaler::fit(&xs);
     let xs = scaler.transform_all(&xs);
     #[expect(
@@ -296,9 +296,9 @@ pub fn train_svm_scheduler(
 pub fn train_knn_scheduler(
     sim: &Simulator,
     dataset: &Dataset,
-    reward_for: impl Fn(Workload) -> RewardConfig,
+    config: EngineConfig,
 ) -> ClassificationScheduler {
-    let (xs, labels) = dataset.classification_set(sim, reward_for);
+    let (xs, labels) = dataset.classification_set(sim, config);
     let scaler = StandardScaler::fit(&xs);
     let xs = scaler.transform_all(&xs);
     #[expect(
@@ -353,13 +353,8 @@ pub fn layer_profile(sim: &Simulator, local: ProcessorKind, rng: &mut StdRng) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::EngineConfig;
     use crate::seeded_rng;
     use autoscale_platform::DeviceId;
-
-    fn reward_for(w: Workload) -> RewardConfig {
-        EngineConfig::paper().reward_for(w)
-    }
 
     #[test]
     fn state_features_have_eight_dimensions() {
@@ -424,7 +419,7 @@ mod tests {
             3,
             &mut rng,
         );
-        let (xs, labels) = ds.classification_set(&sim, reward_for);
+        let (xs, labels) = ds.classification_set(&sim, EngineConfig::paper());
         assert_eq!(xs.len(), labels.len());
         assert!(!labels.is_empty());
         assert!(labels.iter().all(|&l| l < ds.space.coarse_targets().len()));
@@ -436,7 +431,7 @@ mod tests {
         let sim = Simulator::new(DeviceId::Mi8Pro);
         let mut rng = seeded_rng(5);
         let ds = collect(&sim, &Workload::ALL, VarianceMode::Calm, 1, &mut rng);
-        let mut lr = train_lr_scheduler(&sim, &ds, reward_for);
+        let mut lr = train_lr_scheduler(&sim, &ds, EngineConfig::paper());
         for w in Workload::ALL {
             match lr.decide(&sim, w, &Snapshot::calm(), &mut rng) {
                 Decision::Whole(r) => assert!(sim.is_feasible(w, &r), "{w}: {r}"),

@@ -36,11 +36,6 @@ pub struct EngineConfig {
     /// Whether vision workloads run in the streaming scenario (33.3 ms
     /// QoS) instead of non-streaming (50 ms).
     pub streaming: bool,
-    /// Whether `R_energy` is estimated from the measured latency via the
-    /// paper's eqs. (1)–(4) (the mechanism a meterless phone must use,
-    /// Section IV-A) instead of read from the measured outcome. On by
-    /// default for fidelity; turn off to learn from oracle energy.
-    pub estimate_energy: bool,
     /// Seed for the random Q-table initialization.
     pub seed: u64,
 }
@@ -55,7 +50,6 @@ impl EngineConfig {
             beta: 0.1,
             accuracy_target: Some(50.0),
             streaming: false,
-            estimate_energy: true,
             seed: 0x5ca1e,
         }
     }
@@ -444,6 +438,11 @@ impl AutoScaleEngine {
     /// Feeds the measured result of an executed decision back into the
     /// Q-table (steps ④ and ⑤ of Fig. 8) and returns the eq. (5) reward.
     ///
+    /// The paper's engine measures latency but *estimates* energy from it
+    /// (eqs. (1)–(4), Section IV-A) — a phone has no per-inference power
+    /// meter — so the reward reads the estimator at the measured latency
+    /// in place of the outcome's energy.
+    ///
     /// `next_snapshot` is the runtime variance observed after the
     /// inference (Algorithm 1's S'); passing the same snapshot is fine in
     /// slowly varying environments.
@@ -467,20 +466,13 @@ impl AutoScaleEngine {
         self.learn_rewarded(workload, step, &rewarded, next_snapshot, None)
     }
 
-    /// The outcome the reward reads. The paper's engine measures latency
-    /// but *estimates* energy from it (eqs. (1)–(4)) — a phone has no
-    /// per-inference power meter — so with `estimate_energy` on, the
-    /// measured energy is replaced by `estimate()`, the estimator at the
-    /// measured latency; off, the outcome is rewarded as measured.
+    /// The outcome the reward reads: the measured one, with its energy
+    /// replaced by `estimate()`, the estimator at the measured latency.
     #[inline]
     pub(crate) fn rewarded(&self, outcome: &Outcome, estimate: impl FnOnce() -> f64) -> Outcome {
-        if self.config.estimate_energy {
-            Outcome {
-                energy_mj: estimate(),
-                ..*outcome
-            }
-        } else {
-            *outcome
+        Outcome {
+            energy_mj: estimate(),
+            ..*outcome
         }
     }
 
@@ -776,28 +768,22 @@ mod tests {
 
     #[test]
     fn estimated_energy_reward_stays_close_to_measured_reward() {
-        // With the estimator on (default), the reward the engine learns
-        // from tracks the measured-energy reward within the estimator's
+        // The reward the engine learns from, on estimated energy, tracks
+        // the reward of the measured outcome within the estimator's
         // single-digit MAPE.
         let sim = Simulator::new(DeviceId::Mi8Pro);
-        let mut with_est = AutoScaleEngine::new(&sim, EngineConfig::paper());
-        let mut without = AutoScaleEngine::new(
-            &sim,
-            EngineConfig {
-                estimate_energy: false,
-                ..EngineConfig::paper()
-            },
-        );
+        let config = EngineConfig::paper();
+        let mut engine = AutoScaleEngine::new(&sim, config);
         let mut rng = seeded_rng(33);
         let snapshot = Snapshot::calm();
-        let step = with_est
+        let step = engine
             .decide(&sim, Workload::MobileNetV1, &snapshot, &mut rng)
             .expect("feasible");
         let outcome = sim
             .execute_measured(Workload::MobileNetV1, &step.request, &snapshot, &mut rng)
             .expect("feasible");
-        let r_est = with_est.learn(&sim, Workload::MobileNetV1, step, &outcome, &snapshot);
-        let r_meas = without.learn(&sim, Workload::MobileNetV1, step, &outcome, &snapshot);
+        let r_est = engine.learn(&sim, Workload::MobileNetV1, step, &outcome, &snapshot);
+        let r_meas = reward(&config.reward_for(Workload::MobileNetV1), &outcome);
         assert!(
             (r_est - r_meas).abs() / r_meas.abs() < 0.25,
             "estimated-reward {r_est} vs measured-reward {r_meas}"

@@ -12,7 +12,6 @@ use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 
 use crate::engine::EngineConfig;
-use crate::reward::RewardConfig;
 use crate::scheduler::{Decision, OracleScheduler, Scheduler};
 
 /// Aggregated results of one evaluation episode.
@@ -172,13 +171,6 @@ impl Evaluator {
         let cfg = self.config.reward_for(workload);
         let total_layers = self.sim.network(workload).layers().len();
 
-        for _ in 0..warmup {
-            let snapshot = env.sample(rng);
-            let decision = scheduler.decide(&self.sim, workload, &snapshot, rng);
-            let outcome = self.execute_decision(workload, &decision, &snapshot, rng);
-            scheduler.observe(&self.sim, workload, &snapshot, &decision, &outcome);
-        }
-
         let mut energy_sum = 0.0;
         let mut eff_sum = 0.0;
         let mut latency_sum = 0.0;
@@ -187,11 +179,14 @@ impl Evaluator {
         let mut shares = [0usize; 3];
         let mut oracle_matches = 0usize;
 
-        for _ in 0..runs {
+        for i in 0..warmup + runs {
             let snapshot = env.sample(rng);
             let decision = scheduler.decide(&self.sim, workload, &snapshot, rng);
             let outcome = self.execute_decision(workload, &decision, &snapshot, rng);
             scheduler.observe(&self.sim, workload, &snapshot, &decision, &outcome);
+            if i < warmup {
+                continue;
+            }
 
             energy_sum += outcome.energy_mj;
             eff_sum += outcome.efficiency_ipj();
@@ -254,11 +249,6 @@ impl Evaluator {
             oracle_match_ratio: oracle.map(|_| oracle_matches as f64 / n),
         }
     }
-
-    /// Convenience: the eq. (5)/constraint configuration for a workload.
-    pub fn reward_for(&self, workload: Workload) -> RewardConfig {
-        self.config.reward_for(workload)
-    }
 }
 
 #[cfg(test)]
@@ -296,10 +286,8 @@ mod tests {
     #[test]
     fn oracle_matches_itself() {
         let ev = evaluator();
-        let cfg = ev.config();
-        let oracle = OracleScheduler::new(ev.sim(), move |w| cfg.reward_for(w));
-        let cfg2 = ev.config();
-        let mut s = OracleScheduler::new(ev.sim(), move |w| cfg2.reward_for(w));
+        let oracle = OracleScheduler::new(ev.sim(), ev.config());
+        let mut s = OracleScheduler::new(ev.sim(), ev.config());
         let mut rng = seeded_rng(2);
         let report = ev.run(
             &mut s,
@@ -341,8 +329,7 @@ mod tests {
         let ev = evaluator();
         let mut rng = seeded_rng(4);
         let mut cpu = FixedScheduler::edge_cpu_fp32(ev.sim());
-        let cfg = ev.config();
-        let mut cloud = FixedScheduler::cloud(ev.sim(), move |w| cfg.reward_for(w));
+        let mut cloud = FixedScheduler::cloud(ev.sim(), ev.config());
         let base = ev.run(
             &mut cpu,
             Workload::ResNet50,
@@ -391,8 +378,7 @@ mod tests {
     #[test]
     fn weak_signal_environment_hurts_the_cloud_baseline() {
         let ev = evaluator();
-        let cfg = ev.config();
-        let mut cloud = FixedScheduler::cloud(ev.sim(), move |w| cfg.reward_for(w));
+        let mut cloud = FixedScheduler::cloud(ev.sim(), ev.config());
         let mut rng = seeded_rng(6);
         let calm = ev.run(
             &mut cloud,

@@ -1,7 +1,8 @@
 //! End-to-end experiment drivers shared by the figure binaries and the
 //! integration tests: engine training (with leave-one-out
 //! cross-validation, Section V-C), baseline/predictor construction, the
-//! Fig. 14 training curves, and the Fig. 7 prediction-error analysis.
+//! Figs. 9–12 comparison, the Fig. 14 training curves, and the Fig. 7
+//! prediction-error analysis.
 
 use autoscale_nn::Workload;
 use autoscale_platform::ProcessorKind;
@@ -14,7 +15,11 @@ use serde::{Deserialize, Serialize};
 
 use crate::characterize::{self, Dataset, VarianceMode};
 use crate::engine::{AutoScaleEngine, EngineConfig};
-use crate::scheduler::{MosaicScheduler, NeuroSurgeonScheduler};
+use crate::eval::{EpisodeReport, Evaluator};
+use crate::scheduler::{
+    AutoScaleScheduler, ClassificationScheduler, FixedScheduler, MosaicScheduler,
+    NeuroSurgeonScheduler, OracleScheduler, RegressionScheduler, Scheduler,
+};
 use crate::seeded_rng;
 
 /// Trains an engine by running inference across the given workloads and
@@ -35,26 +40,39 @@ pub fn train_engine(
         for &env_id in environments {
             let mut env = Environment::for_id(env_id);
             for _ in 0..runs_per_pair {
-                let snapshot = env.sample(&mut rng);
-                #[expect(
-                    clippy::expect_used,
-                    reason = "training sweeps run on the paper testbeds, whose CPUs serve every workload"
-                )]
-                let step = engine
-                    .decide(sim, workload, &snapshot, &mut rng)
-                    .expect("the paper testbeds always expose a feasible CPU action");
-                #[expect(
-                    clippy::expect_used,
-                    reason = "the engine only proposes mask-feasible requests"
-                )]
-                let outcome = sim
-                    .execute_measured(workload, &step.request, &snapshot, &mut rng)
-                    .expect("engine decisions are feasible");
-                engine.learn(sim, workload, step, &outcome, &snapshot);
+                train_step(&mut engine, sim, workload, &mut env, &mut rng);
             }
         }
     }
     engine
+}
+
+/// One step of Algorithm 1: observe a snapshot of `env`, decide
+/// ε-greedily, execute with measurement noise and learn from the
+/// outcome. Returns the eq. (5) reward.
+fn train_step(
+    engine: &mut AutoScaleEngine,
+    sim: &Simulator,
+    workload: Workload,
+    env: &mut Environment,
+    rng: &mut StdRng,
+) -> f64 {
+    let snapshot = env.sample(rng);
+    #[expect(
+        clippy::expect_used,
+        reason = "training sweeps run on the paper testbeds, whose CPUs serve every workload"
+    )]
+    let step = engine
+        .decide(sim, workload, &snapshot, rng)
+        .expect("the paper testbeds always expose a feasible CPU action");
+    #[expect(
+        clippy::expect_used,
+        reason = "the engine only proposes mask-feasible requests"
+    )]
+    let outcome = sim
+        .execute_measured(workload, &step.request, &snapshot, rng)
+        .expect("engine decisions are feasible");
+    engine.learn(sim, workload, step, &outcome, &snapshot)
 }
 
 /// Leave-one-out training (Section V-C): the engine is trained on every
@@ -102,25 +120,9 @@ pub fn training_curve(
     }
     let mut rng = seeded_rng(seed);
     let mut env = Environment::for_id(environment);
-    let mut rewards = Vec::with_capacity(runs);
-    for _ in 0..runs {
-        let snapshot = env.sample(&mut rng);
-        #[expect(
-            clippy::expect_used,
-            reason = "training sweeps run on the paper testbeds, whose CPUs serve every workload"
-        )]
-        let step = engine
-            .decide(sim, workload, &snapshot, &mut rng)
-            .expect("the paper testbeds always expose a feasible CPU action");
-        #[expect(
-            clippy::expect_used,
-            reason = "the engine only proposes mask-feasible requests"
-        )]
-        let outcome = sim
-            .execute_measured(workload, &step.request, &snapshot, &mut rng)
-            .expect("engine decisions are feasible");
-        rewards.push(engine.learn(sim, workload, step, &outcome, &snapshot));
-    }
+    let rewards = (0..runs)
+        .map(|_| train_step(&mut engine, sim, workload, &mut env, &mut rng))
+        .collect();
     TrainingCurve {
         rewards,
         converged_at: engine.convergence().converged_at(),
@@ -175,6 +177,83 @@ pub fn build_mosaic(sim: &Simulator, qos_ms: f64, rng: &mut StdRng) -> MosaicSch
     MosaicScheduler::new(planner, SplitObjective::Energy)
 }
 
+/// Section V-A's fixed comparators beside `Edge (CPU FP32)`:
+/// `Edge (Best)`, `Cloud`, `Connected Edge` and `Opt`.
+pub fn fixed_baselines(sim: &Simulator, config: EngineConfig) -> Vec<Box<dyn Scheduler>> {
+    vec![
+        Box::new(FixedScheduler::edge_best(sim, config)),
+        Box::new(FixedScheduler::cloud(sim, config)),
+        Box::new(FixedScheduler::connected_edge(sim, config)),
+        Box::new(OracleScheduler::new(sim, config)),
+    ]
+}
+
+/// Fig. 9's comparators: the [`fixed_baselines`], then MOSAIC and
+/// NeuroSurgeon, profiled from `rng` in that order.
+pub fn baselines_and_prior_work(
+    sim: &Simulator,
+    config: EngineConfig,
+    workload: Workload,
+    rng: &mut StdRng,
+) -> Vec<Box<dyn Scheduler>> {
+    let qos_ms = config.scenario_for(workload).qos_ms();
+    let mut comparators = fixed_baselines(sim, config);
+    comparators.push(Box::new(build_mosaic(sim, qos_ms, rng)));
+    comparators.push(Box::new(build_neurosurgeon(sim, rng)));
+    comparators
+}
+
+/// One environment of a [`compare`] run. Every report shares the
+/// environment's `Edge (CPU FP32)` baseline, which the figures normalize
+/// PPW to.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct Comparison {
+    /// `Edge (CPU FP32)`.
+    pub baseline: EpisodeReport,
+    /// AutoScale, with oracle tracking.
+    pub autoscale: EpisodeReport,
+    /// The comparators, in the caller's order.
+    pub comparators: Vec<EpisodeReport>,
+}
+
+/// The comparison behind Figs. 9–12 (Section V). In each environment,
+/// in this order and on the one `rng`, it runs `Edge (CPU FP32)`, then
+/// AutoScale after `warmup` inferences with oracle tracking, then each
+/// comparator, measuring each over `runs` inferences. AutoScale and the
+/// comparators carry what they learn from one environment to the next.
+// The protocol's knobs, as in `Evaluator::run`.
+#[allow(clippy::too_many_arguments)]
+pub fn compare(
+    ev: &Evaluator,
+    workload: Workload,
+    environments: &[EnvironmentId],
+    mut autoscale: AutoScaleScheduler,
+    mut comparators: Vec<Box<dyn Scheduler>>,
+    warmup: usize,
+    runs: usize,
+    rng: &mut StdRng,
+) -> Vec<Comparison> {
+    let oracle = OracleScheduler::new(ev.sim(), ev.config());
+    let mut edge_cpu = FixedScheduler::edge_cpu_fp32(ev.sim());
+    environments
+        .iter()
+        .map(|&env| {
+            let mut run = |s: &mut dyn Scheduler, warmup, oracle: Option<&OracleScheduler>| {
+                ev.run(s, workload, env, warmup, runs, oracle, rng)
+            };
+            // A struct expression evaluates its fields in the order written.
+            Comparison {
+                baseline: run(&mut edge_cpu, 0, None),
+                autoscale: run(&mut autoscale, warmup, Some(&oracle)),
+                comparators: comparators
+                    .iter_mut()
+                    .map(|s| run(s.as_mut(), 0, None))
+                    .collect(),
+            }
+        })
+        .collect()
+}
+
 /// Mean absolute percentage error of predictions against actuals.
 ///
 /// # Panics
@@ -208,7 +287,9 @@ pub struct PredictorErrors {
 }
 
 /// Trains every predictive baseline on one dataset and scores it on a
-/// fresh dataset drawn under the same variance mode.
+/// fresh dataset drawn under the same variance mode. LR, SVR, SVM and
+/// k-NN are the models the `characterize` builders fit for the Fig. 7
+/// schedulers; BO's GP surrogate is fit here.
 pub fn predictor_errors(
     sim: &Simulator,
     config: EngineConfig,
@@ -225,34 +306,19 @@ pub fn predictor_errors(
 
     // Regression MAPE on energy. Models fit in log space (energies span
     // three orders of magnitude); MAPE is evaluated in the raw scale.
-    let scaler = StandardScaler::fit(&train.xs());
-    let train_xs = scaler.transform_all(&train.xs());
-    let test_xs = scaler.transform_all(&test.xs());
-    #[expect(
-        clippy::expect_used,
-        reason = "the characterization dataset is non-empty and well-formed by construction"
-    )]
-    let lr = autoscale_predictors::LinearRegression::fit(&train_xs, &train.log_energies(), 1e-6)
-        .expect("dataset is valid");
-    #[expect(
-        clippy::expect_used,
-        reason = "the characterization dataset is non-empty and well-formed by construction"
-    )]
-    let svr = autoscale_predictors::SupportVectorRegression::fit(
-        &train_xs,
-        &train.log_energies(),
-        autoscale_predictors::svr::SvrConfig {
-            epsilon: 0.05,
-            lambda: 1e-5,
-            epochs: 400,
-        },
-    )
-    .expect("dataset is valid");
     let actual = test.energies();
-    let lr_pred: Vec<f64> = test_xs.iter().map(|x| lr.predict(x).exp()).collect();
-    let svr_pred: Vec<f64> = test_xs.iter().map(|x| svr.predict(x).exp()).collect();
+    let energy_mape = |model: RegressionScheduler| {
+        let predicted: Vec<f64> = test
+            .samples
+            .iter()
+            .map(|s| model.predict(&s.features).0)
+            .collect();
+        mape(&predicted, &actual)
+    };
 
     // GP (the BO surrogate) on a subsample — exact GPs are cubic in n.
+    let scaler = StandardScaler::fit(&train.xs());
+    let train_xs = scaler.transform_all(&train.xs());
     let stride = (train_xs.len() / 250).max(1);
     let gp_xs: Vec<Vec<f64>> = train_xs.iter().step_by(stride).cloned().collect();
     let gp_ys: Vec<f64> = train
@@ -275,40 +341,33 @@ pub fn predictor_errors(
         },
     )
     .expect("subsampled dataset is valid");
-    let gp_pred: Vec<f64> = test_xs.iter().map(|x| gp.predict_mean(x).exp()).collect();
+    let gp_pred: Vec<f64> = scaler
+        .transform_all(&test.xs())
+        .iter()
+        .map(|x| gp.predict_mean(x).exp())
+        .collect();
 
     // Classifier misclassification against measured-optimal labels.
-    let reward_for = move |w: Workload| config.reward_for(w);
-    let (train_cx, train_cy) = train.classification_set(sim, reward_for);
-    let (test_cx, test_cy) = test.classification_set(sim, reward_for);
-    let cscaler = StandardScaler::fit(&train_cx);
-    let train_cx = cscaler.transform_all(&train_cx);
-    let test_cx = cscaler.transform_all(&test_cx);
-    #[expect(
-        clippy::expect_used,
-        reason = "classification labels come from the dataset builder and are valid"
-    )]
-    let svm = autoscale_predictors::SvmClassifier::fit_default(&train_cx, &train_cy)
-        .expect("labels are valid");
-    #[expect(
-        clippy::expect_used,
-        reason = "classification labels come from the dataset builder and are valid"
-    )]
-    let knn = autoscale_predictors::KnnClassifier::fit(&train_cx, &train_cy, 5)
-        .expect("labels are valid");
-    let misclass = |preds: Vec<usize>| {
-        preds.iter().zip(&test_cy).filter(|(p, a)| p != a).count() as f64 / test_cy.len() as f64
-            * 100.0
+    let (test_cx, test_cy) = test.classification_set(sim, config);
+    let misclassification = |model: ClassificationScheduler| {
+        let wrong = test_cx
+            .iter()
+            .zip(&test_cy)
+            .filter(|&(x, &label)| model.classify(x) != label)
+            .count();
+        wrong as f64 / test_cy.len() as f64 * 100.0
     };
-    let svm_misclassification = misclass(test_cx.iter().map(|x| svm.predict(x)).collect());
-    let knn_misclassification = misclass(test_cx.iter().map(|x| knn.predict(x)).collect());
 
     PredictorErrors {
-        lr_mape: mape(&lr_pred, &actual),
-        svr_mape: mape(&svr_pred, &actual),
+        lr_mape: energy_mape(characterize::train_lr_scheduler(sim, &train, config)),
+        svr_mape: energy_mape(characterize::train_svr_scheduler(sim, &train, config)),
         bo_mape: mape(&gp_pred, &actual),
-        svm_misclassification,
-        knn_misclassification,
+        svm_misclassification: misclassification(characterize::train_svm_scheduler(
+            sim, &train, config,
+        )),
+        knn_misclassification: misclassification(characterize::train_knn_scheduler(
+            sim, &train, config,
+        )),
     }
 }
 

@@ -25,7 +25,7 @@ use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 
 use crate::characterize::state_features;
-use crate::engine::{AutoScaleEngine, DecisionStep};
+use crate::engine::{AutoScaleEngine, DecisionStep, EngineConfig};
 use crate::reward::RewardConfig;
 
 /// What a scheduler decided for one inference.
@@ -162,22 +162,19 @@ pub trait Scheduler {
 // AutoScale
 // ---------------------------------------------------------------------------
 
-/// AutoScale behind the [`Scheduler`] interface.
+/// AutoScale behind the [`Scheduler`] interface, in the paper's
+/// deployment mode: it serves greedily, drawing nothing, while still
+/// applying Q updates (the paper's engine "continuously learns").
 pub struct AutoScaleScheduler {
     engine: AutoScaleEngine,
-    training: bool,
     last_step: Option<DecisionStep>,
 }
 
 impl AutoScaleScheduler {
-    /// Wraps a (typically pre-trained) engine. With `training = true` the
-    /// scheduler keeps exploring and learning online; otherwise it serves
-    /// greedily while still applying Q updates (the paper's engine
-    /// "continuously learns").
-    pub fn new(engine: AutoScaleEngine, training: bool) -> Self {
+    /// Wraps a (typically pre-trained) engine.
+    pub fn new(engine: AutoScaleEngine) -> Self {
         AutoScaleScheduler {
             engine,
-            training,
             last_step: None,
         }
     }
@@ -198,15 +195,8 @@ impl Scheduler for AutoScaleScheduler {
         sim: &Simulator,
         workload: Workload,
         snapshot: &Snapshot,
-        rng: &mut StdRng,
+        _rng: &mut StdRng,
     ) -> Decision {
-        // Eval mode draws nothing by design; training and eval streams are
-        // never digest-compared.
-        let decided = if self.training {
-            self.engine.decide(sim, workload, snapshot, rng)
-        } else {
-            self.engine.decide_greedy(sim, workload, snapshot)
-        };
         // The Scheduler trait is the evaluation harness's common surface
         // and stays infallible; the harness only drives the paper's
         // testbeds, whose CPUs serve every workload.
@@ -214,7 +204,10 @@ impl Scheduler for AutoScaleScheduler {
             clippy::expect_used,
             reason = "evaluation-only wrapper over the fallible engine API"
         )]
-        let step = decided.expect("the paper testbeds always expose a feasible CPU action");
+        let step = self
+            .engine
+            .decide_greedy(sim, workload, snapshot)
+            .expect("the paper testbeds always expose a feasible CPU action");
         self.last_step = Some(step);
         Decision::Whole(step.request)
     }
@@ -246,25 +239,22 @@ impl Scheduler for AutoScaleScheduler {
 pub struct LinearFaScheduler {
     agent: autoscale_rl::LinearQAgent,
     space: crate::action::ActionSpace,
-    reward_for: Box<dyn Fn(Workload) -> RewardConfig + Send>,
+    config: EngineConfig,
     training: bool,
     last: Option<(Vec<f64>, usize)>,
 }
 
 impl LinearFaScheduler {
     /// Creates the scheduler with the paper's hyperparameters mapped onto
-    /// the linear agent.
-    pub fn new(
-        sim: &Simulator,
-        training: bool,
-        reward_for: impl Fn(Workload) -> RewardConfig + Send + 'static,
-    ) -> Self {
+    /// the linear agent, rewarding by `config`'s eq. (5). With `training`
+    /// it explores ε-greedily; otherwise it acts greedily, drawing nothing.
+    pub fn new(sim: &Simulator, training: bool, config: EngineConfig) -> Self {
         let space = crate::action::ActionSpace::for_simulator(sim);
         let agent = autoscale_rl::LinearQAgent::new(8, space.len(), 0.9, 0.1, 0.1);
         LinearFaScheduler {
             agent,
             space,
-            reward_for: Box::new(reward_for),
+            config,
             training,
             last: None,
         }
@@ -306,8 +296,6 @@ impl Scheduler for LinearFaScheduler {
     ) -> Decision {
         let phi = Self::phi(sim, workload, snapshot);
         let mask = self.space.mask(sim, workload);
-        // Eval mode draws nothing by design; training and eval streams are
-        // never digest-compared.
         #[expect(
             clippy::expect_used,
             reason = "the paper testbeds always expose a feasible CPU action"
@@ -331,7 +319,7 @@ impl Scheduler for LinearFaScheduler {
         outcome: &Outcome,
     ) {
         if let Some((phi, action)) = self.last.take() {
-            let r = crate::reward::reward(&(self.reward_for)(workload), outcome);
+            let r = crate::reward::reward(&self.config.reward_for(workload), outcome);
             let next_phi = Self::phi(sim, workload, snapshot);
             let mask = self.space.mask(sim, workload);
             self.agent.update(&phi, action, r, &next_phi, &mask);
@@ -358,25 +346,19 @@ pub struct HybridScheduler {
     space: crate::action::ActionSpace,
     split_fractions: Vec<f64>,
     agent: autoscale_rl::QLearningAgent,
-    reward_for: Box<dyn Fn(Workload) -> RewardConfig + Send>,
-    training: bool,
+    config: EngineConfig,
     last: Option<(usize, usize)>,
 }
 
 impl HybridScheduler {
     /// Creates the hybrid scheduler with `splits_per_model` partition
-    /// actions at evenly spaced depth fractions.
+    /// actions at evenly spaced depth fractions. It keeps exploring
+    /// ε-greedily and learning online, rewarding by `config`'s eq. (5).
     ///
     /// # Panics
     ///
     /// Panics if `splits_per_model == 0`.
-    pub fn new(
-        sim: &Simulator,
-        splits_per_model: usize,
-        training: bool,
-        seed: u64,
-        reward_for: impl Fn(Workload) -> RewardConfig + Send + 'static,
-    ) -> Self {
+    pub fn new(sim: &Simulator, splits_per_model: usize, seed: u64, config: EngineConfig) -> Self {
         assert!(splits_per_model > 0, "need at least one split action");
         let engine_states = crate::state::StateSpace::paper();
         let space = crate::action::ActionSpace::for_simulator(sim);
@@ -394,8 +376,7 @@ impl HybridScheduler {
             space,
             split_fractions,
             agent,
-            reward_for: Box::new(reward_for),
-            training,
+            config,
             last: None,
         }
     }
@@ -459,20 +440,15 @@ impl Scheduler for HybridScheduler {
         let state = self
             .engine_states
             .encode_observation(sim.network(workload), snapshot);
-        let mask = self.mask(sim, workload);
-        // Eval mode draws nothing by design; training and eval streams are
-        // never digest-compared.
+        let mask = MaskSet::from_bools(&self.mask(sim, workload));
         #[expect(
             clippy::expect_used,
             reason = "the paper testbeds always expose a feasible CPU action"
         )]
-        let action = if self.training {
-            self.agent
-                .select_action(state, &MaskSet::from_bools(&mask), rng)
-        } else {
-            self.agent.select_greedy(state, &mask)
-        }
-        .expect("the CPU can always run the model");
+        let action = self
+            .agent
+            .select_action(state, &mask, rng)
+            .expect("the CPU can always run the model");
         self.last = Some((state, action));
         self.decision_of(sim, workload, action)
     }
@@ -486,7 +462,7 @@ impl Scheduler for HybridScheduler {
         outcome: &Outcome,
     ) {
         if let Some((state, action)) = self.last.take() {
-            let r = crate::reward::reward(&(self.reward_for)(workload), outcome);
+            let r = crate::reward::reward(&self.config.reward_for(workload), outcome);
             let next_state = self
                 .engine_states
                 .encode_observation(sim.network(workload), snapshot);
@@ -504,20 +480,16 @@ impl Scheduler for HybridScheduler {
 /// baselines: a fixed request per workload, chosen once offline.
 pub struct FixedScheduler {
     kind: SchedulerKind,
-    choice: Box<dyn Fn(Workload) -> Request + Send>,
+    /// The request per workload, indexed by [`Workload::index`].
+    table: Vec<Request>,
 }
 
 impl FixedScheduler {
     /// `Edge (CPU FP32)`: the mobile CPU at FP32 and maximum frequency.
     pub fn edge_cpu_fp32(sim: &Simulator) -> Self {
-        let request = Request::at_max_frequency(
-            sim,
-            Placement::OnDevice(ProcessorKind::Cpu),
-            Precision::Fp32,
-        );
         FixedScheduler {
             kind: SchedulerKind::EdgeCpuFp32,
-            choice: Box::new(move |_| request),
+            table: vec![cpu_fp32(sim); Workload::ALL.len()],
         }
     }
 
@@ -527,7 +499,7 @@ impl FixedScheduler {
     /// baseline does not tune DVFS or quantization: each processor runs
     /// at its default governor setting (maximum frequency) and native
     /// deployment precision (FP32 on CPU/GPU, INT8 on the DSP).
-    pub fn edge_best(sim: &Simulator, reward_for: impl Fn(Workload) -> RewardConfig) -> Self {
+    pub fn edge_best(sim: &Simulator, config: EngineConfig) -> Self {
         let candidates: Vec<Request> = [
             (ProcessorKind::Cpu, Precision::Fp32),
             (ProcessorKind::Gpu, Precision::Fp32),
@@ -539,48 +511,28 @@ impl FixedScheduler {
             Request::at_max_frequency(sim, Placement::OnDevice(kind), precision)
         })
         .collect();
-        let table: Vec<Request> = Workload::ALL
-            .iter()
-            .map(|&w| {
-                let cfg = reward_for(w);
-                let feasible: Vec<Request> = candidates
-                    .iter()
-                    .copied()
-                    .filter(|r| sim.is_feasible(w, r))
-                    .collect();
-                best_request(sim, w, &cfg, &feasible).unwrap_or_else(|| {
-                    Request::at_max_frequency(
-                        sim,
-                        Placement::OnDevice(ProcessorKind::Cpu),
-                        Precision::Fp32,
-                    )
-                })
-            })
-            .collect();
         FixedScheduler {
             kind: SchedulerKind::EdgeBest,
-            choice: Box::new(move |w| table[w as usize]),
+            table: per_workload_best(sim, config, &candidates),
         }
     }
 
     /// `Cloud`: the best cloud processor per NN under calm conditions.
-    pub fn cloud(sim: &Simulator, reward_for: impl Fn(Workload) -> RewardConfig) -> Self {
-        let table = per_workload_best(sim, &reward_for, |p| matches!(p, Placement::Cloud(_)));
+    pub fn cloud(sim: &Simulator, config: EngineConfig) -> Self {
+        let candidates = actions_where(sim, |p| matches!(p, Placement::Cloud(_)));
         FixedScheduler {
             kind: SchedulerKind::Cloud,
-            choice: Box::new(move |w| table[w as usize]),
+            table: per_workload_best(sim, config, &candidates),
         }
     }
 
     /// `Connected Edge`: the best tablet processor per NN under calm
     /// conditions.
-    pub fn connected_edge(sim: &Simulator, reward_for: impl Fn(Workload) -> RewardConfig) -> Self {
-        let table = per_workload_best(sim, &reward_for, |p| {
-            matches!(p, Placement::ConnectedEdge(_))
-        });
+    pub fn connected_edge(sim: &Simulator, config: EngineConfig) -> Self {
+        let candidates = actions_where(sim, |p| matches!(p, Placement::ConnectedEdge(_)));
         FixedScheduler {
             kind: SchedulerKind::ConnectedEdge,
-            choice: Box::new(move |w| table[w as usize]),
+            table: per_workload_best(sim, config, &candidates),
         }
     }
 }
@@ -597,50 +549,52 @@ impl Scheduler for FixedScheduler {
         _snapshot: &Snapshot,
         _rng: &mut StdRng,
     ) -> Decision {
-        Decision::Whole((self.choice)(workload))
+        Decision::Whole(self.table[workload.index()])
     }
 }
 
-/// Profiles, under calm conditions, the best request per workload among
-/// the placements `filter` admits; falls back to CPU FP32 if the filter
-/// admits nothing feasible (e.g. no DSP and no GPU support for RC models).
-fn per_workload_best(
-    sim: &Simulator,
-    reward_for: &impl Fn(Workload) -> RewardConfig,
-    filter: impl Fn(Placement) -> bool,
-) -> Vec<Request> {
-    let space = crate::action::ActionSpace::for_simulator(sim);
-    Workload::ALL
+/// The mobile CPU at FP32 and maximum frequency: `Edge (CPU FP32)`, and
+/// the fallback of a baseline whose pick cannot run.
+fn cpu_fp32(sim: &Simulator) -> Request {
+    Request::at_max_frequency(
+        sim,
+        Placement::OnDevice(ProcessorKind::Cpu),
+        Precision::Fp32,
+    )
+}
+
+/// The device's actions whose placement `filter` admits.
+fn actions_where(sim: &Simulator, filter: impl Fn(Placement) -> bool) -> Vec<Request> {
+    crate::action::ActionSpace::for_simulator(sim)
+        .actions()
         .iter()
-        .map(|&w| {
-            let cfg = reward_for(w);
-            let candidates: Vec<Request> = space
-                .actions()
-                .iter()
-                .copied()
-                .filter(|r| filter(r.placement) && sim.is_feasible(w, r))
-                .collect();
-            best_request(sim, w, &cfg, &candidates).unwrap_or_else(|| {
-                Request::at_max_frequency(
-                    sim,
-                    Placement::OnDevice(ProcessorKind::Cpu),
-                    Precision::Fp32,
-                )
-            })
-        })
+        .copied()
+        .filter(|r| filter(r.placement))
         .collect()
 }
 
-/// The most energy-efficient candidate meeting the QoS and accuracy
-/// constraints under calm conditions; falls back to constraint-relaxed
-/// tiers like the oracle does.
-fn best_request(
+/// Profiles, under calm conditions, the most energy-efficient request per
+/// workload among the candidates it can run, subject to the constraints
+/// as the oracle relaxes them; falls back to CPU FP32 if none is feasible
+/// (e.g. no DSP and no GPU support for RC models).
+fn per_workload_best(
     sim: &Simulator,
-    workload: Workload,
-    cfg: &RewardConfig,
+    config: EngineConfig,
     candidates: &[Request],
-) -> Option<Request> {
-    select_best(sim, workload, cfg, &Snapshot::calm(), candidates)
+) -> Vec<Request> {
+    Workload::ALL
+        .iter()
+        .map(|&w| {
+            let feasible: Vec<Request> = candidates
+                .iter()
+                .copied()
+                .filter(|r| sim.is_feasible(w, r))
+                .collect();
+            let calm = Snapshot::calm();
+            select_best(sim, w, &config.reward_for(w), &calm, &feasible)
+                .unwrap_or_else(|| cpu_fp32(sim))
+        })
+        .collect()
 }
 
 /// Oracle-style selection among explicit candidates under a given
@@ -694,18 +648,16 @@ fn select_best(
 /// by exhaustively measuring the ~200,000-point design space.
 pub struct OracleScheduler {
     space: crate::action::ActionSpace,
-    reward_for: Box<dyn Fn(Workload) -> RewardConfig + Send>,
+    config: EngineConfig,
 }
 
 impl OracleScheduler {
-    /// Builds the oracle for a simulator.
-    pub fn new(
-        sim: &Simulator,
-        reward_for: impl Fn(Workload) -> RewardConfig + Send + 'static,
-    ) -> Self {
+    /// Builds the oracle for a simulator, judging requests by `config`'s
+    /// QoS and accuracy targets.
+    pub fn new(sim: &Simulator, config: EngineConfig) -> Self {
         OracleScheduler {
             space: crate::action::ActionSpace::for_simulator(sim),
-            reward_for: Box::new(reward_for),
+            config,
         }
     }
 
@@ -716,7 +668,7 @@ impl OracleScheduler {
         workload: Workload,
         snapshot: &Snapshot,
     ) -> Request {
-        let cfg = (self.reward_for)(workload);
+        let cfg = self.config.reward_for(workload);
         let candidates: Vec<Request> = self
             .space
             .actions()
@@ -792,18 +744,19 @@ pub struct RegressionScheduler {
     model: RegressionModel,
     scaler: StandardScaler,
     space: crate::action::ActionSpace,
-    reward_for: Box<dyn Fn(Workload) -> RewardConfig + Send>,
+    config: EngineConfig,
 }
 
 impl RegressionScheduler {
     /// Builds the scheduler from a trained model and the scaler its
-    /// training features were standardized with.
+    /// training features were standardized with; `config` sets the QoS
+    /// target a prediction must meet.
     pub fn new(
         sim: &Simulator,
         kind: SchedulerKind,
         model: RegressionModel,
         scaler: StandardScaler,
-        reward_for: impl Fn(Workload) -> RewardConfig + Send + 'static,
+        config: EngineConfig,
     ) -> Self {
         assert!(
             matches!(kind, SchedulerKind::LinearRegression | SchedulerKind::Svr),
@@ -814,8 +767,15 @@ impl RegressionScheduler {
             model,
             scaler,
             space: crate::action::ActionSpace::for_simulator(sim),
-            reward_for: Box::new(reward_for),
+            config,
         }
+    }
+
+    /// Predicted (energy mJ, latency ms) of one inference, from its raw
+    /// state and action features (a characterization sample's
+    /// `features`).
+    pub fn predict(&self, features: &[f64]) -> (f64, f64) {
+        self.model.predict(&self.scaler.transform(features))
     }
 }
 
@@ -831,7 +791,7 @@ impl Scheduler for RegressionScheduler {
         snapshot: &Snapshot,
         _rng: &mut StdRng,
     ) -> Decision {
-        let cfg = (self.reward_for)(workload);
+        let qos_ms = self.config.reward_for(workload).qos_ms;
         let state = state_features(sim.network(workload), snapshot);
         let mask = self.space.mask(sim, workload);
         let mut best: Option<(usize, f64)> = None;
@@ -842,11 +802,11 @@ impl Scheduler for RegressionScheduler {
             }
             let mut x = state.clone();
             x.extend(self.space.action_features(sim, a));
-            let (energy, latency) = self.model.predict(&self.scaler.transform(&x));
+            let (energy, latency) = self.predict(&x);
             if fastest.as_ref().is_none_or(|&(_, l)| latency < l) {
                 fastest = Some((a, latency));
             }
-            if latency >= cfg.qos_ms {
+            if latency >= qos_ms {
                 continue;
             }
             if best.as_ref().is_none_or(|&(_, e)| energy < e) {
@@ -917,6 +877,13 @@ impl ClassificationScheduler {
             space: crate::action::ActionSpace::for_simulator(sim),
         }
     }
+
+    /// The predicted coarse target's index in
+    /// [`ActionSpace::coarse_targets`](crate::action::ActionSpace::coarse_targets),
+    /// from raw state features.
+    pub fn classify(&self, state: &[f64]) -> usize {
+        self.model.predict(&self.scaler.transform(state))
+    }
 }
 
 impl Scheduler for ClassificationScheduler {
@@ -931,11 +898,10 @@ impl Scheduler for ClassificationScheduler {
         snapshot: &Snapshot,
         _rng: &mut StdRng,
     ) -> Decision {
-        let x = self
-            .scaler
-            .transform(&state_features(sim.network(workload), snapshot));
         let coarse = self.space.coarse_targets();
-        let predicted = self.model.predict(&x).min(coarse.len() - 1);
+        let predicted = self
+            .classify(&state_features(sim.network(workload), snapshot))
+            .min(coarse.len() - 1);
         let (placement, precision) = coarse[predicted];
         let request = Request::at_max_frequency(sim, placement, precision);
         if sim.is_feasible(workload, &request) {
@@ -943,11 +909,7 @@ impl Scheduler for ClassificationScheduler {
         } else {
             // The classifier picked an infeasible target (e.g. a DSP for a
             // recurrent model): fall back to the CPU FP32 action.
-            Decision::Whole(Request::at_max_frequency(
-                sim,
-                Placement::OnDevice(ProcessorKind::Cpu),
-                Precision::Fp32,
-            ))
+            Decision::Whole(cpu_fp32(sim))
         }
     }
 }
@@ -965,25 +927,22 @@ pub struct BoScheduler {
     space: crate::action::ActionSpace,
     optimizers: Vec<BayesianOptimizer>,
     budget: usize,
-    reward_for: Box<dyn Fn(Workload) -> RewardConfig + Send>,
+    config: EngineConfig,
     last_action: Option<(Workload, usize)>,
 }
 
 impl BoScheduler {
     /// Builds the BO scheduler with an exploration `budget` (suggestions
-    /// taken via expected improvement before switching to exploitation).
-    pub fn new(
-        sim: &Simulator,
-        budget: usize,
-        reward_for: impl Fn(Workload) -> RewardConfig + Send + 'static,
-    ) -> Self {
+    /// taken via expected improvement before switching to exploitation),
+    /// penalizing violations of `config`'s QoS and accuracy targets.
+    pub fn new(sim: &Simulator, budget: usize, config: EngineConfig) -> Self {
         BoScheduler {
             space: crate::action::ActionSpace::for_simulator(sim),
             optimizers: (0..Workload::ALL.len())
                 .map(|_| BayesianOptimizer::with_default_kernel())
                 .collect(),
             budget,
-            reward_for: Box::new(reward_for),
+            config,
             last_action: None,
         }
     }
@@ -1043,7 +1002,7 @@ impl Scheduler for BoScheduler {
             if w != workload {
                 return;
             }
-            let cfg = (self.reward_for)(workload);
+            let cfg = self.config.reward_for(workload);
             // Objective: energy efficiency, with constraint violations
             // pushed far down so EI avoids them.
             let mut objective = outcome.efficiency_ipj();
@@ -1144,13 +1103,8 @@ impl Scheduler for MosaicScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::EngineConfig;
     use crate::seeded_rng;
     use autoscale_platform::DeviceId;
-
-    fn reward_for(w: Workload) -> RewardConfig {
-        EngineConfig::paper().reward_for(w)
-    }
 
     #[test]
     fn edge_cpu_baseline_always_picks_cpu_fp32() {
@@ -1171,7 +1125,7 @@ mod tests {
     #[test]
     fn edge_best_beats_edge_cpu_on_energy() {
         let sim = Simulator::new(DeviceId::Mi8Pro);
-        let mut best = FixedScheduler::edge_best(&sim, reward_for);
+        let mut best = FixedScheduler::edge_best(&sim, EngineConfig::paper());
         let mut cpu = FixedScheduler::edge_cpu_fp32(&sim);
         let mut rng = seeded_rng(2);
         let calm = Snapshot::calm();
@@ -1193,7 +1147,7 @@ mod tests {
     #[test]
     fn cloud_baseline_stays_in_the_cloud() {
         let sim = Simulator::new(DeviceId::Mi8Pro);
-        let mut s = FixedScheduler::cloud(&sim, reward_for);
+        let mut s = FixedScheduler::cloud(&sim, EngineConfig::paper());
         let mut rng = seeded_rng(3);
         for w in Workload::ALL {
             match s.decide(&sim, w, &Snapshot::calm(), &mut rng) {
@@ -1206,7 +1160,7 @@ mod tests {
     #[test]
     fn connected_edge_baseline_uses_the_tablet() {
         let sim = Simulator::new(DeviceId::MotoXForce);
-        let mut s = FixedScheduler::connected_edge(&sim, reward_for);
+        let mut s = FixedScheduler::connected_edge(&sim, EngineConfig::paper());
         let mut rng = seeded_rng(4);
         for w in [Workload::InceptionV1, Workload::MobileNetV3] {
             match s.decide(&sim, w, &Snapshot::calm(), &mut rng) {
@@ -1221,7 +1175,7 @@ mod tests {
     #[test]
     fn oracle_meets_qos_when_possible_and_adapts_to_signal() {
         let sim = Simulator::new(DeviceId::Mi8Pro);
-        let oracle = OracleScheduler::new(&sim, reward_for);
+        let oracle = OracleScheduler::new(&sim, EngineConfig::paper());
         let calm = Snapshot::calm();
         let weak = Snapshot::new(
             0.0,
@@ -1241,10 +1195,13 @@ mod tests {
         // INT8 DSP is disqualified, making the cloud optimal at strong
         // signal; weak signal everywhere brings the oracle home to the
         // device (the paper's Fig. 6 experiment).
-        let strict = OracleScheduler::new(&sim, |w| RewardConfig {
-            accuracy_target: Some(75.0),
-            ..crate::engine::EngineConfig::paper().reward_for(w)
-        });
+        let strict = OracleScheduler::new(
+            &sim,
+            EngineConfig {
+                accuracy_target: Some(75.0),
+                ..EngineConfig::paper()
+            },
+        );
         let calm_vision = strict.optimal_request(&sim, Workload::ResNet50, &calm);
         assert!(calm_vision.placement.is_remote(), "{calm_vision}");
         let weak_req = strict.optimal_request(&sim, Workload::ResNet50, &weak);
@@ -1257,12 +1214,12 @@ mod tests {
     #[test]
     fn oracle_outcome_meets_constraints_in_calm_conditions() {
         let sim = Simulator::new(DeviceId::Mi8Pro);
-        let oracle = OracleScheduler::new(&sim, reward_for);
+        let oracle = OracleScheduler::new(&sim, EngineConfig::paper());
         let calm = Snapshot::calm();
         for w in Workload::ALL {
             let req = oracle.optimal_request(&sim, w, &calm);
             let out = sim.execute_expected(w, &req, &calm).unwrap();
-            let cfg = reward_for(w);
+            let cfg = EngineConfig::paper().reward_for(w);
             assert!(out.latency_ms < cfg.qos_ms, "{w}: {} ms", out.latency_ms);
             assert!(out.accuracy >= cfg.accuracy_target.unwrap(), "{w}");
         }
@@ -1298,7 +1255,7 @@ mod tests {
     #[test]
     fn hybrid_scheduler_learns_and_stays_feasible() {
         let sim = Simulator::new(DeviceId::Mi8Pro);
-        let mut hybrid = HybridScheduler::new(&sim, 3, true, 7, reward_for);
+        let mut hybrid = HybridScheduler::new(&sim, 3, 7, EngineConfig::paper());
         assert_eq!(hybrid.actions(), 66 + 3);
         let mut rng = seeded_rng(8);
         let calm = Snapshot::calm();
@@ -1326,7 +1283,7 @@ mod tests {
     #[test]
     fn linear_fa_scheduler_learns_and_stays_feasible() {
         let sim = Simulator::new(DeviceId::Mi8Pro);
-        let mut fa = LinearFaScheduler::new(&sim, true, reward_for);
+        let mut fa = LinearFaScheduler::new(&sim, true, EngineConfig::paper());
         let mut rng = seeded_rng(21);
         let calm = Snapshot::calm();
         for w in [Workload::InceptionV1, Workload::MobileBert] {

@@ -37,8 +37,8 @@ fn main() {
         config,
         11,
     );
-    let mut autoscale_sched = autoscale::scheduler::AutoScaleScheduler::new(engine, false);
-    let mut cloud = FixedScheduler::cloud(&sim, move |w| config.reward_for(w));
+    let mut autoscale_sched = autoscale::scheduler::AutoScaleScheduler::new(engine);
+    let mut cloud = FixedScheduler::cloud(&sim, config);
     let mut rng = autoscale::seeded_rng(42);
 
     // Three acts: calm commute, browser co-running, weak Wi-Fi.

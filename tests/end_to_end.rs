@@ -84,18 +84,11 @@ fn predictor_pipeline_trains_and_schedules() {
         3,
         &mut rng,
     );
-    let reward_for = move |w: Workload| config.reward_for(w);
     let mut schedulers: Vec<Box<dyn Scheduler>> = vec![
-        Box::new(characterize::train_lr_scheduler(&sim, &dataset, reward_for)),
-        Box::new(characterize::train_svr_scheduler(
-            &sim, &dataset, reward_for,
-        )),
-        Box::new(characterize::train_svm_scheduler(
-            &sim, &dataset, reward_for,
-        )),
-        Box::new(characterize::train_knn_scheduler(
-            &sim, &dataset, reward_for,
-        )),
+        Box::new(characterize::train_lr_scheduler(&sim, &dataset, config)),
+        Box::new(characterize::train_svr_scheduler(&sim, &dataset, config)),
+        Box::new(characterize::train_svm_scheduler(&sim, &dataset, config)),
+        Box::new(characterize::train_knn_scheduler(&sim, &dataset, config)),
     ];
     let ev = Evaluator::new(sim, config);
     let mut rng2 = autoscale::seeded_rng(4);
@@ -137,8 +130,7 @@ fn dynamic_environments_are_harder_than_static_for_fixed_baselines() {
     // a fixed strong signal (S1).
     let config = EngineConfig::paper();
     let ev = Evaluator::new(Simulator::new(DeviceId::Mi8Pro), config);
-    let mut cloud =
-        autoscale::scheduler::FixedScheduler::cloud(ev.sim(), move |w| config.reward_for(w));
+    let mut cloud = autoscale::scheduler::FixedScheduler::cloud(ev.sim(), config);
     let mut rng = autoscale::seeded_rng(6);
     let calm = ev.run(
         &mut cloud,
@@ -177,7 +169,7 @@ fn engine_adapts_across_environment_shifts() {
         7,
     );
     let ev = Evaluator::new(sim, config);
-    let mut sched = autoscale::scheduler::AutoScaleScheduler::new(engine, false);
+    let mut sched = autoscale::scheduler::AutoScaleScheduler::new(engine);
     let mut rng = autoscale::seeded_rng(8);
     let rep = ev.run(
         &mut sched,

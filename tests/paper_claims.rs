@@ -10,12 +10,6 @@ use autoscale::experiment;
 use autoscale::prelude::*;
 use autoscale::scheduler::{AutoScaleScheduler, FixedScheduler, OracleScheduler};
 
-fn reward_fn(
-    config: EngineConfig,
-) -> impl Fn(Workload) -> autoscale::reward::RewardConfig + Send + Clone + 'static {
-    move |w| config.reward_for(w)
-}
-
 /// Runs one scheduler over every workload in the static environments and
 /// returns (mean normalized PPW vs Edge CPU FP32, mean QoS violation).
 fn suite(
@@ -25,7 +19,6 @@ fn suite(
     seed: u64,
 ) -> (f64, f64) {
     let mut rng = autoscale::seeded_rng(seed);
-    let config = ev.config();
     let mut ppw = Vec::new();
     let mut qos = Vec::new();
     for w in Workload::ALL {
@@ -36,7 +29,6 @@ fn suite(
             let rep = ev.run(sched.as_mut(), w, env, warmup, 40, None, &mut rng);
             ppw.push(rep.normalized_ppw(&baseline));
             qos.push(rep.qos_violation_ratio);
-            let _ = config;
         }
     }
     let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
@@ -59,7 +51,7 @@ fn autoscale_beats_the_cpu_baseline_by_a_large_factor() {
     );
     let (ppw, qos) = suite(
         &ev,
-        &mut |_| Box::new(AutoScaleScheduler::new(engine.clone(), false)),
+        &mut |_| Box::new(AutoScaleScheduler::new(engine.clone())),
         60,
         2,
     );
@@ -86,19 +78,19 @@ fn autoscale_beats_cloud_and_edge_best_baselines() {
     );
     let (autoscale_ppw, _) = suite(
         &ev,
-        &mut |_| Box::new(AutoScaleScheduler::new(engine.clone(), false)),
+        &mut |_| Box::new(AutoScaleScheduler::new(engine.clone())),
         60,
         4,
     );
     let (cloud_ppw, _) = suite(
         &ev,
-        &mut |_| Box::new(FixedScheduler::cloud(ev.sim(), reward_fn(config))),
+        &mut |_| Box::new(FixedScheduler::cloud(ev.sim(), config)),
         0,
         4,
     );
     let (best_ppw, _) = suite(
         &ev,
-        &mut |_| Box::new(FixedScheduler::edge_best(ev.sim(), reward_fn(config))),
+        &mut |_| Box::new(FixedScheduler::edge_best(ev.sim(), config)),
         0,
         4,
     );
@@ -131,13 +123,13 @@ fn autoscale_tracks_the_oracle_closely() {
     );
     let (autoscale_ppw, autoscale_qos) = suite(
         &ev,
-        &mut |_| Box::new(AutoScaleScheduler::new(engine.clone(), false)),
+        &mut |_| Box::new(AutoScaleScheduler::new(engine.clone())),
         60,
         6,
     );
     let (opt_ppw, opt_qos) = suite(
         &ev,
-        &mut |_| Box::new(OracleScheduler::new(ev.sim(), reward_fn(config))),
+        &mut |_| Box::new(OracleScheduler::new(ev.sim(), config)),
         0,
         6,
     );
@@ -203,7 +195,7 @@ fn high_end_device_runs_light_nns_locally_and_heavy_nns_remotely() {
     // NNs favour the cloud.
     let config = EngineConfig::paper();
     let sim = Simulator::new(DeviceId::Mi8Pro);
-    let oracle = OracleScheduler::new(&sim, reward_fn(config));
+    let oracle = OracleScheduler::new(&sim, config);
     let calm = Snapshot::calm();
     for light in [
         Workload::MobileNetV1,
@@ -238,7 +230,7 @@ fn prior_work_layer_splitters_trail_autoscale() {
     );
     let (autoscale_ppw, _) = suite(
         &ev,
-        &mut |_| Box::new(AutoScaleScheduler::new(engine.clone(), false)),
+        &mut |_| Box::new(AutoScaleScheduler::new(engine.clone())),
         60,
         8,
     );
@@ -290,7 +282,7 @@ fn streaming_tightens_results_but_autoscale_still_beats_baselines() {
         11,
     );
     let mut rng = autoscale::seeded_rng(12);
-    let mut sched = AutoScaleScheduler::new(engine, false);
+    let mut sched = AutoScaleScheduler::new(engine);
     let mut base = FixedScheduler::edge_cpu_fp32(ev.sim());
     let baseline = ev.run(
         &mut base,

@@ -6,7 +6,7 @@ mod dense_fleet;
 use autoscale::experiment;
 use autoscale::parallel::{cell_seed, run_cells};
 use autoscale::prelude::*;
-use autoscale::scheduler::{AutoScaleScheduler, FixedScheduler, OracleScheduler, Scheduler};
+use autoscale::scheduler::AutoScaleScheduler;
 use autoscale::state::State;
 use autoscale_net::Rssi;
 use autoscale_rl::{
@@ -470,9 +470,10 @@ proptest! {
 
 /// Serialized results of a Figure 9-shaped grid run on the parallel
 /// harness with the given worker count. Each (phone, workload) cell
-/// trains leave-one-out AutoScale, then runs it with oracle tracking
-/// beside the four fixed baselines, Opt, MOSAIC and NeuroSurgeon on two
-/// static environments. Every stream derives from the cell seed.
+/// trains leave-one-out AutoScale, then runs Figure 9's comparison (with
+/// oracle tracking, beside the four fixed baselines, Opt, MOSAIC and
+/// NeuroSurgeon) on two static environments. Every stream derives from
+/// the cell seed.
 fn harness_grid_bytes(threads: usize, base_seed: u64) -> Vec<u8> {
     let specs: Vec<(DeviceId, Workload)> = [DeviceId::Mi8Pro, DeviceId::MotoXForce]
         .into_iter()
@@ -480,38 +481,26 @@ fn harness_grid_bytes(threads: usize, base_seed: u64) -> Vec<u8> {
         .collect();
     let envs = [EnvironmentId::S1, EnvironmentId::S4];
     let config = EngineConfig::paper();
-    let reward_for = move |w: Workload| config.reward_for(w);
-    let reports = run_cells(threads, base_seed, &specs, |cell| {
+    let comparisons = run_cells(threads, base_seed, &specs, |cell| {
         let (device, w) = *cell.spec;
         let ev = Evaluator::new(Simulator::new(device), config);
         let sim = ev.sim();
         let [train_seed, prior_seed] = [1, 2].map(|k| cell_seed(cell.seed, k));
         let engine = experiment::train_leave_one_out(sim, w, &envs, 5, config, train_seed);
-        let mut autoscale = AutoScaleScheduler::new(engine, false);
-        let oracle = OracleScheduler::new(sim, reward_for);
         let mut prior_rng = autoscale::seeded_rng(prior_seed);
-        let qos = config.scenario_for(w).qos_ms();
-        let mut others: Vec<Box<dyn Scheduler>> = vec![
-            Box::new(FixedScheduler::edge_best(sim, reward_for)),
-            Box::new(FixedScheduler::cloud(sim, reward_for)),
-            Box::new(FixedScheduler::connected_edge(sim, reward_for)),
-            Box::new(OracleScheduler::new(sim, reward_for)),
-            Box::new(experiment::build_mosaic(sim, qos, &mut prior_rng)),
-            Box::new(experiment::build_neurosurgeon(sim, &mut prior_rng)),
-        ];
-        let mut rng = autoscale::seeded_rng(cell.seed);
-        let mut reports = Vec::new();
-        for env in envs {
-            let mut base = FixedScheduler::edge_cpu_fp32(sim);
-            reports.push(ev.run(&mut base, w, env, 0, 20, None, &mut rng));
-            reports.push(ev.run(&mut autoscale, w, env, 10, 20, Some(&oracle), &mut rng));
-            for other in &mut others {
-                reports.push(ev.run(other.as_mut(), w, env, 0, 20, None, &mut rng));
-            }
-        }
-        reports
+        let comparators = experiment::baselines_and_prior_work(sim, config, w, &mut prior_rng);
+        experiment::compare(
+            &ev,
+            w,
+            &envs,
+            AutoScaleScheduler::new(engine),
+            comparators,
+            10,
+            20,
+            &mut autoscale::seeded_rng(cell.seed),
+        )
     });
-    serde_json::to_vec(&reports).expect("reports serialize")
+    serde_json::to_vec(&comparisons).expect("reports serialize")
 }
 
 proptest! {

@@ -220,11 +220,8 @@ impl Interpreter<'_> {
         report.total_energy_mj += outcome.energy_mj;
         // "Measure R_latency, estimate R_energy": the phone has no meter.
         let mut rewarded = outcome;
-        if self.engine.estimate_energy {
-            let measured_ms = outcome.latency_ms;
-            rewarded.energy_mj =
-                estimate_energy_mj(sim, workload, &request, &snapshot, measured_ms);
-        }
+        rewarded.energy_mj =
+            estimate_energy_mj(sim, workload, &request, &snapshot, outcome.latency_ms);
         let r = reward(&self.engine.reward_for(workload), &rewarded);
         // Q(S,A) ← Q(S,A) + γ[R + µ·max Q(S',A') − Q(S,A)], with S'
         // observed from the same snapshot.
